@@ -27,12 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, InvariantError
 from .places import as_rational, floor_log, is_prime
 
 DEFAULT_CAPACITY = 10**8
 _CHUNK_PAIRS = 1 << 21
 _MAX_N = 4
+_SLNZ_RADIUS_LIMITS = {2: 2500, 3: 150, 4: 15}
 _INT_GUARD = 1 << 28  # keeps every intermediate product inside int64
 
 
@@ -146,6 +147,17 @@ def _xgcd_arrays(a, b):
     neg = old_r < 0
     sign = np.where(neg, -1, 1)
     return old_r * sign, old_x * sign, old_y * sign
+
+
+def _isqrt_array(x):
+    """Exact elementwise floor(sqrt(x)) of a non-negative int64 array.
+
+    The float square root is off by at most one below 2^62, so a single
+    correction step in each direction makes it exact."""
+    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    s += (s + 1) * (s + 1) <= x
+    s -= s * s > x
+    return s
 
 
 def _ragged_arange(lengths):
@@ -271,8 +283,8 @@ def _sl2_det_blocks(det, bound, sq_int, norm, prim_p, capacity, workers):
         aa, bb, cc, dd = aa[final], bb[final], cc[final], dd[final]
         if len(aa) == 0:
             return None
-        sample = slice(0, min(len(aa), 512))
-        assert np.all(aa[sample] * dd[sample] - bb[sample] * cc[sample] == det)
+        if not np.all(aa * dd - bb * cc == det):
+            raise InvariantError(f"sl2 engine built a matrix of det != {det}")
         out = np.empty((len(aa), 2, 2), dtype=np.int64)
         out[:, 0, 0], out[:, 0, 1] = aa, bb
         out[:, 1, 0], out[:, 1, 1] = cc, dd
@@ -362,6 +374,32 @@ def _row_table(n, bound, sq_int, norm):
     return rows, rows[order], norms[order]
 
 
+def _orbit_rows(n, limit):
+    """Rows r0 >= r1 >= ... >= r(n-1) >= 0, r != 0, |r|^2 <= limit, lex
+    sorted, with their orbit sizes under signed permutations.
+
+    These rows form a fundamental domain of the signed permutations on
+    the integer rows; the orbit of r has 2^#nonzero * n!/prod(mult!)
+    elements, mult running over the multiplicities of r's entries.  Built
+    one coordinate at a time, never through the full (2b+1)^n table."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rem = np.array([max(limit, 0)], dtype=np.int64)
+    prev = _isqrt_array(rem)  # each entry is capped by the one before
+    for _ in range(n):
+        rep, val = _ragged_arange(np.minimum(prev, _isqrt_array(rem)) + 1)
+        rows = np.concatenate([rows[rep], val[:, None]], axis=1)
+        rem = rem[rep] - val * val
+        prev = val
+    rows = rows[rows[:, 0] > 0]
+    run = np.ones(len(rows), dtype=np.int64)
+    stabilizer = np.ones(len(rows), dtype=np.int64)
+    for j in range(1, n):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
+        stabilizer *= run
+    sizes = (math.factorial(n) << (rows > 0).sum(axis=1)) // stabilizer
+    return rows, sizes
+
+
 def _pack_rows(rows):
     """Row -> single int64 key preserving lex order (entries < 2^15)."""
     key = np.zeros(len(rows), dtype=np.int64)
@@ -404,7 +442,8 @@ def _particular_solution(m):
             coeffs[i] = coeffs[i] * s
         coeffs.append(t)
         g = g2
-    assert np.all(g == 1)
+    if not np.all(g == 1):
+        raise InvariantError("cofactor vector with gcd != 1 reached the solver")
     return np.stack(coeffs, axis=1)
 
 
@@ -471,13 +510,11 @@ def _ellipsoid_boxes(ws, x0, c_eff):
 def _quadratic_interval_count(qa, qb, qc):
     """Exact #{t in Z : qa t^2 + 2 qb t + qc <= 0} for qa > 0.
 
-    The float square root is corrected to the exact integer isqrt,
-    after which each division candidate is off by at most one and a
-    single polynomial-sign fix per endpoint is enough."""
+    With the exact integer isqrt of the discriminant, each division
+    candidate is off by at most one and a single polynomial-sign fix
+    per endpoint is enough."""
     disc = qb * qb - qa * qc
-    s = np.sqrt(np.maximum(disc, 0).astype(np.float64)).astype(np.int64)
-    s += (s + 1) * (s + 1) <= disc
-    s -= s * s > disc
+    s = _isqrt_array(np.maximum(disc, 0))
     tlo = np.floor_divide(-qb - s, qa)
     thi = np.floor_divide(-qb + s, qa)
     tlo += tlo * (qa * tlo + 2 * qb) + qc > 0
@@ -486,21 +523,25 @@ def _quadratic_interval_count(qa, qb, qc):
     return np.where(disc < 0, 0, np.maximum(thi - tlo + 1, 0))
 
 
-def _count_last_row(prefix, budget, meter):
-    """Exact Frobenius completion count, no matrices materialized."""
+def _count_last_row(prefix, budget, weight, meter):
+    """Exact Frobenius completion count, no matrices materialized.
+
+    Each prefix's completions count ``weight`` times (the orbit size of
+    its first row); the meter and the box guard see weighted totals."""
     m = _cofactor_vector(prefix)
     g = np.gcd.reduce(np.abs(m), axis=1)
     keep = (g == 1) & (budget >= 1)
-    prefix, budget, m = prefix[keep], budget[keep], m[keep]
+    prefix, budget, m, weight = prefix[keep], budget[keep], m[keep], weight[keep]
     if len(prefix) == 0:
         return 0
     ws = _size_reduce_basis(prefix)
     x0 = _babai_shift(_particular_solution(m), ws)
     if ws.shape[1] == 1:
         w = ws[:, 0]
-        total = int(_quadratic_interval_count(
+        counts = _quadratic_interval_count(
             (w * w).sum(axis=1), (x0 * w).sum(axis=1),
-            (x0 * x0).sum(axis=1) - budget).sum())
+            (x0 * x0).sum(axis=1) - budget)
+        total = int((counts * weight).sum())
         meter.add(total)
         return total
     w1, w2 = ws[:, 0], ws[:, 1]
@@ -520,14 +561,14 @@ def _count_last_row(prefix, budget, meter):
                     np.floor(center + half + 1e-6).astype(np.int64)
                     - ilo + 1, 0)
     lens = np.maximum(lens, 0)
-    if int(lens.sum()) > 8 * meter.limit:
+    if int((lens * weight).sum()) > 8 * meter.limit:
         raise CapacityError("search boxes exceed capacity")
     rep, off = _ragged_arange(lens)
     ii = ilo[rep] + off
     counts = _quadratic_interval_count(
         cc[rep], b2[rep] + ii * bb[rep],
         n0[rep] + ii * (2 * b1[rep] + ii * aa[rep]))
-    total = int(counts.sum())
+    total = int((counts * weight[rep]).sum())
     meter.add(total)
     return total
 
@@ -591,8 +632,8 @@ def _complete_last_row(prefix, budget, bound, norm, meter):
         x, rep = x[ok], rep[ok]
         if len(x) == 0:
             continue
-        sample = slice(0, min(len(x), 512))
-        assert np.all((m[sl][rep][sample] * x[sample]).sum(axis=1) == 1)
+        if not np.all((m[sl][rep] * x).sum(axis=1) == 1):
+            raise InvariantError("completed last row gives det != 1")
         meter.add(len(x))
         outs.append(np.concatenate(
             [prefix[sl][rep], x[:, None, :]], axis=1))
@@ -602,65 +643,80 @@ def _complete_last_row(prefix, budget, bound, norm, meter):
 
 
 class _SlnzPlan:
-    """Row tables and prefix block layout shared by the slnz drivers."""
+    """First rows, later-row tables and prefix block layout of slnz.
 
-    def __init__(self, spec: BallSpec):
+    Enumeration takes every first row of the lex sorted row table.  The
+    count path (``reduced``) takes only the first rows of the signed
+    permutation fundamental domain, each standing for its whole orbit
+    (``orbit``, the orbit sizes): for a signed permutation matrix P and
+    D = diag(1, det P, 1, ...), gamma -> D gamma P maps the ball onto
+    itself and first row r to rP, so every row of an orbit has the same
+    number of completions.  Rows 2..n-1 always range over the full
+    norm-sorted table."""
+
+    def __init__(self, spec: BallSpec, reduced: bool = False):
         n, t = spec.n, spec._exact_t_inf()
         self.n, self.spec = n, spec
         self.bound = math.floor(t)
-        limits = {2: 2500, 3: 150, 4: 15}
-        if self.bound > limits[n]:
+        if self.bound > _SLNZ_RADIUS_LIMITS[n]:
             raise CapacityError(
-                f"slnz n={n} supports radii up to {limits[n]}")
+                f"slnz n={n} supports radii up to {_SLNZ_RADIUS_LIMITS[n]}")
         self.empty = self.bound < 1
         if self.empty:
             return
         self.sq = _frobenius_floor(t) if spec.norm == "frobenius" else None
-        self.rows_lex, self.rows_ns, self.norms_ns = _row_table(
-            n, self.bound, self.sq, spec.norm)
-        self.empty = len(self.rows_lex) == 0
+        self.orbit = None
+        if n > 2 or not reduced:
+            self.rows1, self.rows_ns, self.norms_ns = _row_table(
+                n, self.bound, self.sq, spec.norm)
+        if reduced:
+            self.rows1, self.orbit = _orbit_rows(n, self.sq - (n - 1))
+        self.empty = len(self.rows1) == 0
         if self.empty:
             return
-        self.norms1 = (self.rows_lex * self.rows_lex).sum(axis=1)
-        if spec.norm == "frobenius":
-            self.pref = np.searchsorted(
+        self.norms1 = (self.rows1 * self.rows1).sum(axis=1)
+        if n == 2:
+            per_row = np.ones(len(self.rows1), dtype=np.int64)
+        elif spec.norm == "frobenius":
+            self.pref = per_row = np.searchsorted(
                 self.norms_ns, self.sq - (n - 2) - self.norms1, side="right")
         else:
-            self.pref = np.full(len(self.rows_lex), len(self.rows_ns),
-                                dtype=np.int64)
-        weights = self.pref if n >= 3 else np.ones(len(self.rows_lex),
-                                                   dtype=np.int64)
-        cum = np.cumsum(weights)
+            self.pref = per_row = np.full(len(self.rows1), len(self.rows_ns),
+                                          dtype=np.int64)
+        cum = np.cumsum(per_row)
         cuts = np.searchsorted(
             cum, np.arange(1, math.ceil(cum[-1] / _CHUNK_PAIRS))
             * _CHUNK_PAIRS, side="left") + 1
         self.blocks = []
         start = 0
-        for cut in list(cuts) + [len(self.rows_lex)]:
-            cut = min(max(int(cut), start + 1), len(self.rows_lex))
+        for cut in list(cuts) + [len(self.rows1)]:
+            cut = min(max(int(cut), start + 1), len(self.rows1))
             if cut > start:
                 self.blocks.append((start, cut))
                 start = cut
-        if start < len(self.rows_lex):
-            self.blocks.append((start, len(self.rows_lex)))
+        if start < len(self.rows1):
+            self.blocks.append((start, len(self.rows1)))
 
     def prefixes(self, span):
-        """(prefix rows, exact Frobenius budget or None) for a block."""
+        """(prefix rows, exact Frobenius budget or None, index of each
+        prefix's first row in ``rows1``) for a block."""
         g0, g1 = span
         n, sq = self.n, self.sq
         frob = self.spec.norm == "frobenius"
+        first = np.arange(g0, g1)
         if n == 2:
-            prefix = self.rows_lex[g0:g1][:, None, :]
-            return prefix, (sq - self.norms1[g0:g1]) if frob else None
+            prefix = self.rows1[g0:g1][:, None, :]
+            return prefix, (sq - self.norms1[g0:g1]) if frob else None, first
         rep1, off = _ragged_arange(self.pref[g0:g1])
-        r1 = self.rows_lex[g0:g1][rep1]
+        first = first[rep1]
+        r1 = self.rows1[first]
         r2 = self.rows_ns[off]
         if n == 3:
             prefix = np.stack([r1, r2], axis=1)
-            budget = sq - self.norms1[g0:g1][rep1] - self.norms_ns[off] \
+            budget = sq - self.norms1[first] - self.norms_ns[off] \
                 if frob else None
-            return prefix, budget
-        used = self.norms1[g0:g1][rep1] + self.norms_ns[off]
+            return prefix, budget, first
+        used = self.norms1[first] + self.norms_ns[off]
         if frob:
             p3 = np.searchsorted(self.norms_ns, sq - 1 - used, side="right")
         else:
@@ -668,7 +724,7 @@ class _SlnzPlan:
         rep2, off3 = _ragged_arange(p3)
         prefix = np.stack([r1[rep2], r2[rep2], self.rows_ns[off3]], axis=1)
         budget = (sq - used[rep2] - self.norms_ns[off3]) if frob else None
-        return prefix, budget
+        return prefix, budget, first[rep2]
 
 
 def iter_slnz_chunks(spec: BallSpec, workers=None):
@@ -679,7 +735,7 @@ def iter_slnz_chunks(spec: BallSpec, workers=None):
     meter = _CapacityMeter(spec.capacity)
 
     def run(span):
-        prefix, budget = plan.prefixes(span)
+        prefix, budget, _ = plan.prefixes(span)
         mats = _complete_last_row(prefix, budget, plan.bound, spec.norm,
                                   meter)
         if mats is None:
@@ -700,6 +756,20 @@ def enum_slnz(spec: BallSpec, workers=None) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def entry_bound(spec: BallSpec) -> int:
+    """Largest |entry| of any integer matrix the spec's chunks can hold.
+
+    Under either norm an entry of gamma is at most the radius, and the
+    level-m integer matrix of sl2zp is p^m gamma."""
+    t = spec._exact_t_inf()
+    if spec.group == "sl2zp":
+        t_p = spec._exact_t_p()
+        if t_p < 1:
+            return 0
+        t *= spec.p ** floor_log(t_p, spec.p)
+    return math.floor(t)
+
+
 def iter_ball_chunks(spec: BallSpec, workers=None):
     """Uniform chunk stream (levels, mats) for any supported group."""
     if spec.group == "sl2z":
@@ -710,19 +780,32 @@ def iter_ball_chunks(spec: BallSpec, workers=None):
 
 
 def ball_count(spec: BallSpec, workers=None) -> int:
-    """Element count; exact interval sums for Frobenius slnz, n <= 3."""
-    if spec.group == "slnz" and spec.norm == "frobenius" and spec.n <= 3:
-        plan = _SlnzPlan(spec)
-        if plan.empty:
-            return 0
-        meter = _CapacityMeter(spec.capacity)
+    """Number of elements in the ball.
 
-        def run(span):
-            prefix, budget = plan.prefixes(span)
-            return _count_last_row(prefix, budget, meter)
+    Frobenius balls of SL(n,Z), n <= 3, and of SL(2,Z) (the same set as
+    slnz n = 2) are counted without building a matrix: only first rows
+    of the signed-permutation fundamental domain are visited, each
+    weighted by its orbit size (see ``_SlnzPlan``), and the last row is
+    counted by exact interval lengths.  Capacity applies to the weighted
+    totals, so it trips as soon as the element count exceeds it.
+    Other balls (max norm, sl2zp, n = 4, and sl2z radii beyond the slnz
+    n = 2 limit) are enumerated chunk by chunk."""
+    reduced = spec.norm == "frobenius" and (
+        spec.group == "slnz" and spec.n <= 3
+        or spec.group == "sl2z"
+        and math.floor(spec._exact_t_inf()) <= _SLNZ_RADIUS_LIMITS[2])
+    if not reduced:
+        return sum(len(m) for _, m in iter_ball_chunks(spec, workers))
+    plan = _SlnzPlan(spec, reduced=True)
+    if plan.empty:
+        return 0
+    meter = _CapacityMeter(spec.capacity)
 
-        return sum(_pool_map(run, plan.blocks, resolve_workers(workers)))
-    return sum(len(m) for _, m in iter_ball_chunks(spec, workers))
+    def run(span):
+        prefix, budget, first = plan.prefixes(span)
+        return _count_last_row(prefix, budget, plan.orbit[first], meter)
+
+    return sum(_pool_map(run, plan.blocks, resolve_workers(workers)))
 
 
 def filter_window(mats, window: CongruenceWindow, levels=None):

@@ -37,6 +37,7 @@ from .errors import (
     ConfigError,
     DegenerateSpanError,
     DivergenceError,
+    InvariantError,
 )
 from .places import evaluate_symbolic, floor_log, set_real_precision
 from .volumes import (
@@ -837,6 +838,10 @@ def _collect_flags(ns) -> dict:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the return value is the process exit code.
+
+    0 success, 2 configuration error, 3 capacity exceeded, 4 numeric
+    divergence, 5 internal invariant broken (a package defect)."""
     try:
         ns = _build_parser().parse_args(argv)
         config = parse_config(ns.subcommand, _collect_flags(ns),
@@ -857,6 +862,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

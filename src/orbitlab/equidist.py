@@ -32,6 +32,7 @@ import numpy as np
 from .balls import (
     BallSpec,
     CongruenceWindow,
+    entry_bound,
     exact_radius,
     filter_window,
     iter_ball_chunks,
@@ -79,6 +80,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _VAL_INF = 10**9  # valuation sentinel for a zero coordinate
+_INT64_MAX = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +541,11 @@ class _FinAction:
     def for_vector(cls, v: OrbitVector) -> "_FinAction":
         dens = [as_rational(e).denominator for e in v.fin]
         den = math.lcm(*dens)
-        nums = np.asarray(
-            [int(as_rational(e) * den) for e in v.fin], dtype=np.int64)
+        ints = [int(as_rational(e) * den) for e in v.fin]
+        if max(abs(x) for x in ints) > _INT64_MAX:
+            raise ConfigError("v_fin: numerators over a common denominator "
+                              "must fit in int64")
+        nums = np.asarray(ints, dtype=np.int64)
         dv = padic_valuation(den, v.p)
         return cls(nums=nums, dv=int(dv), den_unit=den // v.p**int(dv))
 
@@ -575,9 +580,13 @@ def _padic_mask(minv, shifted, level: int, fin: _FinAction,
 
 
 class _ChunkEvaluator:
-    """Per-chunk orbit points and test masks for one fixed vector."""
+    """Per-chunk orbit points and test masks for one fixed vector.
 
-    def __init__(self, v: OrbitVector, tests):
+    ``entry_bound`` bounds |entry| of every matrix to come; it is
+    checked once here against the int64 headroom of the finite-place
+    action.  Without it, each chunk is checked as it arrives."""
+
+    def __init__(self, v: OrbitVector, tests, entry_bound=None):
         self.v = v
         self.tests = tuple(tests)
         self.need_real = any(isinstance(f, (RealAnnulusSector, RealWedgeAnnulus,
@@ -588,7 +597,18 @@ class _ChunkEvaluator:
             if v.fin is None:
                 raise ConfigError("p-adic tests need a finite-place vector")
             self.fin = _FinAction.for_vector(v)
+            if entry_bound is not None:
+                self._check_headroom(entry_bound)
+        self.entry_bound = entry_bound
         self.vec = v.inf_floats()
+
+    def _check_headroom(self, bound):
+        """|(mats @ nums)_i| <= n * bound * max|nums| must fit in int64."""
+        top = max(abs(int(x)) for x in self.fin.nums)
+        if len(self.fin.nums) * int(bound) * top > _INT64_MAX:
+            raise ConfigError(
+                f"finite-place action overflows int64: matrix entries up to "
+                f"{bound} times v_fin numerators up to {top}")
 
     def masks(self, level: int, mats: np.ndarray):
         """One boolean mask per test for the chunk's elements."""
@@ -599,6 +619,8 @@ class _ChunkEvaluator:
             if level:
                 w = w / float(self.v.p) ** level
         if self.need_fin:
+            if self.entry_bound is None:
+                self._check_headroom(np.abs(mats).max())
             nums = mats @ self.fin.nums
             vals = _valuations(nums, self.v.p)
             minv = vals.min(axis=1)
@@ -639,7 +661,8 @@ def orbit_sum(ball, v: OrbitVector, f, normalizer: float, *,
     """
     if normalizer <= 0:
         raise ConfigError("normalizer must be positive")
-    ev = _ChunkEvaluator(v, [f])
+    ev = _ChunkEvaluator(
+        v, [f], entry_bound(ball) if isinstance(ball, BallSpec) else None)
     total = 0
     for levels, mats in _as_chunks(ball, workers):
         if not len(mats):
@@ -827,7 +850,9 @@ class DistributionReport:
 
 
 def _ladder_cuts(config: ExperimentConfig):
-    """Exact per-(rung, level) squared-norm cutoffs; -1 = level excluded."""
+    """Exact per-(rung, level) cutoffs on the norm key of p^m gamma: the
+    squared Frobenius norm, or under the max norm the largest entry
+    modulus.  -1 = level excluded."""
     p = config.p
     tmax = exact_radius(config.t_ladder[-1])
     mmax = floor_log(tmax, p) if p else 0
@@ -837,7 +862,10 @@ def _ladder_cuts(config: ExperimentConfig):
         for m in range(mmax + 1):
             if p and Fraction(p) ** m > r:
                 continue
-            cuts[i, m] = math.floor(r * r * (p ** (2 * m) if p else 1))
+            if config.norm == "frobenius":
+                cuts[i, m] = math.floor(r * r * (p ** (2 * m) if p else 1))
+            else:
+                cuts[i, m] = math.floor(r * (p**m if p else 1))
     return cuts
 
 
@@ -875,13 +903,17 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     nrungs, ntests = len(config.t_ladder), len(config.tests)
     totals = [0] * nrungs
     counts = [[0] * ntests for _ in range(nrungs)]
-    ev = _ChunkEvaluator(config.v, config.tests) if ntests else None
+    ev = (_ChunkEvaluator(config.v, config.tests, entry_bound(spec))
+          if ntests else None)
 
     for levels, mats in iter_ball_chunks(spec, config.workers):
         if not len(mats):
             continue
         level = _level_scalar(levels)
-        fro2 = (mats * mats).sum(axis=(1, 2))
+        if config.norm == "frobenius":
+            key = (mats * mats).sum(axis=(1, 2))
+        else:
+            key = np.abs(mats).max(axis=(1, 2))
         base = np.ones(len(mats), dtype=bool)
         if config.window is not None:
             base = filter_window(mats, config.window, levels=levels)
@@ -890,7 +922,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
             cut = cuts[i, level]
             if cut < 0:
                 continue
-            rung = base & (fro2 <= cut)
+            rung = base & (key <= cut)
             totals[i] += int(rung.sum())
             for j in range(ntests):
                 counts[i][j] += int((rung & tmasks[j]).sum())

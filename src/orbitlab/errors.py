@@ -27,3 +27,8 @@ class DivergenceError(OrbitlabError):
 
 class DegenerateSpanError(OrbitlabError):
     """A log-log fit was requested on a ladder with too little span."""
+
+
+class InvariantError(OrbitlabError):
+    """A computed result broke an exact invariant (a determinant, a gcd):
+    a defect in the package, never a configuration problem."""

@@ -257,10 +257,33 @@ def test_orbit_bad_test_token_exit_code(tmp_path):
     assert run("orbit", "--config", conf) == 2
 
 
+def test_orbit_int64_overflow_exit_code(capsys, tmp_path):
+    conf = tmp_path / "orbit.conf"
+    conf.write_text(
+        "application = a22\nv_inf = 1,sqrt(2)\nv_fin = 100000000000000000,1\n"
+        "p = 3\nladder = 64,2,2\ntests = shell(0)\n"
+        f"out_json = {tmp_path / 'o.json'}\nout_csv = {tmp_path / 'o.csv'}\n")
+    assert run("orbit", "--config", conf) == 2
+    assert "int64" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_capacity_exit_code(tmp_path):
     out = tmp_path / "big.csv"
     assert run("enumerate", "--group", "sl2z", "--T-inf", 500,
                "--capacity", 1000, "--out", out) == 3
+
+
+def test_invariant_error_exit_code(monkeypatch, capsys, tmp_path):
+    from orbitlab import balls
+
+    real_solution = balls._particular_solution
+    monkeypatch.setattr(balls, "_particular_solution",
+                        lambda m: 2 * real_solution(m))
+    assert run("enumerate", "--group", "slnz", "--n", 3, "--T-inf", 3,
+               "--out", tmp_path / "b.csv") == 5
+    assert "det != 1" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_config_error_exit_code(capsys, tmp_path):

@@ -9,12 +9,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orbitlab import balls
 from orbitlab.balls import (
     BallSpec,
     CongruenceWindow,
     _cofactor_vector,
+    _orbit_rows,
     _pack_rows,
     _particular_solution,
+    _row_table,
     _xgcd_arrays,
     ball_count,
     enum_sl2_zinvp,
@@ -24,7 +27,7 @@ from orbitlab.balls import (
     iter_sl2z_chunks,
     resolve_workers,
 )
-from orbitlab.errors import CapacityError, ConfigError
+from orbitlab.errors import CapacityError, ConfigError, InvariantError
 
 from oracles import brute_sl2z, brute_sl2zp, brute_slnz, det_np_batch, laplace_det
 
@@ -157,6 +160,69 @@ def test_count_only_route_matches_enumeration(n, t):
     # the enumeration it replaces at every scale
     spec = BallSpec("slnz", n=n, t_inf=t)
     assert ball_count(spec) == len(enum_slnz(spec, workers=1))
+
+
+@pytest.mark.parametrize("n,tmax", [(2, 9.0), (3, 4.2)])
+def test_reduced_count_random_radii(n, tmax):
+    # the symmetry-reduced count against the materialized ball
+    rng = random.Random(20 + n)
+    for _ in range(12):
+        t = Fraction(rng.randint(100, int(tmax * 100)), 100)
+        spec = BallSpec("slnz", n=n, t_inf=t)
+        assert ball_count(spec, workers=1) == len(enum_slnz(spec, workers=1)), t
+
+
+def test_reduced_count_sl2z_matches_column_engine():
+    # sl2z Frobenius counts share the slnz n = 2 path; the column engine
+    # is the independent route
+    rng = random.Random(31)
+    radii = [Fraction(rng.randint(50, 6000), 100) for _ in range(12)]
+    for t in radii + [Fraction(1), Fraction(3, 2), 40]:
+        spec = BallSpec("sl2z", t_inf=t)
+        assert ball_count(spec, workers=2) == len(enum_sl2z(spec, workers=1)), t
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 11, 50, 99])
+def test_orbit_weights_cover_row_table(n, limit):
+    rows, sizes = _orbit_rows(n, limit)
+    assert np.all(rows[:, :-1] >= rows[:, 1:]) and np.all(rows[:, -1] >= 0)
+    full, _, _ = _row_table(n, math.isqrt(limit), limit + n - 1, "frobenius")
+    assert int(sizes.sum()) == len(full)
+    # each orbit representative stands for exactly its signed permutations
+    canon = {tuple(sorted((abs(int(e)) for e in r), reverse=True))
+             for r in full}
+    assert canon == {tuple(int(e) for e in r) for r in rows}
+
+
+@pytest.mark.parametrize("group,n,t", [("slnz", 2, 7.5), ("slnz", 3, 3.5),
+                                       ("sl2z", 2, 7.5)])
+def test_reduced_count_capacity_edge(group, n, t):
+    true = ball_count(BallSpec(group, n=n, t_inf=t))
+    assert ball_count(BallSpec(group, n=n, t_inf=t, capacity=true)) == true
+    with pytest.raises(CapacityError):
+        ball_count(BallSpec(group, n=n, t_inf=t, capacity=true - 1))
+
+
+def test_invariant_checks_raise_typed_errors(monkeypatch):
+    # raised, not asserted: they must survive python -O
+    with pytest.raises(InvariantError):
+        _particular_solution(np.array([[2, 4, 6]], dtype=np.int64))
+    real_xgcd = balls._xgcd_arrays
+
+    def doubled_bezout(a, b):
+        g, x, y = real_xgcd(a, b)
+        return g, 2 * x, 2 * y
+
+    monkeypatch.setattr(balls, "_xgcd_arrays", doubled_bezout)
+    with pytest.raises(InvariantError):
+        enum_sl2z(BallSpec("sl2z", t_inf=6), workers=1)
+    monkeypatch.undo()
+    real_solution = balls._particular_solution
+    monkeypatch.setattr(balls, "_particular_solution",
+                        lambda m: 2 * real_solution(m))
+    with pytest.raises(InvariantError):
+        enum_slnz(BallSpec("slnz", n=3, t_inf=3), workers=1)
 
 
 def test_kernel_lattice_identity():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitlab.balls import BallSpec, CongruenceWindow, iter_ball_chunks
+from orbitlab.balls import BallSpec, CongruenceWindow, ball_count, iter_ball_chunks
 from orbitlab.equidist import (
     DistributionReport,
     ExperimentConfig,
@@ -477,6 +477,49 @@ def test_run_experiment_sarithmetic_rungs():
         chunks = small_ball(group="sl2zp", p=2, t_inf=t, t_p=t)
         assert total == sum(len(m) for _, m in chunks)
         assert row.count == orbit_sum(chunks, cfg.v, cfg.tests[0], 1.0)
+
+
+@pytest.mark.parametrize("norm", ["frobenius", "max"])
+def test_run_experiment_rungs_follow_the_norm(norm):
+    # rung totals are ball counts under the configured norm; the max
+    # ball is the larger one (sl2z at 4, 8, 16: 180/692/2548 against
+    # the Frobenius 100/388/1476)
+    led = led_config(t_ladder=(4, 8, 16), norm=norm)
+    want = [ball_count(BallSpec("sl2z", t_inf=t, norm=norm))
+            for t in led.t_ladder]
+    assert [c for _, c in run_experiment(led).totals] == want
+    a22 = ExperimentConfig(
+        application="a22",
+        v=OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=3),
+        t_ladder=(3, 6, 9), tests=(parse_test("shell(0)", p=3),),
+        norm=norm, capacity=10**6)
+    want = [ball_count(BallSpec("sl2zp", p=3, t_inf=t, t_p=t, norm=norm))
+            for t in a22.t_ladder]
+    assert [c for _, c in run_experiment(a22).totals] == want
+
+
+def test_finite_place_action_int64_headroom():
+    # 2 * 128 * 10^17 > 2^63: the product would wrap and miscount shells
+    v = OrbitVector.make(("1", "sqrt(2)"), fin=(str(10**17), "1"), p=3)
+    shell = parse_test("shell(0)", p=3)
+    spec = BallSpec("sl2zp", p=3, t_inf=128, t_p=1, capacity=10**6)
+    with pytest.raises(ConfigError, match="int64"):
+        orbit_sum(spec, v, shell, 1.0)
+    with pytest.raises(ConfigError, match="int64"):
+        orbit_sum(list(iter_ball_chunks(spec)), v, shell, 1.0)
+    cfg = ExperimentConfig(application="a22", v=v, t_ladder=(64, 128),
+                           tests=(shell,), capacity=10**6)
+    with pytest.raises(ConfigError, match="int64"):
+        run_experiment(cfg)
+    # numerators beyond int64 fail the same way, not with OverflowError
+    huge = OrbitVector.make(("1", "sqrt(2)"), fin=(str(10**20), "1"), p=3)
+    with pytest.raises(ConfigError, match="int64"):
+        orbit_sum(small_ball(group="sl2z", t_inf=3), huge, shell, 1.0)
+    # inside the headroom the vectorized route stays exact
+    fits = OrbitVector.make(("1", "sqrt(2)"), fin=(str(10**15), "1"), p=3)
+    chunks = small_ball(group="sl2zp", p=3, t_inf=4, t_p=3)
+    assert orbit_sum(chunks, fits, shell, 1.0) == orbit_sum_pointwise(
+        flatten(chunks), fits, shell, 1.0)
 
 
 def test_run_experiment_ledrappier_calibrated_constant():
