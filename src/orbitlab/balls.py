@@ -32,8 +32,18 @@ from .places import as_rational, floor_log, is_prime
 
 DEFAULT_CAPACITY = 10**8
 _CHUNK_PAIRS = 1 << 21
+# SL(2) engine: first columns per work block, and candidate matrices per
+# yielded chunk.  Small blocks keep the temporaries of the workers+2
+# blocks in flight small and let the consumer overlap the producers.
+_SL2_BLOCK_PAIRS = 1 << 16
+_SL2_CHUNK_ELEMS = 1 << 19
 _MAX_N = 4
+_ROW_BUDGET = 3 * 10**7
+# radii whose full (2b+1)^n row table fits the row budget
 _SLNZ_RADIUS_LIMITS = {2: 2500, 3: 150, 4: 15}
+# the reduced n = 2 count holds only the fundamental-domain first rows,
+# about pi T^2 / 8 of them (29,730,763 at T = 8700), in the same budget
+_SL2_ORBIT_RADIUS_LIMIT = 8700
 _INT_GUARD = 1 << 28  # keeps every intermediate product inside int64
 
 
@@ -219,8 +229,8 @@ def _sl2_det_blocks(det, bound, sq_int, norm, prim_p, capacity, workers):
         amax = bound
     width = 2 * amax + 1
     meter = _CapacityMeter(capacity)
-    blocks = [(lo, min(lo + _CHUNK_PAIRS, width * width))
-              for lo in range(0, width * width, _CHUNK_PAIRS)]
+    blocks = [(lo, min(lo + _SL2_BLOCK_PAIRS, width * width))
+              for lo in range(0, width * width, _SL2_BLOCK_PAIRS)]
 
     def run(span):
         lo, hi = span
@@ -233,7 +243,7 @@ def _sl2_det_blocks(det, bound, sq_int, norm, prim_p, capacity, workers):
             keep &= a * a + c * c <= sq_int - 1
         a, c, g = a[keep], c[keep], g[keep]
         if len(a) == 0:
-            return None
+            return []
         gg, x, y = _xgcd_arrays(a, c)
         scale = det // gg
         b0, d0 = -y * scale, x * scale
@@ -268,31 +278,35 @@ def _sl2_det_blocks(det, bound, sq_int, norm, prim_p, capacity, workers):
                                np.minimum(thi, hi1))
         lengths = np.maximum(thi - tlo + 1, 0)
         meter.add(int(lengths.sum()))
-        rep, offs = _ragged_arange(lengths)
-        tt = tlo[rep] + offs
-        aa, cc = a[rep], c[rep]
-        bb = b0[rep] + tt * step_a[rep]
-        dd = d0[rep] + tt * step_c[rep]
-        if norm == "frobenius":
-            final = aa * aa + bb * bb + cc * cc + dd * dd <= sq_int
-        else:
-            final = (np.abs(bb) <= bound) & (np.abs(dd) <= bound)
-        if prim_p:
-            final &= ~((aa % prim_p == 0) & (bb % prim_p == 0)
-                       & (cc % prim_p == 0) & (dd % prim_p == 0))
-        aa, bb, cc, dd = aa[final], bb[final], cc[final], dd[final]
-        if len(aa) == 0:
-            return None
-        if not np.all(aa * dd - bb * cc == det):
-            raise InvariantError(f"sl2 engine built a matrix of det != {det}")
-        out = np.empty((len(aa), 2, 2), dtype=np.int64)
-        out[:, 0, 0], out[:, 0, 1] = aa, bb
-        out[:, 1, 0], out[:, 1, 1] = cc, dd
-        return out
+        rep_all, t_all = _ragged_arange(lengths)
+        t_all += tlo[rep_all]
+        chunks = []
+        for start in range(0, len(rep_all), _SL2_CHUNK_ELEMS):
+            rep = rep_all[start:start + _SL2_CHUNK_ELEMS]
+            tt = t_all[start:start + _SL2_CHUNK_ELEMS]
+            aa, cc = a[rep], c[rep]
+            bb = b0[rep] + tt * step_a[rep]
+            dd = d0[rep] + tt * step_c[rep]
+            if norm == "frobenius":
+                final = aa * aa + bb * bb + cc * cc + dd * dd <= sq_int
+            else:
+                final = (np.abs(bb) <= bound) & (np.abs(dd) <= bound)
+            if prim_p:
+                final &= ~((aa % prim_p == 0) & (bb % prim_p == 0)
+                           & (cc % prim_p == 0) & (dd % prim_p == 0))
+            aa, bb, cc, dd = aa[final], bb[final], cc[final], dd[final]
+            if len(aa) == 0:
+                continue
+            if not np.all(aa * dd - bb * cc == det):
+                raise InvariantError(f"sl2 engine built a matrix of det != {det}")
+            out = np.empty((len(aa), 2, 2), dtype=np.int64)
+            out[:, 0, 0], out[:, 0, 1] = aa, bb
+            out[:, 1, 0], out[:, 1, 1] = cc, dd
+            chunks.append(out)
+        return chunks
 
-    for block in _pool_map(run, blocks, workers):
-        if block is not None:
-            yield block
+    for chunks in _pool_map(run, blocks, workers):
+        yield from chunks
 
 
 def _frobenius_floor(t: Fraction) -> int:
@@ -360,7 +374,7 @@ def enum_sl2_zinvp(spec: BallSpec, workers=None):
 
 def _row_table(n, bound, sq_int, norm):
     """All candidate rows, lex sorted, plus a stable norm-sorted view."""
-    if (2 * bound + 1) ** n > 3 * 10**7:
+    if (2 * bound + 1) ** n > _ROW_BUDGET:
         raise CapacityError("slnz row table out of the supported range")
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
     grids = np.meshgrid(*([rng] * n), indexing="ij")
@@ -658,15 +672,16 @@ class _SlnzPlan:
         n, t = spec.n, spec._exact_t_inf()
         self.n, self.spec = n, spec
         self.bound = math.floor(t)
-        if self.bound > _SLNZ_RADIUS_LIMITS[n]:
-            raise CapacityError(
-                f"slnz n={n} supports radii up to {_SLNZ_RADIUS_LIMITS[n]}")
+        table = n > 2 or not reduced
+        limit = _SLNZ_RADIUS_LIMITS[n] if table else _SL2_ORBIT_RADIUS_LIMIT
+        if self.bound > limit:
+            raise CapacityError(f"slnz n={n} supports radii up to {limit}")
         self.empty = self.bound < 1
         if self.empty:
             return
         self.sq = _frobenius_floor(t) if spec.norm == "frobenius" else None
         self.orbit = None
-        if n > 2 or not reduced:
+        if table:
             self.rows1, self.rows_ns, self.norms_ns = _row_table(
                 n, self.bound, self.sq, spec.norm)
         if reduced:
@@ -788,12 +803,13 @@ def ball_count(spec: BallSpec, workers=None) -> int:
     weighted by its orbit size (see ``_SlnzPlan``), and the last row is
     counted by exact interval lengths.  Capacity applies to the weighted
     totals, so it trips as soon as the element count exceeds it.
-    Other balls (max norm, sl2zp, n = 4, and sl2z radii beyond the slnz
-    n = 2 limit) are enumerated chunk by chunk."""
+    Other balls (max norm, sl2zp, n = 4, and sl2z radii whose
+    fundamental-domain rows exceed the row budget) are enumerated chunk
+    by chunk."""
     reduced = spec.norm == "frobenius" and (
         spec.group == "slnz" and spec.n <= 3
         or spec.group == "sl2z"
-        and math.floor(spec._exact_t_inf()) <= _SLNZ_RADIUS_LIMITS[2])
+        and math.floor(spec._exact_t_inf()) <= _SL2_ORBIT_RADIUS_LIMIT)
     if not reduced:
         return sum(len(m) for _, m in iter_ball_chunks(spec, workers))
     plan = _SlnzPlan(spec, reduced=True)

@@ -551,18 +551,25 @@ class _FinAction:
 
 
 def _valuations(arr: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise p-adic valuation; zero entries get a large sentinel."""
-    work = np.abs(np.asarray(arr, dtype=np.int64)).copy()
-    out = np.zeros(work.shape, dtype=np.int64)
-    zero = work == 0
-    work[zero] = 1
-    while True:
-        div = work % p == 0
-        if not div.any():
-            break
-        out[div] += 1
-        work[div] //= p
-    out[zero] = _VAL_INF
+    """Elementwise p-adic valuation; zero entries get a large sentinel.
+
+    For p = 2 the lowest set bit x & -x is 2^v (the same for x and -x),
+    and 2^v - 1 has v bits set.  Odd p divides only the entries still
+    divisible, so each pass touches about 1/p of the previous one."""
+    arr = np.asarray(arr, dtype=np.int64)
+    if p == 2:
+        out = np.bitwise_count((arr & -arr) - 1).astype(np.int64)
+    else:
+        out = np.zeros(arr.shape, dtype=np.int64)
+        flat = out.reshape(-1)
+        work = arr.reshape(-1)
+        idx = np.flatnonzero((work % p == 0) & (work != 0))
+        work = work[idx] // p
+        while len(idx):
+            flat[idx] += 1
+            more = work % p == 0
+            idx, work = idx[more], work[more] // p
+    out[arr == 0] = _VAL_INF
     return out
 
 
@@ -621,10 +628,11 @@ class _ChunkEvaluator:
         if self.need_fin:
             if self.entry_bound is None:
                 self._check_headroom(np.abs(mats).max())
+            p = self.v.p
             nums = mats @ self.fin.nums
-            vals = _valuations(nums, self.v.p)
-            minv = vals.min(axis=1)
-            shifted = nums // self.v.p ** np.minimum(minv, 62)[:, None]
+            minv = _valuations(nums, p).min(axis=1)
+            k = np.minimum(minv, 62)[:, None]
+            shifted = nums >> k if p == 2 else nums // p**k
         out = []
         for f in self.tests:
             if isinstance(f, (RealAnnulusSector, RealWedgeAnnulus)):
@@ -901,8 +909,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     )
     cuts = _ladder_cuts(config)
     nrungs, ntests = len(config.t_ladder), len(config.tests)
-    totals = [0] * nrungs
-    counts = [[0] * ntests for _ in range(nrungs)]
+    # column 0: rung totals; column 1 + j: hits of test j
+    acc = np.zeros((nrungs, ntests + 1), dtype=np.int64)
     ev = (_ChunkEvaluator(config.v, config.tests, entry_bound(spec))
           if ntests else None)
 
@@ -914,18 +922,20 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
             key = (mats * mats).sum(axis=(1, 2))
         else:
             key = np.abs(mats).max(axis=(1, 2))
-        base = np.ones(len(mats), dtype=bool)
+        # rungs are nested: an element lies in its first rung whose cut
+        # admits it and in every later one, so count first rungs and
+        # accumulate; index len(live) collects the elements in none
+        live = np.flatnonzero(cuts[:, level] >= 0)
+        first = np.searchsorted(cuts[live, level], key)
         if config.window is not None:
-            base = filter_window(mats, config.window, levels=levels)
+            first[~filter_window(mats, config.window, levels=levels)] = len(live)
         tmasks = ev.masks(level, mats) if ntests else []
-        for i in range(nrungs):
-            cut = cuts[i, level]
-            if cut < 0:
-                continue
-            rung = base & (key <= cut)
-            totals[i] += int(rung.sum())
-            for j in range(ntests):
-                counts[i][j] += int((rung & tmasks[j]).sum())
+        for j, mask in enumerate([None] + tmasks):
+            hits = first if mask is None else first[mask]
+            acc[live, j] += np.cumsum(
+                np.bincount(hits, minlength=len(live) + 1)[:-1])
+    totals = acc[:, 0].tolist()
+    counts = acc[:, 1:].tolist()
 
     norms = [normalizer_value(config.application, t, config.p, config.n,
                               config.k) for t in config.t_ladder]

@@ -24,6 +24,7 @@ from orbitlab.balls import (
     enum_sl2z,
     enum_slnz,
     filter_window,
+    iter_sl2_zinvp_chunks,
     iter_sl2z_chunks,
     resolve_workers,
 )
@@ -90,12 +91,21 @@ def test_sl2z_tiny_radii():
 
 @pytest.mark.parametrize("norm", ["frobenius", "max"])
 @pytest.mark.parametrize("p,t_inf,t_p", [(2, 3, 4), (2, 5.5, 2), (3, 2.5, 9), (5, 2, 5)])
-def test_sl2zp_matches_brute_force(p, t_inf, t_p, norm):
+def test_sl2zp_matches_brute_force(p, t_inf, t_p, norm, monkeypatch):
     spec = BallSpec("sl2zp", p=p, t_inf=t_inf, t_p=t_p, norm=norm)
     levels, mats = enum_sl2_zinvp(spec, workers=1)
     got = sorted((int(m), tuple(int(e) for e in mat.ravel()))
                  for m, mat in zip(levels, mats))
     assert got == brute_sl2zp(p, t_inf, t_p, norm)
+    # tiny SL(2) blocks and chunks cut the same stream finer: every chunk
+    # stays within the element bound and the concatenation keeps the order
+    monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 7)
+    monkeypatch.setattr(balls, "_SL2_CHUNK_ELEMS", 5)
+    chunks = list(iter_sl2_zinvp_chunks(spec, workers=2))
+    assert len(chunks) > len(set(levels.tolist()))
+    assert all(0 < len(m) <= 5 for _, m in chunks)
+    assert np.array_equal(np.concatenate([lev for lev, _ in chunks]), levels)
+    assert np.array_equal(np.concatenate([m for _, m in chunks]), mats)
 
 
 def test_sl2zp_levels():
@@ -180,6 +190,28 @@ def test_reduced_count_sl2z_matches_column_engine():
     for t in radii + [Fraction(1), Fraction(3, 2), 40]:
         spec = BallSpec("sl2z", t_inf=t)
         assert ball_count(spec, workers=2) == len(enum_sl2z(spec, workers=1)), t
+
+
+def test_reduced_sl2_count_has_its_own_radius_limit(monkeypatch):
+    # the reduced n = 2 count never builds the row table, so the table's
+    # radius limit does not apply to it; sl2z stops enumerating above it
+    want = len(enum_sl2z(BallSpec("sl2z", t_inf=30), workers=1))
+    monkeypatch.setattr(balls, "_SLNZ_RADIUS_LIMITS", {2: 10, 3: 150, 4: 15})
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the count enumerated the ball")
+
+    monkeypatch.setattr(balls, "_sl2_det_blocks", no_enumeration)
+    assert ball_count(BallSpec("sl2z", t_inf=30)) == want
+    assert ball_count(BallSpec("slnz", n=2, t_inf=30)) == want
+    with pytest.raises(CapacityError):
+        enum_slnz(BallSpec("slnz", n=2, t_inf=30))
+    # above the reduced path's own limit sl2z falls back to enumeration
+    monkeypatch.undo()
+    monkeypatch.setattr(balls, "_SL2_ORBIT_RADIUS_LIMIT", 20)
+    assert ball_count(BallSpec("sl2z", t_inf=30)) == want
+    with pytest.raises(CapacityError):
+        ball_count(BallSpec("slnz", n=2, t_inf=30))
 
 
 @pytest.mark.parametrize("n", [2, 3])

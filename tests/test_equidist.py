@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orbitlab import balls
 from orbitlab.balls import BallSpec, CongruenceWindow, ball_count, iter_ball_chunks
 from orbitlab.equidist import (
     DistributionReport,
@@ -358,15 +359,23 @@ def test_valuation_array_matches_scalar():
     from orbitlab.equidist import _valuations
 
     rng = random.Random(11)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
+        top = int(math.log(2**63 - 1, p))
         xs = [rng.randrange(-500, 500) for _ in range(200)]
-        vals = _valuations(np.array(xs, dtype=np.int64), p)
-        for x, got in zip(xs, vals):
-            want = padic_valuation(x, p)
-            if x == 0:
-                assert got >= 10**8
-            else:
-                assert got == want
+        xs += [rng.choice((-1, 1)) * rng.randrange(1, p**3) * p**k
+               for k in range(top - 2) for _ in range(3)]
+        xs += [0, 2**62, -(2**62), 2**63 - 1, -(2**63), p**top, -(p**top),
+               p**top - 1]
+        xs = [x for x in xs if -(2**63) <= x < 2**63]
+        pairs = np.array(list(zip(xs, reversed(xs))), dtype=np.int64)
+        for arr in (pairs[:, 0], pairs):
+            vals = _valuations(arr, p)
+            assert vals.shape == arr.shape
+            for x, got in zip(arr.ravel().tolist(), vals.ravel().tolist()):
+                if x == 0:
+                    assert got >= 10**8
+                else:
+                    assert got == padic_valuation(x, p), (p, x)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +505,33 @@ def test_run_experiment_rungs_follow_the_norm(norm):
     want = [ball_count(BallSpec("sl2zp", p=3, t_inf=t, t_p=t, norm=norm))
             for t in a22.t_ladder]
     assert [c for _, c in run_experiment(a22).totals] == want
+
+
+@pytest.mark.parametrize("norm", ["frobenius", "max"])
+def test_run_experiment_odd_p_matches_pointwise(norm, monkeypatch):
+    # p = 3 takes the odd-p valuation path; tiny SL(2) blocks put every
+    # rung and level across many chunks
+    monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 11)
+    monkeypatch.setattr(balls, "_SL2_CHUNK_ELEMS", 17)
+    cfg = ExperimentConfig(
+        application="a22",
+        v=OrbitVector.make(("1", "sqrt(2)"), fin=("2/3", "5"), p=3),
+        t_ladder=(2, 3.5, 5),
+        tests=tuple(parse_test(tok, p=3) for tok in (
+            "shell(1)", "shell(2)", "shell(1,1,1:0|2:1|0:1)",
+            "product(annulus(0.5,4),shell(1))",
+            "product(annulus(0.5,6,0,3),shell(2,1,1:1|2:2))")),
+        norm=norm, capacity=10**6)
+    rep = run_experiment(cfg)
+    ntests = len(cfg.tests)
+    for i, t in enumerate(cfg.t_ladder):
+        elements = flatten(small_ball(group="sl2zp", p=3, t_inf=t, t_p=t,
+                                      norm=norm))
+        assert rep.totals[i] == (float(t), len(elements))
+        rows = rep.rows[i * ntests:(i + 1) * ntests]
+        for f, row in zip(cfg.tests, rows):
+            assert row.count == orbit_sum_pointwise(elements, cfg.v, f, 1.0)
+    assert any(row.count for row in rep.rows)
 
 
 def test_finite_place_action_int64_headroom():
