@@ -1,6 +1,7 @@
 """Config parsing, report emission, exit codes of the orbitlab CLI."""
 
 import csv
+import hashlib
 import json
 from fractions import Fraction
 
@@ -313,3 +314,49 @@ def test_ladder_validation_exit_code(tmp_path):
     # exponent-indexed cases need exact powers of p
     assert run("volume", "--case", "padicball", "--p", 2,
                "--ladder", "3,2,4", "--out", out) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: enumeration order and report formatting, pinned by sha256
+
+GOLDEN_ENUMERATE = {
+    ("sl2z", "frobenius"):
+        "7ec6d7e6d836253645b29a126b5dceaac1e9447ba33be18de6ea575a52f58eb2",
+    ("sl2z", "max"):
+        "f75cbbadb1041c4ecf4b8bca01644b0473777169ce925668f957b291b7000366",
+    ("sl2zp", "frobenius"):
+        "cd3ba85db76f6f12605972cc6e6174b081452d0790e4aa4d71f01d0fe676f8ed",
+    ("sl2zp", "max"):
+        "1abf65158951a95db80a73c40ff85937bd026d7e1240aec9e40803253790a524",
+}
+# ladder 2, 4, 8 at p = 2: 46,916 elements at the top rung
+GOLDEN_ORBIT_A22_JSON = \
+    "fe569124567461d2dce13ec76c268cd9fccfa0813b6837d1eb4a6835d62671be"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("group,norm", sorted(GOLDEN_ENUMERATE))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_enumerate_csv_golden_bytes(group, norm, workers, tmp_path):
+    # sl2zp: levels 0..3 at p = 2
+    radii = (["--T-inf", 9.5] if group == "sl2z"
+             else ["--p", 2, "--T-inf", 3, "--T-p", 8])
+    out = tmp_path / "ball.csv"
+    assert run("enumerate", "--group", group, "--norm", norm, *radii,
+               "--workers", workers, "--out", out) == 0
+    assert _sha256(out) == GOLDEN_ENUMERATE[group, norm]
+
+
+def test_orbit_a22_json_golden_bytes(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a22.conf").write_text(
+        "application = a22\nv_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2\n"
+        "ladder = 2,2,3\n"
+        "tests = product(annulus(1,2),shell(0));product(annulus(1,3),shell(0));"
+        "product(annulus(1,2,0,2),shell(1));shell(-1,1,1:0)\n"
+        "out_json = o.json\nout_csv = o.csv\n")
+    assert run("orbit", "--config", "a22.conf") == 0
+    assert _sha256(tmp_path / "o.json") == GOLDEN_ORBIT_A22_JSON
