@@ -3,9 +3,10 @@
 The kernels are numpy-vectorized and stream their output in chunks so
 ladders and orbit sums never materialize more than one block.  All
 norm comparisons reduce to exact integer inequalities (radii are
-converted through Fraction, never trusted as floats), and every chunk
-passes an exact post-filter, so float square roots only ever widen
-candidate ranges.
+converted through Fraction, never trusted as floats).  The SL(2) engine
+solves exact integer intervals and builds only elements of the ball;
+the SL(n) path searches float boxes, which only ever widen, and keeps
+the candidates that pass an exact post-filter.
 
 Element orders are deterministic and documented per group:
 
@@ -32,10 +33,10 @@ from .places import as_rational, floor_log, is_prime
 
 DEFAULT_CAPACITY = 10**8
 _CHUNK_PAIRS = 1 << 21
-# SL(2) engine: first columns per work block, and candidate matrices per
-# yielded chunk.  Small blocks keep the temporaries of the workers+2
-# blocks in flight small and let the consumer overlap the producers.
-_SL2_BLOCK_PAIRS = 1 << 16
+# SL(2) engine: first columns per work block, and matrices per yielded
+# chunk.  Small blocks keep the temporaries of the workers+2 blocks in
+# flight small and let the consumer overlap the producers.
+_SL2_BLOCK_PAIRS = 1 << 15
 _SL2_CHUNK_ELEMS = 1 << 19
 _MAX_N = 4
 _ROW_BUDGET = 3 * 10**7
@@ -44,7 +45,11 @@ _SLNZ_RADIUS_LIMITS = {2: 2500, 3: 150, 4: 15}
 # the reduced n = 2 count holds only the fundamental-domain first rows,
 # about pi T^2 / 8 of them (29,730,763 at T = 8700), in the same budget
 _SL2_ORBIT_RADIUS_LIMIT = 8700
-_INT_GUARD = 1 << 28  # keeps every intermediate product inside int64
+# matrices one SL(2) block may build (the work guard, apart from
+# capacity): the block stops before allocating them
+_SL2_BLOCK_WORK = 1 << 24
+# bound on every intermediate of the SL(2) engine (_check_sl2_headroom)
+_INT_HEADROOM = 1 << 62
 
 
 def exact_radius(t) -> Fraction:
@@ -198,6 +203,8 @@ def _pool_map(fn, args_list, workers):
 
 
 class _CapacityMeter:
+    """Emitted elements of one ball against its capacity."""
+
     def __init__(self, limit):
         self.limit = limit
         self.count = 0
@@ -214,72 +221,166 @@ class _CapacityMeter:
 # ---------------------------------------------------------------------------
 # the SL(2) column engine: first column (a, c), second column solved
 
-def _sl2_det_blocks(det, bound, sq_int, norm, prim_p, capacity, workers):
+def _sl2_levels(spec: BallSpec):
+    """(det, bound, sq_int, prim_p) per level of an SL(2) ball, checked
+    against int64 headroom before anything is enumerated.
+
+    The level-m integer matrices M = p^m gamma have det p^(2m), entries
+    at most ``bound`` and squared Frobenius norm at most ``sq_int``
+    (None under the max norm); ``prim_p`` drops the M that vanish mod p."""
+    t_inf = spec._exact_t_inf()
+    if spec.group == "sl2z":
+        p, mmax = 1, 0
+    else:
+        p, t_p = spec.p, spec._exact_t_p()
+        mmax = floor_log(t_p, p) if t_p >= 1 else -1
+    levels = []
+    for m in range(mmax + 1):
+        tm = p**m * t_inf
+        sq = _frobenius_floor(tm) if spec.norm == "frobenius" else None
+        levels.append((p ** (2 * m), math.floor(tm), sq, p if m else None))
+        _check_sl2_headroom(*levels[-1][:3])
+    return levels
+
+
+def _check_sl2_headroom(det, bound, sq_int):
+    """Raise CapacityError unless every product of _sl2_det_blocks fits.
+
+    With S >= a^2 + c^2 over the scanned first columns and Bezout
+    coefficients |x| <= max(|c/g|, 1), |y| <= max(|a/g|, 1), the largest
+    intermediates are the shift numerator |(a/g) b0| + |(c/g) d0| <= 2 S
+    det (the shifted b0, d0 stay below three times that) and, under the
+    Frobenius norm, disc = q rem - (det/g)^2 with q rem <= S^2/4 and
+    (det/g)^2 <= det^2.  All stay below 2^62, where _isqrt_array is exact
+    too."""
+    frob = sq_int is not None
+    span = sq_int if frob else 2 * bound * bound
+    worst = 2 * span * det
+    if frob:
+        worst = max(worst, span * span // 4, det * det)
+    if worst >= _INT_HEADROOM:
+        raise CapacityError(
+            f"radius out of the supported int64 range: det {det} at radius "
+            f"{bound} needs products up to {worst} >= 2^62")
+
+
+def _sl2_columns(a, c, det, bound, sq_int, prim_p=None):
+    """Second columns of the first columns (a, c), gcd(a, c) | det.
+
+    Returns (b0, d0, step_a, step_c, tlo, thi, skip): the matrices
+    [[a, b0 + t step_a], [c, d0 + t step_c]], tlo <= t <= thi, are
+    exactly those of det ``det`` in the ball.  Frobenius: with q =
+    step_a^2 + step_c^2 and rr = step_a b0 + step_c d0, the norm bound is
+    q t^2 + 2 rr t + |b0, d0|^2 <= rem, whose discriminant is q rem -
+    (det/g)^2 by Lagrange's identity; q t is an integer, so the integer
+    square root s gives the interval exactly.  Max norm: each entry gives
+    an exact floor-division interval.
+
+    ``skip`` is -1, or where the matrices of a column vanish mod prim_p,
+    the residue (t - tlo) mod p of exactly those t.  They occur only when
+    p | a, p | c and p | det/g, and then t* = -(x b0 + y d0), with x a +
+    y c = g, is one of them: b0 + t* step_a = -y det/g and d0 + t*
+    step_c = x det/g.  For any other t mod p, step_a or step_c (coprime)
+    moves b or d off 0 mod p."""
+    g, x, y = _xgcd_arrays(a, c)
+    scale = det // g
+    b0, d0 = -y * scale, x * scale
+    step_a, step_c = a // g, c // g
+    q = step_a * step_a + step_c * step_c
+    shift = np.rint(-(step_a * b0 + step_c * d0) / q).astype(np.int64)
+    b0 += shift * step_a
+    d0 += shift * step_c
+    if sq_int is not None:
+        rem = sq_int - (a * a + c * c)
+        rr = step_a * b0 + step_c * d0
+        disc = q * rem - scale * scale
+        s = _isqrt_array(np.maximum(disc, 0))
+        tlo = -np.floor_divide(rr + s, q)
+        thi = np.where(disc >= 0, np.floor_divide(s - rr, q), tlo - 1)
+    else:
+        huge = np.int64(1) << 60
+        tlo = np.full(len(a), -huge)
+        thi = np.full(len(a), huge)
+        for coef, base in ((step_a, b0), (step_c, d0)):
+            zero = coef == 0
+            cpos = np.where(zero, 1, np.abs(coef))
+            baseq = base * np.where(coef < 0, -1, 1)
+            lo1 = -np.floor_divide(bound + baseq, cpos)
+            hi1 = np.floor_divide(bound - baseq, cpos)
+            bad = zero & (np.abs(base) > bound)
+            tlo = np.where(zero, np.where(bad, huge, tlo), np.maximum(tlo, lo1))
+            thi = np.where(zero, np.where(bad, -huge, thi), np.minimum(thi, hi1))
+    skip = np.full(len(a), -1, dtype=np.int64)
+    if prim_p:
+        p = prim_p
+        vanish = np.flatnonzero((a % p == 0) & (c % p == 0) & (scale % p == 0))
+        t_star = -((x[vanish] % p) * (b0[vanish] % p)
+                   + (y[vanish] % p) * (d0[vanish] % p))
+        skip[vanish] = (t_star - tlo[vanish]) % p
+    return b0, d0, step_a, step_c, tlo, thi, skip
+
+
+def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers):
     """Chunks of integer matrices M = [[a,b],[c,d]], det M = det.
 
-    ``bound``: max entry modulus allowed (exact int, max norm) and the
-    column search radius.  ``sq_int``: floor of the squared Frobenius
-    radius (None for max norm).  ``prim_p``: drop matrices that vanish
-    mod p (levels >= 1 of SL(2,Z[1/p]))."""
-    if bound > _INT_GUARD or det > _INT_GUARD:
-        raise CapacityError("radius out of the supported integer range")
-    if norm == "frobenius":
-        amax = math.isqrt(max(sq_int - 1, 0))
+    ``bound``: max entry modulus allowed (max norm) and the column search
+    radius.  ``sq_int``: floor of the squared Frobenius radius (None for
+    max norm).  ``prim_p``: leave out matrices that vanish mod p (levels
+    >= 1 of SL(2,Z[1/p])).  First columns run over the disk a^2 + c^2 <=
+    sq_int - 1 (the square |a|, |c| <= bound under the max norm), a-major
+    and c ascending, in blocks of _SL2_BLOCK_PAIRS.  Only the matrices
+    that belong to the ball are built: the exact t-intervals of
+    _sl2_columns without their residue class mod p that vanishes.  Every
+    row is checked all the same (in the ball, det, nonzero mod p), and
+    ``meter`` is charged with the emitted matrices."""
+    if sq_int is not None:
+        if sq_int < 1:
+            return
+        amax = math.isqrt(sq_int - 1)
+        a_rows = np.arange(-amax, amax + 1, dtype=np.int64)
+        half = _isqrt_array(sq_int - 1 - a_rows * a_rows)
     else:
         amax = bound
-    width = 2 * amax + 1
-    meter = _CapacityMeter(capacity)
-    blocks = [(lo, min(lo + _SL2_BLOCK_PAIRS, width * width))
-              for lo in range(0, width * width, _SL2_BLOCK_PAIRS)]
+        half = np.full(2 * amax + 1, bound, dtype=np.int64)
+    row_len = 2 * half + 1
+    row_end = np.cumsum(row_len)
+    npairs = int(row_end[-1])
+    blocks = [(lo, min(lo + _SL2_BLOCK_PAIRS, npairs))
+              for lo in range(0, npairs, _SL2_BLOCK_PAIRS)]
 
     def run(span):
         lo, hi = span
         idx = np.arange(lo, hi, dtype=np.int64)
-        a = idx // width - amax
-        c = idx % width - amax
+        row = np.searchsorted(row_end, idx, side="right")
+        a = row - amax
+        c = idx - (row_end[row] - row_len[row]) - half[row]
         g = np.gcd(a, c)
         keep = (g > 0) & (det % np.where(g > 0, g, 1) == 0)
-        if norm == "frobenius":
-            keep &= a * a + c * c <= sq_int - 1
-        a, c, g = a[keep], c[keep], g[keep]
+        a, c = a[keep], c[keep]
         if len(a) == 0:
             return []
-        gg, x, y = _xgcd_arrays(a, c)
-        scale = det // gg
-        b0, d0 = -y * scale, x * scale
-        step_a, step_c = a // gg, c // gg
-        q = step_a * step_a + step_c * step_c
-        shift = np.rint(-(step_a * b0 + step_c * d0) / q).astype(np.int64)
-        b0 += shift * step_a
-        d0 += shift * step_c
-        if norm == "frobenius":
-            rem = sq_int - (a * a + c * c)
-            rr = step_a * b0 + step_c * d0
-            ss = b0 * b0 + d0 * d0
-            disc = rr * rr - q * (ss - rem)
-            ok = disc >= 0
-            root = np.sqrt(np.maximum(disc, 0).astype(np.float64))
-            tlo = np.where(ok, np.floor((-rr - root) / q) - 1, 1).astype(np.int64)
-            thi = np.where(ok, np.ceil((-rr + root) / q) + 1, 0).astype(np.int64)
-        else:
-            huge = np.int64(1) << 60
-            tlo = np.full(len(a), -huge)
-            thi = np.full(len(a), huge)
-            for coef, base in ((step_a, b0), (step_c, d0)):
-                zero = coef == 0
-                cpos = np.where(zero, 1, np.abs(coef))
-                baseq = base * np.where(coef < 0, -1, 1)
-                lo1 = -np.floor_divide(bound + baseq, cpos)
-                hi1 = np.floor_divide(bound - baseq, cpos)
-                bad = zero & (np.abs(base) > bound)
-                tlo = np.where(zero, np.where(bad, huge, tlo),
-                               np.maximum(tlo, lo1))
-                thi = np.where(zero, np.where(bad, -huge, thi),
-                               np.minimum(thi, hi1))
+        b0, d0, step_a, step_c, tlo, thi, skip = _sl2_columns(
+            a, c, det, bound, sq_int, prim_p)
         lengths = np.maximum(thi - tlo + 1, 0)
-        meter.add(int(lengths.sum()))
+        # every p-th t, from offset skip, vanishes mod p: the j-th t kept
+        # sits at offset j + (j + p - 1 - skip) // (p - 1)
+        vanish = np.flatnonzero(skip >= 0)
+        if len(vanish):
+            lengths[vanish] -= \
+                (lengths[vanish] + prim_p - 1 - skip[vanish]) // prim_p
+        work = int(lengths.sum())
+        if work > _SL2_BLOCK_WORK:
+            raise CapacityError(
+                f"work guard: one block of first columns would build {work} "
+                f"matrices, over the limit {_SL2_BLOCK_WORK}")
         rep_all, t_all = _ragged_arange(lengths)
+        if len(vanish):
+            sel = np.flatnonzero(skip[rep_all] >= 0)
+            j = t_all[sel]
+            t_all[sel] = j + (j + prim_p - 1 - skip[rep_all[sel]]) \
+                // (prim_p - 1)
         t_all += tlo[rep_all]
+        col_p = (a % prim_p == 0) & (c % prim_p == 0) if prim_p else None
         chunks = []
         for start in range(0, len(rep_all), _SL2_CHUNK_ELEMS):
             rep = rep_all[start:start + _SL2_CHUNK_ELEMS]
@@ -287,21 +388,23 @@ def _sl2_det_blocks(det, bound, sq_int, norm, prim_p, capacity, workers):
             aa, cc = a[rep], c[rep]
             bb = b0[rep] + tt * step_a[rep]
             dd = d0[rep] + tt * step_c[rep]
-            if norm == "frobenius":
-                final = aa * aa + bb * bb + cc * cc + dd * dd <= sq_int
+            if sq_int is not None:
+                inside = aa * aa + bb * bb + cc * cc + dd * dd <= sq_int
             else:
-                final = (np.abs(bb) <= bound) & (np.abs(dd) <= bound)
-            if prim_p:
-                final &= ~((aa % prim_p == 0) & (bb % prim_p == 0)
-                           & (cc % prim_p == 0) & (dd % prim_p == 0))
-            aa, bb, cc, dd = aa[final], bb[final], cc[final], dd[final]
-            if len(aa) == 0:
-                continue
+                inside = (np.abs(bb) <= bound) & (np.abs(dd) <= bound)
+            if not inside.all():
+                raise InvariantError("sl2 engine built a matrix outside the ball")
             if not np.all(aa * dd - bb * cc == det):
                 raise InvariantError(f"sl2 engine built a matrix of det != {det}")
-            out = np.empty((len(aa), 2, 2), dtype=np.int64)
+            if prim_p:
+                on_p = np.flatnonzero(col_p[rep])
+                if np.any((bb[on_p] % prim_p == 0) & (dd[on_p] % prim_p == 0)):
+                    raise InvariantError(
+                        f"sl2 engine built a matrix that vanishes mod {prim_p}")
+            out = np.empty((len(rep), 2, 2), dtype=np.int64)
             out[:, 0, 0], out[:, 0, 1] = aa, bb
             out[:, 1, 0], out[:, 1, 1] = cc, dd
+            meter.add(len(out))
             chunks.append(out)
         return chunks
 
@@ -315,12 +418,7 @@ def _frobenius_floor(t: Fraction) -> int:
 
 def iter_sl2z_chunks(spec: BallSpec, workers=None):
     """Yield (levels, mats) chunks for the SL(2,Z) ball of radius t_inf."""
-    t = spec._exact_t_inf()
-    bound = math.floor(t)
-    sq = _frobenius_floor(t) if spec.norm == "frobenius" else None
-    for block in _sl2_det_blocks(1, bound, sq, spec.norm, None,
-                                 spec.capacity, resolve_workers(workers)):
-        yield np.zeros(len(block), dtype=np.int64), block
+    return iter_sl2_zinvp_chunks(spec, workers)
 
 
 def iter_sl2_zinvp_chunks(spec: BallSpec, workers=None):
@@ -329,25 +427,20 @@ def iter_sl2_zinvp_chunks(spec: BallSpec, workers=None):
     Levels ascend; within a level the integer matrix order matches
     iter_sl2z_chunks.  Level 0 requires t_p >= 1 (p-adic norm of an
     integer SL(2) matrix is exactly 1); level m contributes when
-    p^m <= t_p, with the archimedean bound scaled to p^m * t_inf."""
-    p, t_inf, t_p = spec.p, spec._exact_t_inf(), spec._exact_t_p()
+    p^m <= t_p, with the archimedean bound scaled to p^m * t_inf.  An
+    sl2z spec is level 0 alone.  Capacity counts the emitted elements
+    of all levels; a radius past the int64 headroom raises CapacityError
+    before the first chunk."""
+    levels = _sl2_levels(spec)
     workers = resolve_workers(workers)
-    mmax = floor_log(t_p, p) if t_p >= 1 else -1
-    if mmax >= 0:
-        top = p**mmax
-        if top * top > _INT_GUARD or math.floor(top * t_inf) > _INT_GUARD:
-            raise CapacityError("radius out of the supported integer range")
     meter = _CapacityMeter(spec.capacity)
-    for m in range(mmax + 1):
-        scale = p**m
-        tm = scale * t_inf
-        bound = math.floor(tm)
-        sq = _frobenius_floor(tm) if spec.norm == "frobenius" else None
-        prim = p if m > 0 else None
-        for block in _sl2_det_blocks(scale * scale, bound, sq, spec.norm,
-                                     prim, spec.capacity, workers):
-            meter.add(len(block))
-            yield np.full(len(block), m, dtype=np.int64), block
+
+    def stream():
+        for m, (det, bound, sq, prim) in enumerate(levels):
+            for block in _sl2_det_blocks(det, bound, sq, prim, meter, workers):
+                yield np.full(len(block), m, dtype=np.int64), block
+
+    return stream()
 
 
 def enum_sl2z(spec: BallSpec, workers=None) -> np.ndarray:

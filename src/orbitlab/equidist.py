@@ -23,6 +23,7 @@ unit-part residues, matching the enumeration module's discipline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -608,6 +609,12 @@ class _ChunkEvaluator:
                 self._check_headroom(entry_bound)
         self.entry_bound = entry_bound
         self.vec = v.inf_floats()
+        # ``@`` runs the BLAS kernel, which may fuse a product into the
+        # sum (OpenBLAS's Haswell kernel rounds fma(m0, v0, fl(m1 v1)));
+        # with n = 2 and v0 = +-2^k the product m0 v0 is exact, so fusing
+        # it changes nothing and the column sum gives the same bits
+        self.exact_first_column = (
+            len(self.vec) == 2 and abs(np.frexp(self.vec[0])[0]) == 0.5)
 
     def _check_headroom(self, bound):
         """|(mats @ nums)_i| <= n * bound * max|nums| must fit in int64."""
@@ -618,31 +625,51 @@ class _ChunkEvaluator:
                 f"{bound} times v_fin numerators up to {top}")
 
     def masks(self, level: int, mats: np.ndarray):
-        """One boolean mask per test for the chunk's elements."""
+        """One boolean mask per test for the chunk's elements.
+
+        Each distinct real or p-adic set is evaluated once per chunk, so
+        tests that repeat one share its mask."""
         if mats.shape[1] != len(self.vec):
             raise ConfigError("vector and matrix dimensions disagree")
         if self.need_real:
-            w = mats.astype(np.float64) @ self.vec
+            w = (_column_sums(mats, self.vec) if self.exact_first_column
+                 else mats.astype(np.float64) @ self.vec)
             if level:
                 w = w / float(self.v.p) ** level
         if self.need_fin:
             if self.entry_bound is None:
                 self._check_headroom(np.abs(mats).max())
             p = self.v.p
-            nums = mats @ self.fin.nums
-            minv = _valuations(nums, p).min(axis=1)
+            nums = _column_sums(mats, self.fin.nums)
+            cols = [nums[:, j] for j in range(nums.shape[1])]
+            if p == 2:
+                # the lowest set bit of x | y is the lower one of x and y
+                minv = _valuations(functools.reduce(np.bitwise_or, cols), 2)
+            else:
+                minv = functools.reduce(np.minimum,
+                                        [_valuations(c, p) for c in cols])
             k = np.minimum(minv, 62)[:, None]
             shifted = nums >> k if p == 2 else nums // p**k
-        out = []
-        for f in self.tests:
-            if isinstance(f, (RealAnnulusSector, RealWedgeAnnulus)):
-                out.append(f.contains(w))
-            elif isinstance(f, PadicShellBox):
-                out.append(_padic_mask(minv, shifted, level, self.fin, f))
-            else:
-                out.append(f.real.contains(w)
-                           & _padic_mask(minv, shifted, level, self.fin, f.padic))
-        return out
+        seen = {}
+
+        def hit(part):
+            if part not in seen:
+                seen[part] = (
+                    _padic_mask(minv, shifted, level, self.fin, part)
+                    if isinstance(part, PadicShellBox) else part.contains(w))
+            return seen[part]
+
+        return [hit(f.real) & hit(f.padic) if isinstance(f, ProductTest)
+                else hit(f) for f in self.tests]
+
+
+def _column_sums(mats, vec):
+    """mats @ vec for an (N, n, n) stack, as the sum over columns j of
+    mats[:, :, j] * vec[j], accumulated left to right."""
+    out = mats[:, :, 0] * vec[0]
+    for j in range(1, len(vec)):
+        out += mats[:, :, j] * vec[j]
+    return out
 
 
 def _as_chunks(ball, workers):
@@ -677,7 +704,7 @@ def orbit_sum(ball, v: OrbitVector, f, normalizer: float, *,
             continue
         mask = ev.masks(_level_scalar(levels), mats)[0]
         if window is not None:
-            mask &= filter_window(mats, window, levels=levels)
+            mask = mask & filter_window(mats, window, levels=levels)
         total += int(mask.sum())
     return total / normalizer
 
@@ -919,7 +946,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
             continue
         level = _level_scalar(levels)
         if config.norm == "frobenius":
-            key = (mats * mats).sum(axis=(1, 2))
+            key = np.einsum("nij,nij->n", mats, mats)
         else:
             key = np.abs(mats).max(axis=(1, 2))
         # rungs are nested: an element lies in its first rung whose cut

@@ -18,6 +18,7 @@ from orbitlab.balls import (
     _pack_rows,
     _particular_solution,
     _row_table,
+    _sl2_columns,
     _xgcd_arrays,
     ball_count,
     enum_sl2_zinvp,
@@ -47,6 +48,18 @@ def test_xgcd_arrays_matches_math_gcd():
     for ai, bi, gi, xi, yi in zip(a, b, g, x, y):
         assert gi == math.gcd(int(ai), int(bi))
         assert xi * ai + yi * bi == gi
+
+
+def test_xgcd_bezout_bounds():
+    # the int64 headroom guard of the SL(2) engine relies on |x| <= |b/g|
+    # and |y| <= |a/g| (or 1 when that entry is 0)
+    rng = random.Random(12)
+    vals = [rng.randint(-10**6, 10**6) for _ in range(4000)]
+    a = np.array(vals[:2000] + [0, 5, -5, 0, 12, -12], dtype=np.int64)
+    b = np.array(vals[2000:] + [7, 0, 0, -7, 18, -18], dtype=np.int64)
+    g, x, y = _xgcd_arrays(a, b)
+    assert np.all(np.abs(x) <= np.maximum(np.abs(b) // g, 1))
+    assert np.all(np.abs(y) <= np.maximum(np.abs(a) // g, 1))
 
 
 @pytest.mark.parametrize("norm", ["frobenius", "max"])
@@ -272,6 +285,186 @@ def test_kernel_lattice_identity():
     x0 = _particular_solution(m)
     for (r1, r2), x in zip(rows, x0):
         assert laplace_det([list(r1), list(r2), [int(e) for e in x]]) == 1
+
+
+def _column_order(entries):
+    """The engine's documented order inside a level: first column (a, c),
+    then the completion parameter t, which moves b by a/g (d by c/g when
+    a = 0)."""
+    a, b, c, d = entries
+    return a, c, b * (1 if a > 0 else -1) if a else d * (1 if c > 0 else -1)
+
+
+def _count_built(monkeypatch):
+    """Counter of the matrices the SL(2) engine lays out (one
+    _ragged_arange call per block)."""
+    built = [0]
+    real = balls._ragged_arange
+
+    def counting(lengths):
+        built[0] += int(np.sum(lengths))
+        return real(lengths)
+
+    monkeypatch.setattr(balls, "_ragged_arange", counting)
+    return built
+
+
+@pytest.mark.parametrize("norm", ["frobenius", "max"])
+def test_sl2_engine_differential_sweep(norm, monkeypatch):
+    # seeded random radii against the box-scan oracles, element for
+    # element and in the documented order, with blocks and chunks small
+    # enough that every level spans many of both
+    rng = random.Random(41 if norm == "frobenius" else 43)
+    monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 13)
+    monkeypatch.setattr(balls, "_SL2_CHUNK_ELEMS", 7)
+    built = _count_built(monkeypatch)
+    for _ in range(4):
+        t = Fraction(rng.randint(100, 650), 100)
+        built[0] = 0
+        got = np.concatenate([m for _, m in iter_sl2z_chunks(
+            BallSpec("sl2z", t_inf=t, norm=norm), workers=2)])
+        want = sorted(brute_sl2z(t, norm), key=_column_order)
+        assert [tuple(int(e) for e in m.ravel()) for m in got] == want, t
+        # only the matrices of the ball are ever built
+        assert built[0] == len(got)
+    for p in (2, 3, 5):
+        t_inf = Fraction(rng.randint(100, 350), 100)
+        t_p = p ** rng.randint(1, 2 if p < 5 else 1)
+        built[0] = 0
+        chunks = list(iter_sl2_zinvp_chunks(
+            BallSpec("sl2zp", p=p, t_inf=t_inf, t_p=t_p, norm=norm),
+            workers=2))
+        assert all(0 < len(m) <= 7 for _, m in chunks)
+        got = [(int(lev), tuple(int(e) for e in m.ravel()))
+               for levels, mats in chunks for lev, m in zip(levels, mats)]
+        want = sorted(brute_sl2zp(p, float(t_inf), t_p, norm),
+                      key=lambda e: (e[0], _column_order(e[1])))
+        assert got == want, (p, t_inf, t_p)
+        assert built[0] == len(got)
+
+
+def test_sl2zp_builds_no_rejected_matrix(monkeypatch):
+    # levels >= 1 leave out the residue class of t that vanishes mod p
+    # instead of building and dropping it: candidates equal elements
+    built = _count_built(monkeypatch)
+    levels, mats = enum_sl2_zinvp(
+        BallSpec("sl2zp", p=2, t_inf=8, t_p=8), workers=1)
+    assert len(mats) == 46916 and set(levels.tolist()) == {0, 1, 2, 3}
+    assert built[0] == len(mats)
+
+
+@pytest.mark.parametrize("norm", ["frobenius", "max"])
+@pytest.mark.parametrize("group,p,t_inf,t_p", [
+    ("sl2z", 0, 50, None), ("sl2zp", 2, 8, 8), ("sl2zp", 3, 5, 9)])
+def test_sl2_capacity_counts_emitted_elements(group, p, t_inf, t_p, norm):
+    spec = dict(group=group, p=p, t_inf=t_inf, t_p=t_p, norm=norm)
+    true = len(enum_sl2_zinvp(BallSpec(**spec))[1])
+    if norm == "frobenius":
+        assert true == {"sl2z": 14788, 2: 46916, 3: 16884}[group if p == 0 else p]
+    levels, mats = enum_sl2_zinvp(BallSpec(**spec, capacity=true))
+    assert len(mats) == true
+    with pytest.raises(CapacityError, match="capacity"):
+        enum_sl2_zinvp(BallSpec(**spec, capacity=true - 1))
+
+
+def test_sl2_block_work_guard(monkeypatch):
+    # a block whose first columns hold too many matrices stops before
+    # laying them out, with its own message
+    monkeypatch.setattr(balls, "_SL2_BLOCK_WORK", 1000)
+    with pytest.raises(CapacityError, match="work guard"):
+        enum_sl2z(BallSpec("sl2z", t_inf=50))
+
+
+@pytest.mark.parametrize("norm,ok,past", [
+    ("frobenius", "65535.9", 65536), ("max", 2**30 - 1, 2**30)])
+def test_sl2_int64_headroom_guard(norm, ok, past, monkeypatch):
+    # Frobenius: disc = q rem - (det/g)^2 reaches S^2/4, S = floor(T^2),
+    # so T = 65536 is the first radius past 2^62; max norm: the shift
+    # numerator reaches 2 * 2B^2.  The check runs before any block.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the engine started enumerating")
+
+    monkeypatch.setattr(balls, "_sl2_det_blocks", no_work)
+    iter_sl2z_chunks(BallSpec("sl2z", t_inf=ok, norm=norm))  # lazy: no work
+    with pytest.raises(CapacityError, match="int64"):
+        iter_sl2z_chunks(BallSpec("sl2z", t_inf=past, norm=norm))
+    # sl2zp: level 0 fits, the top level does not; nothing is yielded
+    with pytest.raises(CapacityError, match="int64"):
+        iter_sl2_zinvp_chunks(
+            BallSpec("sl2zp", p=2, t_inf=3, t_p=2**15, norm=norm))
+
+
+@pytest.mark.parametrize("norm,det,t", [
+    ("frobenius", 1, Fraction(655359, 10)), ("frobenius", 2**8, 65535),
+    ("max", 1, 2**30 - 1), ("max", 2**8, 2**26 - 1)])
+def test_sl2_columns_exact_near_headroom(norm, det, t):
+    # just inside the guard every interval still matches exact integer
+    # arithmetic: its end points are in the ball and their neighbours
+    # not, and an empty interval holds no integer of the real one
+    sq = math.floor(t * t) if norm == "frobenius" else None
+    bound = math.floor(t)
+    balls._check_sl2_headroom(det, bound, sq)
+    rng = random.Random(det)
+    pairs = []
+    while len(pairs) < 400:
+        a, c = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        g = math.gcd(a, c)
+        if g and det % g == 0 and (sq is None or a * a + c * c < sq):
+            pairs.append((a, c))
+    a, c = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    cols = _sl2_columns(a, c, det, bound, sq)
+    for i, (ai, ci) in enumerate(pairs):
+        b0, d0, sa, sc, lo, hi, skip = (int(v[i]) for v in cols)
+        assert ai * d0 - ci * b0 == det and skip == -1
+
+        def inside(t):
+            b, d = b0 + t * sa, d0 + t * sc
+            if sq is None:
+                return abs(b) <= bound and abs(d) <= bound
+            return ai * ai + ci * ci + b * b + d * d <= sq
+
+        if hi >= lo:
+            assert inside(lo) and inside(hi)
+            assert not inside(lo - 1) and not inside(hi + 1)
+            continue
+        if sq is not None:
+            # convex in t: the integers either side of the vertex decide
+            vertex = math.floor(Fraction(-(sa * b0 + sc * d0), sa * sa + sc * sc))
+            assert not inside(vertex) and not inside(vertex + 1)
+            continue
+        low, high = Fraction(-10**30), Fraction(10**30)
+        for base, k in ((b0, sa), (d0, sc)):
+            if k == 0:
+                if abs(base) > bound:
+                    low, high = Fraction(1), Fraction(0)
+                continue
+            ends = sorted((Fraction(-bound - base, k), Fraction(bound - base, k)))
+            low, high = max(low, ends[0]), min(high, ends[1])
+        assert math.ceil(low) > math.floor(high)
+
+
+def test_sl2_engine_row_checks_raise(monkeypatch):
+    # every emitted row is checked against the ball and against p
+    real_columns = balls._sl2_columns
+
+    def one_too_many(*args):
+        cols = list(real_columns(*args))
+        cols[5] = cols[5] + 1
+        return tuple(cols)
+
+    monkeypatch.setattr(balls, "_sl2_columns", one_too_many)
+    for norm in ("frobenius", "max"):
+        with pytest.raises(InvariantError, match="outside the ball"):
+            enum_sl2z(BallSpec("sl2z", t_inf=6, norm=norm), workers=1)
+
+    def no_skip(*args):
+        cols = list(real_columns(*args))
+        cols[6] = np.full_like(cols[6], -1)
+        return tuple(cols)
+
+    monkeypatch.setattr(balls, "_sl2_columns", no_skip)
+    with pytest.raises(InvariantError, match="vanishes mod 2"):
+        enum_sl2_zinvp(BallSpec("sl2zp", p=2, t_inf=3, t_p=4), workers=1)
 
 
 def test_capacity_guard():

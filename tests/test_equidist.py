@@ -17,6 +17,8 @@ from orbitlab.equidist import (
     ProductTest,
     RealAnnulusSector,
     RealWedgeAnnulus,
+    _ChunkEvaluator,
+    _column_sums,
     calibrate_orientation,
     check_density_hypothesis,
     normalizer_value,
@@ -532,6 +534,62 @@ def test_run_experiment_odd_p_matches_pointwise(norm, monkeypatch):
         for f, row in zip(cfg.tests, rows):
             assert row.count == orbit_sum_pointwise(elements, cfg.v, f, 1.0)
     assert any(row.count for row in rep.rows)
+
+
+@pytest.mark.parametrize("p,v_inf", [(2, ("1", "sqrt(2)")),
+                                     (3, ("sqrt(3)", "1/2"))])
+def test_run_experiment_shared_sets_match_pointwise(p, v_inf, monkeypatch):
+    # tests that repeat one real set (with and without a sector) and one
+    # shell share a mask per chunk; v_inf[0] = 1 takes the column sums,
+    # sqrt(3) the matrix product
+    monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 11)
+    monkeypatch.setattr(balls, "_SL2_CHUNK_ELEMS", 29)
+    cfg = ExperimentConfig(
+        application="a22",
+        v=OrbitVector.make(v_inf, fin=("1", "3"), p=p),
+        t_ladder=(2, 3.5, 5),
+        tests=tuple(parse_test(tok, p=p) for tok in (
+            "product(annulus(0.5,4),shell(0))",
+            "product(annulus(0.5,4),shell(1))",
+            "annulus(0.5,4)",
+            "product(annulus(0.5,4,0,3),shell(0))",
+            "annulus(0.5,4,0,3)",
+            "shell(0)")),
+        capacity=10**6)
+    calls = []
+    contains = RealAnnulusSector.contains
+    monkeypatch.setattr(RealAnnulusSector, "contains",
+                        lambda self, w: calls.append(self) or contains(self, w))
+    rep = run_experiment(cfg)
+    nchunks = len(small_ball(group="sl2zp", p=p, t_inf=5, t_p=5))
+    assert len(calls) == 2 * nchunks  # two distinct real sets
+    monkeypatch.undo()
+    ntests = len(cfg.tests)
+    for i, t in enumerate(cfg.t_ladder):
+        elements = flatten(small_ball(group="sl2zp", p=p, t_inf=t, t_p=t))
+        assert rep.totals[i] == (float(t), len(elements))
+        rows = rep.rows[i * ntests:(i + 1) * ntests]
+        for f, row in zip(cfg.tests, rows):
+            assert row.count == orbit_sum_pointwise(elements, cfg.v, f, 1.0)
+    assert all(row.count for row in rep.rows if row.t == 5)
+
+
+def test_column_sums_round_like_the_matrix_product():
+    # with v0 = +-2^k the product m0 v0 is exact, so whichever way the
+    # BLAS kernel rounds m0 v0 + m1 v1 the column sum gives the same bits
+    rng = np.random.default_rng(5)
+    mats = rng.integers(-2**40, 2**40, size=(20000, 2, 2))
+    for v0 in (1.0, -2.0, 0.5, 2.0**-30):
+        vec = np.array([v0, math.sqrt(2) * 1.37])
+        assert (_column_sums(mats, vec).tobytes()
+                == (mats.astype(np.float64) @ vec).tobytes()), v0
+    ints = np.array([3, -7], dtype=np.int64)
+    assert np.array_equal(_column_sums(mats, ints), mats @ ints)
+    annulus = [RealAnnulusSector(1, 2)]
+    assert _ChunkEvaluator(OrbitVector.make(("1", "sqrt(2)")),
+                           annulus).exact_first_column
+    assert not _ChunkEvaluator(OrbitVector.make(("sqrt(2)", "1")),
+                               annulus).exact_first_column
 
 
 def test_finite_place_action_int64_headroom():
