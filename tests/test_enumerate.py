@@ -25,6 +25,7 @@ from orbitlab.balls import (
     enum_sl2z,
     enum_slnz,
     filter_window,
+    iter_ball_chunks,
     iter_sl2_zinvp_chunks,
     iter_sl2z_chunks,
     resolve_workers,
@@ -354,17 +355,22 @@ def test_sl2zp_builds_no_rejected_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("norm", ["frobenius", "max"])
-@pytest.mark.parametrize("group,p,t_inf,t_p", [
-    ("sl2z", 0, 50, None), ("sl2zp", 2, 8, 8), ("sl2zp", 3, 5, 9)])
-def test_sl2_capacity_counts_emitted_elements(group, p, t_inf, t_p, norm):
+@pytest.mark.parametrize("group,p,t_inf,t_p,frobenius_count", [
+    ("sl2z", 0, 50, None, 14788), ("sl2zp", 2, 8, 8, 46916),
+    ("sl2zp", 3, 5, 9, 16884)])
+def test_sl2_capacity_counts_emitted_elements(group, p, t_inf, t_p,
+                                              frobenius_count, norm):
+    # capacity equal to the element count passes, one below fails
     spec = dict(group=group, p=p, t_inf=t_inf, t_p=t_p, norm=norm)
-    true = len(enum_sl2_zinvp(BallSpec(**spec))[1])
-    if norm == "frobenius":
-        assert true == {"sl2z": 14788, 2: 46916, 3: 16884}[group if p == 0 else p]
-    levels, mats = enum_sl2_zinvp(BallSpec(**spec, capacity=true))
-    assert len(mats) == true
+
+    def count(**kw):
+        return sum(len(m) for _, m in iter_ball_chunks(BallSpec(**spec, **kw)))
+
+    true = count()
+    assert norm == "max" or true == frobenius_count
+    assert count(capacity=true) == true
     with pytest.raises(CapacityError, match="capacity"):
-        enum_sl2_zinvp(BallSpec(**spec, capacity=true - 1))
+        count(capacity=true - 1)
 
 
 def test_sl2_block_work_guard(monkeypatch):
