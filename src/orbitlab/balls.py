@@ -339,21 +339,22 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers):
         amax = math.isqrt(sq_int - 1)
         a_rows = np.arange(-amax, amax + 1, dtype=np.int64)
         half = _isqrt_array(sq_int - 1 - a_rows * a_rows)
+        row_end = np.cumsum(2 * half + 1)
+        npairs = int(row_end[-1])
     else:
-        amax = bound
-        half = np.full(2 * amax + 1, bound, dtype=np.int64)
-    row_len = 2 * half + 1
-    row_end = np.cumsum(row_len)
-    npairs = int(row_end[-1])
-    blocks = [(lo, min(lo + _SL2_BLOCK_PAIRS, npairs))
-              for lo in range(0, npairs, _SL2_BLOCK_PAIRS)]
+        width = 2 * bound + 1
+        npairs = width * width
 
-    def run(span):
-        lo, hi = span
-        idx = np.arange(lo, hi, dtype=np.int64)
-        row = np.searchsorted(row_end, idx, side="right")
-        a = row - amax
-        c = idx - (row_end[row] - row_len[row]) - half[row]
+    def run(lo):
+        idx = np.arange(lo, min(lo + _SL2_BLOCK_PAIRS, npairs), dtype=np.int64)
+        if sq_int is not None:
+            row = np.searchsorted(row_end, idx, side="right")
+            a = row - amax
+            c = idx - row_end[row] + half[row] + 1
+        else:
+            a, c = np.divmod(idx, width)
+            a -= bound
+            c -= bound
         g = np.gcd(a, c)
         keep = (g > 0) & (det % np.where(g > 0, g, 1) == 0)
         a, c = a[keep], c[keep]
@@ -408,7 +409,7 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers):
             chunks.append(out)
         return chunks
 
-    for chunks in _pool_map(run, blocks, workers):
+    for chunks in _pool_map(run, range(0, npairs, _SL2_BLOCK_PAIRS), workers):
         yield from chunks
 
 

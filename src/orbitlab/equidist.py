@@ -609,12 +609,6 @@ class _ChunkEvaluator:
                 self._check_headroom(entry_bound)
         self.entry_bound = entry_bound
         self.vec = v.inf_floats()
-        # ``@`` runs the BLAS kernel, which may fuse a product into the
-        # sum (OpenBLAS's Haswell kernel rounds fma(m0, v0, fl(m1 v1)));
-        # with n = 2 and v0 = +-2^k the product m0 v0 is exact, so fusing
-        # it changes nothing and the column sum gives the same bits
-        self.exact_first_column = (
-            len(self.vec) == 2 and abs(np.frexp(self.vec[0])[0]) == 0.5)
 
     def _check_headroom(self, bound):
         """|(mats @ nums)_i| <= n * bound * max|nums| must fit in int64."""
@@ -632,8 +626,7 @@ class _ChunkEvaluator:
         if mats.shape[1] != len(self.vec):
             raise ConfigError("vector and matrix dimensions disagree")
         if self.need_real:
-            w = (_column_sums(mats, self.vec) if self.exact_first_column
-                 else mats.astype(np.float64) @ self.vec)
+            w = _column_sums(mats, self.vec)
             if level:
                 w = w / float(self.v.p) ** level
         if self.need_fin:
@@ -665,7 +658,11 @@ class _ChunkEvaluator:
 
 def _column_sums(mats, vec):
     """mats @ vec for an (N, n, n) stack, as the sum over columns j of
-    mats[:, :, j] * vec[j], accumulated left to right."""
+    mats[:, :, j] * vec[j], accumulated left to right.
+
+    Each product and each sum is rounded once, as in
+    orbit_sum_pointwise; a BLAS ``@`` may fuse them and round
+    differently, depending on the platform's kernel."""
     out = mats[:, :, 0] * vec[0]
     for j in range(1, len(vec)):
         out += mats[:, :, j] * vec[j]

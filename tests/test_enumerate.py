@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -391,13 +392,33 @@ def test_sl2_int64_headroom_guard(norm, ok, past, monkeypatch):
         raise AssertionError("the engine started enumerating")
 
     monkeypatch.setattr(balls, "_sl2_det_blocks", no_work)
-    iter_sl2z_chunks(BallSpec("sl2z", t_inf=ok, norm=norm))  # lazy: no work
+    chunks = iter_sl2z_chunks(BallSpec("sl2z", t_inf=ok, norm=norm))
+    with pytest.raises(AssertionError, match="started"):
+        next(chunks)  # the guard passed; blocks start on iteration only
     with pytest.raises(CapacityError, match="int64"):
         iter_sl2z_chunks(BallSpec("sl2z", t_inf=past, norm=norm))
     # sl2zp: level 0 fits, the top level does not; nothing is yielded
     with pytest.raises(CapacityError, match="int64"):
         iter_sl2_zinvp_chunks(
             BallSpec("sl2zp", p=2, t_inf=3, t_p=2**15, norm=norm))
+
+
+def test_sl2_max_norm_blocks_need_no_radius_sized_setup():
+    # first columns of the max-norm square are indexed arithmetically, so
+    # the first chunk of a large radius costs one block: no per-row
+    # arrays of the radius and no list of the 2^21 blocks of 2^15 pairs
+    bound = 2**17
+    tracemalloc.start()
+    try:
+        levels, mats = next(iter_sl2z_chunks(
+            BallSpec("sl2z", t_inf=bound, norm="max"), workers=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.all(mats[:, 0, 0] == -bound) and np.all(np.abs(mats) <= bound)
+    a, b, c, d = (mats[:, i, j] for i in (0, 1) for j in (0, 1))
+    assert np.all(a * d - b * c == 1)
 
 
 @pytest.mark.parametrize("norm,det,t", [

@@ -17,7 +17,6 @@ from orbitlab.equidist import (
     ProductTest,
     RealAnnulusSector,
     RealWedgeAnnulus,
-    _ChunkEvaluator,
     _column_sums,
     calibrate_orientation,
     check_density_hypothesis,
@@ -540,8 +539,7 @@ def test_run_experiment_odd_p_matches_pointwise(norm, monkeypatch):
                                      (3, ("sqrt(3)", "1/2"))])
 def test_run_experiment_shared_sets_match_pointwise(p, v_inf, monkeypatch):
     # tests that repeat one real set (with and without a sector) and one
-    # shell share a mask per chunk; v_inf[0] = 1 takes the column sums,
-    # sqrt(3) the matrix product
+    # shell share a mask per chunk
     monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 11)
     monkeypatch.setattr(balls, "_SL2_CHUNK_ELEMS", 29)
     cfg = ExperimentConfig(
@@ -574,22 +572,19 @@ def test_run_experiment_shared_sets_match_pointwise(p, v_inf, monkeypatch):
     assert all(row.count for row in rep.rows if row.t == 5)
 
 
-def test_column_sums_round_like_the_matrix_product():
-    # with v0 = +-2^k the product m0 v0 is exact, so whichever way the
-    # BLAS kernel rounds m0 v0 + m1 v1 the column sum gives the same bits
+def test_column_sums_round_like_the_pointwise_route():
+    # the real action rounds each product and each partial sum once, left
+    # to right, exactly as orbit_sum_pointwise does, for any vector
     rng = np.random.default_rng(5)
-    mats = rng.integers(-2**40, 2**40, size=(20000, 2, 2))
-    for v0 in (1.0, -2.0, 0.5, 2.0**-30):
-        vec = np.array([v0, math.sqrt(2) * 1.37])
-        assert (_column_sums(mats, vec).tobytes()
-                == (mats.astype(np.float64) @ vec).tobytes()), v0
+    mats = rng.integers(-2**40, 2**40, size=(2000, 2, 2))
+    for vec in ((1.0, math.sqrt(2)), (math.sqrt(7), -3 / 11),
+                (2.0**-30, math.sqrt(3) * 1.37)):
+        want = [[sum(float(m[i][j]) * vec[j] for j in range(2))
+                 for i in range(2)] for m in mats.tolist()]
+        got = _column_sums(mats, np.array(vec))
+        assert got.tobytes() == np.array(want).tobytes(), vec
     ints = np.array([3, -7], dtype=np.int64)
     assert np.array_equal(_column_sums(mats, ints), mats @ ints)
-    annulus = [RealAnnulusSector(1, 2)]
-    assert _ChunkEvaluator(OrbitVector.make(("1", "sqrt(2)")),
-                           annulus).exact_first_column
-    assert not _ChunkEvaluator(OrbitVector.make(("sqrt(2)", "1")),
-                               annulus).exact_first_column
 
 
 def test_finite_place_action_int64_headroom():
