@@ -328,10 +328,38 @@ GOLDEN_ENUMERATE = {
         "cd3ba85db76f6f12605972cc6e6174b081452d0790e4aa4d71f01d0fe676f8ed",
     ("sl2zp", "max"):
         "1abf65158951a95db80a73c40ff85937bd026d7e1240aec9e40803253790a524",
+    ("slnz", "frobenius"):
+        "a1397ca7b7e75294bd676ae4c6193b90d2c38acbdfde0a1bf36d8dbfa6150791",
+    ("slnz", "max"):
+        "e89fd153f51d8a5e7e233bb5107dd8bb9b6b16b583d7f5ed184d4f35ced7845d",
 }
+ENUMERATE_RADII = {
+    "sl2z": ["--T-inf", 9.5],
+    "sl2zp": ["--p", 2, "--T-inf", 3, "--T-p", 8],  # levels 0..3
+    "slnz": ["--n", 3, "--T-inf", 2.5],
+}
+A22_TESTS = (
+    "tests = product(annulus(1,2),shell(0));product(annulus(1,3),shell(0));"
+    "product(annulus(1,2,0,2),shell(1));shell(-1,1,1:0)\n")
 # ladder 2, 4, 8 at p = 2: 46,916 elements at the top rung
 GOLDEN_ORBIT_A22_JSON = \
     "fe569124567461d2dce13ec76c268cd9fccfa0813b6837d1eb4a6835d62671be"
+GOLDEN_ORBIT_JSON = {
+    # the same a22 run under the max norm: 82,572 elements at T = 8
+    "a22-max": (
+        "application = a22\nv_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2\n"
+        "norm = max\nladder = 2,2,3\n" + A22_TESTS,
+        "7561f74b9b7cda06158abf31c2200f17a8772e16ebecf65815a0c7ca7e54b075"),
+    "a21": (
+        "application = a21\nv_inf = 1,sqrt(2)\nladder = 10,2,3\n"
+        "tests = annulus(1,2);annulus(1,3);annulus(1,2,0,2)\n",
+        "fe0637dab55825ac8fbde75b269a78492eb4ed286d836dbf23fb897e07b6edba"),
+    # SL(3,Z) at T = 2, 3, 9/2
+    "wedge": (
+        "application = wedge\nn = 3\nv_inf = 1,sqrt(2),sqrt(3)\n"
+        "ladder = 2,3/2,3\ntests = wedge(1,2,3);wedge(1,3,3)\n",
+        "75372ea044ac590166ce313073ea8e02c8884bc9c1cb84816a7869454430cab7"),
+}
 
 
 def _sha256(path):
@@ -341,22 +369,28 @@ def _sha256(path):
 @pytest.mark.parametrize("group,norm", sorted(GOLDEN_ENUMERATE))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_enumerate_csv_golden_bytes(group, norm, workers, tmp_path):
-    # sl2zp: levels 0..3 at p = 2
-    radii = (["--T-inf", 9.5] if group == "sl2z"
-             else ["--p", 2, "--T-inf", 3, "--T-p", 8])
     out = tmp_path / "ball.csv"
-    assert run("enumerate", "--group", group, "--norm", norm, *radii,
-               "--workers", workers, "--out", out) == 0
+    assert run("enumerate", "--group", group, "--norm", norm,
+               *ENUMERATE_RADII[group], "--workers", workers, "--out", out) == 0
     assert _sha256(out) == GOLDEN_ENUMERATE[group, norm]
 
 
-def test_orbit_a22_json_golden_bytes(monkeypatch, tmp_path):
+def _orbit_json_sha256(conf_text, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "a22.conf").write_text(
-        "application = a22\nv_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2\n"
-        "ladder = 2,2,3\n"
-        "tests = product(annulus(1,2),shell(0));product(annulus(1,3),shell(0));"
-        "product(annulus(1,2,0,2),shell(1));shell(-1,1,1:0)\n"
-        "out_json = o.json\nout_csv = o.csv\n")
-    assert run("orbit", "--config", "a22.conf") == 0
-    assert _sha256(tmp_path / "o.json") == GOLDEN_ORBIT_A22_JSON
+    (tmp_path / "run.conf").write_text(
+        conf_text + "out_json = o.json\nout_csv = o.csv\n")
+    assert run("orbit", "--config", "run.conf") == 0
+    return _sha256(tmp_path / "o.json")
+
+
+def test_orbit_a22_json_golden_bytes(monkeypatch, tmp_path):
+    conf = ("application = a22\nv_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2\n"
+            "ladder = 2,2,3\n" + A22_TESTS)
+    assert _orbit_json_sha256(conf, tmp_path, monkeypatch) \
+        == GOLDEN_ORBIT_A22_JSON
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ORBIT_JSON))
+def test_orbit_json_golden_bytes(name, monkeypatch, tmp_path):
+    conf, digest = GOLDEN_ORBIT_JSON[name]
+    assert _orbit_json_sha256(conf, tmp_path, monkeypatch) == digest
