@@ -8,6 +8,13 @@ solves exact integer intervals and builds only elements of the ball;
 the SL(n) path searches float boxes, which only ever widen, and keeps
 the candidates that pass an exact post-filter.
 
+The size of a matrix is its squared norm |M|^2 as an exact integer,
+``norm_sq``; the cut for radius r is floor(r^2), ``norm_sq_cut``, under
+both norms.  An element gamma = p^-m M of SL(2,Z[1/p]) (M integral, not
+zero mod p) has size D(gamma) = max(|gamma|, |gamma|_p) with |gamma|_p =
+p^m, so D(gamma) <= T exactly when p^m <= T and norm_sq(M) <=
+norm_sq_cut(p^m T).
+
 Element orders are deterministic and documented per group:
 
 * sl2z:  lexicographic on the first column (a, c), then on the
@@ -55,6 +62,24 @@ _INT_HEADROOM = 1 << 62
 def exact_radius(t) -> Fraction:
     """Radius as an exact rational; floats keep their binary value."""
     return Fraction(t) if isinstance(t, float) else as_rational(t)
+
+
+def norm_sq(mats, norm: str) -> np.ndarray:
+    """|M|^2 of each matrix of an (N, n, n) integer stack, exact in int64:
+    the sum of squared entries (Frobenius) or the squared largest entry
+    modulus (max)."""
+    if norm == "frobenius":
+        return np.einsum("nij,nij->n", mats, mats)
+    top = np.abs(mats).max(axis=(1, 2))
+    return top * top
+
+
+def norm_sq_cut(t: Fraction) -> int:
+    """floor(t^2): |M| <= t exactly when norm_sq(M) <= norm_sq_cut(t).
+
+    Under the max norm the key max|e|^2 is a square, and an integer
+    square is at most t^2 exactly when it is at most floor(t^2)."""
+    return math.floor(t * t)
 
 
 def resolve_workers(workers=None) -> int:
@@ -225,9 +250,11 @@ def _sl2_levels(spec: BallSpec):
     """(det, bound, sq_int, prim_p) per level of an SL(2) ball, checked
     against int64 headroom before anything is enumerated.
 
-    The level-m integer matrices M = p^m gamma have det p^(2m), entries
-    at most ``bound`` and squared Frobenius norm at most ``sq_int``
-    (None under the max norm); ``prim_p`` drops the M that vanish mod p."""
+    The level-m integer matrices M = p^m gamma have det p^(2m) and
+    norm_sq(M) <= norm_sq_cut(p^m t_inf), so entries at most ``bound``,
+    its integer square root; ``sq_int`` is that cut under the Frobenius
+    norm and None under the max norm; ``prim_p`` drops the M that vanish
+    mod p."""
     t_inf = spec._exact_t_inf()
     if spec.group == "sl2z":
         p, mmax = 1, 0
@@ -236,9 +263,9 @@ def _sl2_levels(spec: BallSpec):
         mmax = floor_log(t_p, p) if t_p >= 1 else -1
     levels = []
     for m in range(mmax + 1):
-        tm = p**m * t_inf
-        sq = _frobenius_floor(tm) if spec.norm == "frobenius" else None
-        levels.append((p ** (2 * m), math.floor(tm), sq, p if m else None))
+        cut = norm_sq_cut(p**m * t_inf)
+        sq = cut if spec.norm == "frobenius" else None
+        levels.append((p ** (2 * m), math.isqrt(cut), sq, p if m else None))
         _check_sl2_headroom(*levels[-1][:3])
     return levels
 
@@ -413,20 +440,11 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers):
         yield from chunks
 
 
-def _frobenius_floor(t: Fraction) -> int:
-    return math.floor(t * t)
-
-
-def iter_sl2z_chunks(spec: BallSpec, workers=None):
-    """Yield (levels, mats) chunks for the SL(2,Z) ball of radius t_inf."""
-    return iter_sl2_zinvp_chunks(spec, workers)
-
-
 def iter_sl2_zinvp_chunks(spec: BallSpec, workers=None):
     """Yield (levels, mats) chunks; the group element is p^-level * mat.
 
-    Levels ascend; within a level the integer matrix order matches
-    iter_sl2z_chunks.  Level 0 requires t_p >= 1 (p-adic norm of an
+    Levels ascend; within a level the integer matrices come in the sl2z
+    order.  Level 0 requires t_p >= 1 (p-adic norm of an
     integer SL(2) matrix is exactly 1); level m contributes when
     p^m <= t_p, with the archimedean bound scaled to p^m * t_inf.  An
     sl2z spec is level 0 alone.  Capacity counts the emitted elements
@@ -445,7 +463,7 @@ def iter_sl2_zinvp_chunks(spec: BallSpec, workers=None):
 
 
 def enum_sl2z(spec: BallSpec, workers=None) -> np.ndarray:
-    chunks = [m for _, m in iter_sl2z_chunks(spec, workers)]
+    chunks = [m for _, m in iter_sl2_zinvp_chunks(spec, workers)]
     if not chunks:
         return np.empty((0, 2, 2), dtype=np.int64)
     return np.concatenate(chunks)
@@ -763,9 +781,9 @@ class _SlnzPlan:
     norm-sorted table."""
 
     def __init__(self, spec: BallSpec, reduced: bool = False):
-        n, t = spec.n, spec._exact_t_inf()
+        n, cut = spec.n, norm_sq_cut(spec._exact_t_inf())
         self.n, self.spec = n, spec
-        self.bound = math.floor(t)
+        self.bound = math.isqrt(cut)
         table = n > 2 or not reduced
         limit = _SLNZ_RADIUS_LIMITS[n] if table else _SL2_ORBIT_RADIUS_LIMIT
         if self.bound > limit:
@@ -773,7 +791,7 @@ class _SlnzPlan:
         self.empty = self.bound < 1
         if self.empty:
             return
-        self.sq = _frobenius_floor(t) if spec.norm == "frobenius" else None
+        self.sq = cut if spec.norm == "frobenius" else None
         self.orbit = None
         if table:
             self.rows1, self.rows_ns, self.norms_ns = _row_table(
@@ -868,7 +886,7 @@ def enum_slnz(spec: BallSpec, workers=None) -> np.ndarray:
 def entry_bound(spec: BallSpec) -> int:
     """Largest |entry| of any integer matrix the spec's chunks can hold.
 
-    Under either norm an entry of gamma is at most the radius, and the
+    Under either norm every entry e of M has e^2 <= norm_sq(M), and the
     level-m integer matrix of sl2zp is p^m gamma."""
     t = spec._exact_t_inf()
     if spec.group == "sl2zp":
@@ -876,16 +894,14 @@ def entry_bound(spec: BallSpec) -> int:
         if t_p < 1:
             return 0
         t *= spec.p ** floor_log(t_p, spec.p)
-    return math.floor(t)
+    return math.isqrt(norm_sq_cut(t))
 
 
 def iter_ball_chunks(spec: BallSpec, workers=None):
     """Uniform chunk stream (levels, mats) for any supported group."""
-    if spec.group == "sl2z":
-        return iter_sl2z_chunks(spec, workers)
-    if spec.group == "sl2zp":
-        return iter_sl2_zinvp_chunks(spec, workers)
-    return iter_slnz_chunks(spec, workers)
+    if spec.group == "slnz":
+        return iter_slnz_chunks(spec, workers)
+    return iter_sl2_zinvp_chunks(spec, workers)
 
 
 def ball_count(spec: BallSpec, workers=None) -> int:

@@ -30,7 +30,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import BallSpec, CongruenceWindow, filter_window, iter_ball_chunks
+from .balls import (
+    BallSpec,
+    CongruenceWindow,
+    filter_window,
+    iter_ball_chunks,
+    norm_sq,
+)
 from .equidist import ExperimentConfig, OrbitVector, parse_test, run_experiment
 from .errors import (
     CapacityError,
@@ -126,6 +132,10 @@ def emit_report(report, fmt: str, path: str) -> str:
         text = "\n".join(lines) + "\n"
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
+    return _write_text(text, path)
+
+
+def _write_text(text: str, path: str) -> str:
     try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
@@ -484,17 +494,11 @@ def _cmd_enumerate(config: RunConfig) -> None:
         if window is not None:
             mask = filter_window(mats, window, levels=levels)
             levels, mats = levels[mask], mats[mask]
-        for lev, mat in zip(levels, mats):
-            m = int(lev)
-            entries = [int(e) for e in mat.ravel()]
-            den = p ** (2 * m) if m else 1
-            if s["norm"] == "frobenius":
-                num = sum(e * e for e in entries)
-            else:
-                top = max(abs(e) for e in entries)
-                num = top * top
-            norm_p = Fraction(p) ** m if group == "sl2zp" else Fraction(1)
-            rows.append([m, *entries, Fraction(num, den), norm_p])
+        keys = norm_sq(mats, spec.norm).tolist()
+        for m, entries, key in zip(levels.tolist(),
+                                   mats.reshape(len(mats), -1).tolist(), keys):
+            norm_p = p**m if group == "sl2zp" else 1
+            rows.append([m, *entries, Fraction(key, norm_p * norm_p), norm_p])
     emit_report((header, rows), "csv", s["out"])
 
 
@@ -728,12 +732,8 @@ def _cmd_report(config: RunConfig) -> None:
         body.extend(lines[1:])
     if problems:
         raise ConfigError(problems)
-    text = "\n".join([header, *body]) + "\n"
-    try:
-        with open(s["out"], "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {s['out']}: {exc}")
+    # the input lines are copied as they are, not re-quoted cell by cell
+    _write_text("\n".join([header, *body]) + "\n", s["out"])
 
 
 _DISPATCH = {

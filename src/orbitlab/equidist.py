@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +37,8 @@ from .balls import (
     exact_radius,
     filter_window,
     iter_ball_chunks,
+    norm_sq,
+    norm_sq_cut,
 )
 from .errors import ConfigError, DegenerateSpanError
 from .linalg import mat_vec, wedge_point
@@ -62,12 +64,9 @@ __all__ = [
     "SlopeRecord",
     "OrientationRecord",
     "DistributionReport",
-    "predicted_integral_r2",
-    "predicted_integral_qp2",
     "predicted_limit",
     "PredictionRecord",
     "orbit_sum",
-    "orbit_sum_pointwise",
     "wedge_orbit_sum",
     "check_density_hypothesis",
     "calibrate_orientation",
@@ -189,22 +188,6 @@ class PadicShellBox:
         full = Fraction(self.p) ** self.s * (1 - Fraction(1, self.p**2))
         return full * self.unit_class_fraction()
 
-    def contains_exact(self, w) -> bool:
-        """Pointwise membership for a pair of exact rationals."""
-        vals = [padic_valuation(x, self.p) for x in w]
-        v = min(vals)
-        if v != -self.s:
-            return False
-        if self.m == 0:
-            return True
-        mod = self.p**self.m
-        res = []
-        for x in w:
-            u = as_rational(x) * Fraction(self.p) ** (-v)
-            inv = pow(u.denominator % mod, -1, mod)
-            res.append(u.numerator * inv % mod)
-        return tuple(res) in set(self.units)
-
 
 @dataclass(frozen=True)
 class RealWedgeAnnulus:
@@ -258,22 +241,6 @@ class ProductTest:
     def predicted(self) -> float:
         re, qp = self.predicted_parts()
         return re * float(qp)
-
-
-def predicted_integral_r2(f: RealAnnulusSector) -> float:
-    """Exact mass of an annulus sector under dw/|w|."""
-    return f.predicted()
-
-
-def predicted_integral_qp2(f: PadicShellBox, p: int | None = None) -> Fraction:
-    """Exact mass of a shell box under dw/|w|_p (Z_p^2 has dw-mass 1)."""
-    if p is not None and p != f.p:
-        raise ConfigError(f"test is at p = {f.p}, asked about p = {p}")
-    return f.predicted()
-
-
-def _test_label(f) -> str:
-    return f.label
 
 
 def parse_test(text: str, p: int = 0):
@@ -660,9 +627,9 @@ def _column_sums(mats, vec):
     """mats @ vec for an (N, n, n) stack, as the sum over columns j of
     mats[:, :, j] * vec[j], accumulated left to right.
 
-    Each product and each sum is rounded once, as in
-    orbit_sum_pointwise; a BLAS ``@`` may fuse them and round
-    differently, depending on the platform's kernel."""
+    Each product and each sum is rounded once, as in a plain left to
+    right Python sum; a BLAS ``@`` may fuse them and round differently,
+    depending on the platform's kernel."""
     out = mats[:, :, 0] * vec[0]
     for j in range(1, len(vec)):
         out += mats[:, :, j] * vec[j]
@@ -703,37 +670,6 @@ def orbit_sum(ball, v: OrbitVector, f, normalizer: float, *,
         if window is not None:
             mask = mask & filter_window(mats, window, levels=levels)
         total += int(mask.sum())
-    return total / normalizer
-
-
-def orbit_sum_pointwise(elements, v: OrbitVector, f, normalizer: float) -> float:
-    """Slow exact route: a python loop over explicit group elements.
-
-    ``elements`` is an iterable of (level, matrix-as-rows) pairs; the
-    finite place is evaluated in exact rational arithmetic.  Used to
-    cross-check the vectorized route on small balls.
-    """
-    if normalizer <= 0:
-        raise ConfigError("normalizer must be positive")
-    total = 0
-    for level, rows in elements:
-        gamma = [[as_rational(e) for e in row] for row in rows]
-        hit = True
-        if isinstance(f, (RealAnnulusSector, RealWedgeAnnulus, ProductTest)):
-            real_part = f.real if isinstance(f, ProductTest) else f
-            scale = float(v.p) ** -level if level else 1.0
-            w = [scale * sum(float(gamma[i][j]) * float(v.inf[j])
-                             for j in range(len(v.inf)))
-                 for i in range(len(gamma))]
-            hit &= bool(real_part.contains(np.asarray([w]))[0])
-        if isinstance(f, (PadicShellBox, ProductTest)):
-            box = f.padic if isinstance(f, ProductTest) else f
-            scale_p = Fraction(1, v.p**level) if level else Fraction(1)
-            wp = [scale_p * sum(gamma[i][j] * as_rational(v.fin[j])
-                                for j in range(len(v.fin)))
-                  for i in range(len(gamma))]
-            hit &= box.contains_exact(wp)
-        total += hit
     return total / normalizer
 
 
@@ -882,22 +818,18 @@ class DistributionReport:
 
 
 def _ladder_cuts(config: ExperimentConfig):
-    """Exact per-(rung, level) cutoffs on the norm key of p^m gamma: the
-    squared Frobenius norm, or under the max norm the largest entry
-    modulus.  -1 = level excluded."""
-    p = config.p
-    tmax = exact_radius(config.t_ladder[-1])
-    mmax = floor_log(tmax, p) if p else 0
+    """Exact per-(rung, level) cutoffs on norm_sq of M = p^m gamma:
+    norm_sq_cut(p^m T) where p^m <= T, -1 (level excluded) elsewhere.
+    Without a finite place p = 1: a rung T < 1 holds no element either
+    way, as every element has norm at least 1."""
+    p = config.p or 1
+    mmax = floor_log(exact_radius(config.t_ladder[-1]), p) if config.p else 0
     cuts = np.full((len(config.t_ladder), mmax + 1), -1, dtype=np.int64)
     for i, t in enumerate(config.t_ladder):
         r = exact_radius(t)
         for m in range(mmax + 1):
-            if p and Fraction(p) ** m > r:
-                continue
-            if config.norm == "frobenius":
-                cuts[i, m] = math.floor(r * r * (p ** (2 * m) if p else 1))
-            else:
-                cuts[i, m] = math.floor(r * (p**m if p else 1))
+            if p**m <= r:
+                cuts[i, m] = norm_sq_cut(p**m * r)
     return cuts
 
 
@@ -942,10 +874,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
         if not len(mats):
             continue
         level = _level_scalar(levels)
-        if config.norm == "frobenius":
-            key = np.einsum("nij,nij->n", mats, mats)
-        else:
-            key = np.abs(mats).max(axis=(1, 2))
+        key = norm_sq(mats, config.norm)
         # rungs are nested: an element lies in its first rung whose cut
         # admits it and in every later one, so count first rungs and
         # accumulate; index len(live) collects the elements in none

@@ -1,26 +1,18 @@
-"""Small exact matrices, wedge powers, and per-place norms.
+"""Small exact matrices and wedge powers.
 
-Matrices are row-major tuples of tuples of Fraction.  Everything here
-is exact except the archimedean Frobenius norm, which needs a square
-root; its square is exposed separately for exact comparisons.
+Matrices are row-major tuples of tuples of Fraction; everything here is
+exact, except wedge points of float vectors.  The size function D(g)
+and the matrix norms live in :mod:`orbitlab.balls` (``norm_sq``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .places import Place, as_rational, padic_abs
+from .places import as_rational
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
-
-
-class NormKind(Enum):
-    FROBENIUS = "frobenius"
-    MAX_ENTRY = "max"
 
 
 def as_matrix(rows) -> Matrix:
@@ -29,20 +21,6 @@ def as_matrix(rows) -> Matrix:
     if not mat or any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("ragged or empty matrix")
     return mat
-
-
-def parse_matrix_literal(text: str, n: int) -> Matrix:
-    """Row-major comma-separated "a/b" entries, as used in configs."""
-    entries = [as_rational(tok) for tok in text.split(",")]
-    if len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-    return tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -56,10 +34,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v) -> tuple:
     return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def mat_det(a: Matrix) -> Fraction:
@@ -82,25 +56,6 @@ def mat_det(a: Matrix) -> Fraction:
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
     return det
-
-
-def mat_inv(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises ValueError when singular."""
-    n = len(a)
-    m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [e * inv for e in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [e - f * g for e, g in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -158,99 +113,3 @@ def _float_det(a):
             for c in range(col, n):
                 m[r][c] -= f * m[col][c]
     return det
-
-
-def vol_first_rows(a: Matrix, k: int) -> float:
-    """Euclidean length of the wedge of the first k rows."""
-    w = wedge_point(a[:k])
-    return math.sqrt(float(sum(Fraction(e) * Fraction(e) if not isinstance(e, float)
-                               else e * e for e in w)))
-
-
-# ---------------------------------------------------------------------------
-# norms and the size function
-
-def frobenius_norm_sq(a: Matrix) -> Fraction:
-    return sum(e * e for row in a for e in row)
-
-
-def matrix_norm(a: Matrix, place: Place, kind: NormKind = NormKind.MAX_ENTRY):
-    """Per-place matrix norm.
-
-    Finite places always use the max entry p-adic absolute value (the
-    Frobenius sum has no ultrametric meaning there, and asking for it
-    is an error).  The archimedean place supports both kinds.
-    """
-    if place.is_finite:
-        if kind is NormKind.FROBENIUS:
-            raise ValueError("Frobenius norm is archimedean-only")
-        return max(padic_abs(e, place.p) for row in a for e in row)
-    if kind is NormKind.FROBENIUS:
-        return math.sqrt(sum(float(e) ** 2 for row in a for e in row))
-    return max(abs(as_rational(e)) for row in a for e in row)
-
-
-def vector_norm(v, place: Place, kind: NormKind = NormKind.MAX_ENTRY):
-    """Euclidean (or max) norm at infinity, max-entry norm at p."""
-    if place.is_finite:
-        if kind is NormKind.FROBENIUS:
-            raise ValueError("Frobenius norm is archimedean-only")
-        return max(padic_abs(e, place.p) for e in v)
-    if kind is NormKind.FROBENIUS:
-        return math.sqrt(sum(float(e) ** 2 for e in v))
-    return max(abs(as_rational(e)) for e in v)
-
-
-@dataclass(frozen=True)
-class PlacedMatrix:
-    """One matrix component per place, e.g. an element of G_inf x G_p."""
-
-    places: tuple
-    comps: tuple
-
-    def __post_init__(self):
-        if len(self.places) != len(self.comps):
-            raise ValueError("one component per place")
-        n = len(self.comps[0])
-        if any(len(c) != n or len(c[0]) != n for c in self.comps):
-            raise ValueError("components must share a square size")
-
-    @classmethod
-    def diagonal(cls, mat, places) -> "PlacedMatrix":
-        """Embed one rational matrix diagonally across all places."""
-        m = as_matrix(mat)
-        return cls(places=tuple(places), comps=tuple(m for _ in places))
-
-    @property
-    def n(self) -> int:
-        return len(self.comps[0])
-
-    def component(self, place: Place) -> Matrix:
-        return self.comps[self.places.index(place)]
-
-
-@dataclass(frozen=True)
-class PlacedVector:
-    places: tuple
-    comps: tuple
-
-    @classmethod
-    def diagonal(cls, vec, places) -> "PlacedVector":
-        v = tuple(as_rational(e) for e in vec)
-        return cls(places=tuple(places), comps=tuple(v for _ in places))
-
-    def component(self, place: Place):
-        return self.comps[self.places.index(place)]
-
-
-def size_function(g: PlacedMatrix, inf_kind: NormKind = NormKind.FROBENIUS) -> float:
-    """D(g): max over places of the per-place norm.
-
-    The archimedean factor may use Frobenius or max entry; finite
-    factors always use max entry.
-    """
-    best = 0.0
-    for place, comp in zip(g.places, g.comps):
-        kind = NormKind.MAX_ENTRY if place.is_finite else inf_kind
-        best = max(best, float(matrix_norm(comp, place, kind)))
-    return best

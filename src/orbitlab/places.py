@@ -116,10 +116,6 @@ def padic_abs(x, p: int) -> Fraction:
     return Fraction(p) ** (-v)
 
 
-def is_p_integral(x, p: int) -> bool:
-    return padic_valuation(x, p) >= 0
-
-
 def floor_log(x, p: int) -> int:
     """E(ln_p x): largest j with p^j <= x, exact even for float x.
 
@@ -139,13 +135,6 @@ def floor_log(x, p: int) -> int:
     return j
 
 
-def abs_at_place(x, place: Place):
-    """|x| at the given place: exact Fraction when finite, float else."""
-    if place.is_finite:
-        return padic_abs(x, place.p)
-    return abs(float(as_rational(x)))
-
-
 # ---------------------------------------------------------------------------
 # archimedean precision and symbolic entries
 
@@ -162,10 +151,6 @@ def set_real_precision(dps: int) -> None:
     if dps < 0:
         raise ValueError("precision must be >= 0")
     _REAL_DPS = dps
-
-
-def get_real_precision() -> int:
-    return _REAL_DPS
 
 
 def evaluate_symbolic(text):

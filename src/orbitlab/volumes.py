@@ -36,10 +36,8 @@ __all__ = [
     "StabilizerBall",
     "SymSquareUnipotentBall",
     "UnipotentPairBall",
-    "SkewBallQuery",
     "RatioLimitResult",
     "AsymptoticProfile",
-    "skew_ball_volume",
     "skew_ball_ratio_limit",
     "bounded_ratio_check",
     "stab_ball_volume_sl2r",
@@ -323,36 +321,7 @@ class UnipotentPairBall:
 
 
 # ---------------------------------------------------------------------------
-# skew ball queries and ratio limits
-
-@dataclass(frozen=True)
-class SkewBallQuery:
-    """A (subgroup case, translator, radius) triple.
-
-    ``g`` is whatever the case expects: a 2x2 matrix for StabilizerBall,
-    a pair of diagonal exponent vectors for SymSquareUnipotentBall, a
-    pair of matrices for UnipotentPairBall.  ``t`` likewise: a real
-    radius, an exponent n (radius p^n), or a (t_inf, t_p) pair.
-    """
-
-    case: object
-    g: object
-    t: object
-
-    def volume(self):
-        return skew_ball_volume(self)
-
-
-def skew_ball_volume(query: SkewBallQuery):
-    case, g, t = query.case, query.g, query.t
-    if isinstance(case, StabilizerBall):
-        return case.skew_volume(g, t)
-    if isinstance(case, SymSquareUnipotentBall):
-        return case.skew_volume(g[0], g[1], t)
-    if isinstance(case, UnipotentPairBall):
-        return case.skew_volume(g[0], g[1], t[0], t[1])
-    raise TypeError(f"unsupported case {type(case).__name__}")
-
+# ratio limits
 
 @dataclass
 class RatioLimitResult:

@@ -2,8 +2,10 @@
 
 Everything here trades speed for obviousness: recursive cofactor
 determinants, full box scans for group balls, direct Hermite-form
-enumeration.  None of it shares code with the package internals it
-checks.
+enumeration, orbit sums one element at a time in exact rationals.
+None of it shares code with the package internals it checks; the
+orbit-sum oracle reads the test sets' parameters and leaves only the
+real-place membership of one point to the sets themselves.
 """
 
 from __future__ import annotations
@@ -13,6 +15,23 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from orbitlab.equidist import PadicShellBox, ProductTest
+
+
+def padic_valuation(x, p):
+    """v_p of a rational; v_p(0) is +infinity."""
+    x = Fraction(x)
+    if x == 0:
+        return math.inf
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
 def laplace_det(a):
@@ -93,6 +112,50 @@ def brute_sl2zp(p, t_inf, t_p, norm="frobenius"):
                     continue
             out.append((m, (a, b, c, d)))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# orbit sums element by element
+
+def shell_box_contains(box, w):
+    """Membership of a pair of exact rationals in a PadicShellBox."""
+    v = min(padic_valuation(x, box.p) for x in w)
+    if v != -box.s:
+        return False
+    if box.m == 0:
+        return True
+    mod = box.p**box.m
+    res = []
+    for x in w:
+        u = Fraction(x) * Fraction(box.p) ** (-v)
+        res.append(u.numerator * pow(u.denominator % mod, -1, mod) % mod)
+    return tuple(res) in set(box.units)
+
+
+def orbit_sum_pointwise(elements, v, f, normalizer):
+    """(1/normalizer) * #{gamma : f(gamma.v)}, one element at a time.
+
+    ``elements`` holds (level, integer matrix rows) pairs, the element
+    being p^-level times the matrix.  At infinity each coordinate is a
+    left to right float sum of entry times v_inf entry, divided by p^level
+    (the vectorized route's arithmetic); at p the point is exact.
+    """
+    real, padic = (f.real, f.padic) if isinstance(f, ProductTest) else (f, f)
+    total = 0
+    for level, rows in elements:
+        hit = True
+        if not isinstance(real, PadicShellBox):
+            w = [sum(float(e) * float(x) for e, x in zip(row, v.inf))
+                 for row in rows]
+            if level:
+                w = [c / float(v.p) ** level for c in w]
+            hit &= bool(real.contains(np.asarray([w]))[0])
+        if isinstance(padic, PadicShellBox):
+            wp = [sum(Fraction(e) * Fraction(x) for e, x in zip(row, v.fin))
+                  / Fraction(v.p) ** level for row in rows]
+            hit &= shell_box_contains(padic, wp)
+        total += hit
+    return total / normalizer
 
 
 # ---------------------------------------------------------------------------

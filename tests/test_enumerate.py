@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -25,13 +26,16 @@ from orbitlab.balls import (
     enum_sl2_zinvp,
     enum_sl2z,
     enum_slnz,
+    exact_radius,
     filter_window,
     iter_ball_chunks,
     iter_sl2_zinvp_chunks,
-    iter_sl2z_chunks,
+    norm_sq,
+    norm_sq_cut,
     resolve_workers,
 )
 from orbitlab.errors import CapacityError, ConfigError, InvariantError
+from orbitlab.places import padic_abs
 
 from oracles import brute_sl2z, brute_sl2zp, brute_slnz, det_np_batch, laplace_det
 
@@ -323,7 +327,7 @@ def test_sl2_engine_differential_sweep(norm, monkeypatch):
     for _ in range(4):
         t = Fraction(rng.randint(100, 650), 100)
         built[0] = 0
-        got = np.concatenate([m for _, m in iter_sl2z_chunks(
+        got = np.concatenate([m for _, m in iter_sl2_zinvp_chunks(
             BallSpec("sl2z", t_inf=t, norm=norm), workers=2)])
         want = sorted(brute_sl2z(t, norm), key=_column_order)
         assert [tuple(int(e) for e in m.ravel()) for m in got] == want, t
@@ -343,6 +347,45 @@ def test_sl2_engine_differential_sweep(norm, monkeypatch):
                       key=lambda e: (e[0], _column_order(e[1])))
         assert got == want, (p, t_inf, t_p)
         assert built[0] == len(got)
+
+
+def _random_window(rng, p, m, ball):
+    """A window mod p^m of a few classes: some met by ``ball`` elements
+    (level, (a, b, c, d)) of level 0, some drawn from all of SL(2, Z/p^m)."""
+    mod = p**m
+    sl2 = [r for r in itertools.product(range(mod), repeat=4)
+           if (r[0] * r[3] - r[1] * r[2]) % mod == 1]
+    met = sorted({tuple(e % mod for e in mat) for lev, mat in ball if lev == 0})
+    reps = rng.sample(met, min(len(met), 3)) + rng.sample(sl2, 3)
+    return CongruenceWindow(p, m, tuple(reps))
+
+
+@pytest.mark.parametrize("norm", ["frobenius", "max"])
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_sl2_window_differential_sweep(p, m, norm, monkeypatch):
+    # filter_window over the engine's stream keeps exactly the brute-force
+    # ball elements of level 0 whose entries mod p^m are window classes
+    rng = random.Random(100 * p + 10 * m + (norm == "max"))
+    monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 13)
+    monkeypatch.setattr(balls, "_SL2_CHUNK_ELEMS", 7)
+    t = Fraction(rng.randint(300, 600), 100)
+    t_inf, t_p = Fraction(rng.randint(150, 300), 100), p ** rng.randint(1, 2)
+    cases = [(BallSpec("sl2z", t_inf=t, norm=norm),
+              [(0, e) for e in brute_sl2z(t, norm)]),
+             (BallSpec("sl2zp", p=p, t_inf=t_inf, t_p=t_p, norm=norm),
+              brute_sl2zp(p, float(t_inf), t_p, norm))]
+    for spec, brute in cases:
+        window = _random_window(rng, p, m, brute)
+        mod = window.modulus
+        got = []
+        for levels, mats in iter_ball_chunks(spec, workers=2):
+            keep = filter_window(mats, window, levels=levels)
+            got += [(int(lev), tuple(int(e) for e in mat.ravel()))
+                    for lev, mat in zip(levels[keep], mats[keep])]
+        want = [(lev, mat) for lev, mat in brute if lev == 0
+                and tuple(e % mod for e in mat) in set(window.reps)]
+        assert want and got == sorted(want, key=lambda e: _column_order(e[1]))
+        assert any(lev for lev, _ in brute) == (spec.group == "sl2zp")
 
 
 def test_sl2zp_builds_no_rejected_matrix(monkeypatch):
@@ -392,11 +435,11 @@ def test_sl2_int64_headroom_guard(norm, ok, past, monkeypatch):
         raise AssertionError("the engine started enumerating")
 
     monkeypatch.setattr(balls, "_sl2_det_blocks", no_work)
-    chunks = iter_sl2z_chunks(BallSpec("sl2z", t_inf=ok, norm=norm))
+    chunks = iter_sl2_zinvp_chunks(BallSpec("sl2z", t_inf=ok, norm=norm))
     with pytest.raises(AssertionError, match="started"):
         next(chunks)  # the guard passed; blocks start on iteration only
     with pytest.raises(CapacityError, match="int64"):
-        iter_sl2z_chunks(BallSpec("sl2z", t_inf=past, norm=norm))
+        iter_sl2_zinvp_chunks(BallSpec("sl2z", t_inf=past, norm=norm))
     # sl2zp: level 0 fits, the top level does not; nothing is yielded
     with pytest.raises(CapacityError, match="int64"):
         iter_sl2_zinvp_chunks(
@@ -410,7 +453,7 @@ def test_sl2_max_norm_blocks_need_no_radius_sized_setup():
     bound = 2**17
     tracemalloc.start()
     try:
-        levels, mats = next(iter_sl2z_chunks(
+        levels, mats = next(iter_sl2_zinvp_chunks(
             BallSpec("sl2z", t_inf=bound, norm="max"), workers=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -494,6 +537,60 @@ def test_sl2_engine_row_checks_raise(monkeypatch):
         enum_sl2_zinvp(BallSpec("sl2zp", p=2, t_inf=3, t_p=4), workers=1)
 
 
+def test_norm_sq_matches_exact_norm():
+    # norm_sq(M) <= norm_sq_cut(r) is |M| <= r in exact rationals, under
+    # both norms, at radii such as 3, 19/2, 7/3 and at float square roots
+    # of the keys themselves, whose binary value lies just below or just
+    # above the boundary
+    rng = random.Random(61)
+    edges = set()
+    for n in (2, 3):
+        mats = np.array([[[rng.randint(-12, 12) for _ in range(n)]
+                          for _ in range(n)] for _ in range(300)])
+        for norm in ("frobenius", "max"):
+            keys = norm_sq(mats, norm)
+            assert keys.dtype == np.int64
+            distinct = sorted(set(keys.tolist()))
+            radii = [3, Fraction(19, 2), Fraction(7, 3)] + [
+                math.sqrt(k) for k in rng.sample(distinct, min(len(distinct), 40))]
+            for r in radii:
+                t = exact_radius(r)
+                cut = norm_sq_cut(t)
+                for mat, key in zip(mats.tolist(), keys.tolist()):
+                    entries = [Fraction(e) for row in mat for e in row]
+                    if norm == "frobenius":
+                        inside = sum(e * e for e in entries) <= t * t
+                    else:
+                        inside = max(abs(e) for e in entries) <= t
+                    assert (key <= cut) == inside, (norm, r, mat)
+                    if isinstance(r, float) and key == round(r * r) != t * t:
+                        edges.add(key <= cut)
+    assert edges == {False, True}  # both sides of a boundary were met
+
+
+def test_size_function_max_over_places():
+    # D(gamma) = max(|gamma|, |gamma|_p) for gamma = p^-m M, evaluated in
+    # exact rationals, against the kernel's rule: D(gamma) <= T exactly
+    # when p^m <= T and norm_sq(M) <= norm_sq_cut(p^m T)
+    p = 2
+    for norm in ("frobenius", "max"):
+        levels, mats = enum_sl2_zinvp(
+            BallSpec("sl2zp", p=p, t_inf=3, t_p=4, norm=norm), workers=1)
+        keys = norm_sq(mats, norm)
+        for T in (1, Fraction(3, 2), 2, Fraction(5, 2), 3):
+            for lev, mat, key in zip(levels.tolist(), mats.tolist(),
+                                     keys.tolist()):
+                gamma = [Fraction(e, p**lev) for row in mat for e in row]
+                if norm == "frobenius":
+                    real_ok = sum(e * e for e in gamma) <= T * T
+                else:
+                    real_ok = max(abs(e) for e in gamma) <= T
+                size_p = max(padic_abs(e, p) for e in gamma)
+                assert size_p == p**lev
+                kernel = p**lev <= T and key <= norm_sq_cut(p**lev * T)
+                assert kernel == (real_ok and size_p <= T)
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         enum_sl2z(BallSpec("sl2z", t_inf=50, capacity=100))
@@ -559,7 +656,7 @@ def test_chunk_stream_matches_batch():
     spec = BallSpec("sl2z", t_inf=20)
     total = 0
     prev_key = -1 << 62
-    for levels, block in iter_sl2z_chunks(spec, workers=1):
+    for levels, block in iter_sl2_zinvp_chunks(spec, workers=1):
         assert len(levels) == len(block)
         total += len(block)
         keys = _pack_rows(block[:, :, 0])

@@ -22,11 +22,7 @@ from orbitlab.equidist import (
     check_density_hypothesis,
     normalizer_value,
     orbit_sum,
-    orbit_sum_pointwise,
     parse_test,
-    predicted_integral_qp2,
-    predicted_integral_r2,
-    predicted_limit,
     run_experiment,
     sl2_congruence_order,
     wedge_normalizer_exponent,
@@ -35,6 +31,8 @@ from orbitlab.equidist import (
 )
 from orbitlab.errors import ConfigError
 from orbitlab.places import padic_valuation
+
+from oracles import orbit_sum_pointwise
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,9 +54,9 @@ def flatten(chunks):
 # predicted masses
 
 def test_annulus_prediction_closed_form():
-    assert predicted_integral_r2(RealAnnulusSector(1, 2)) == pytest.approx(TWO_PI)
+    assert RealAnnulusSector(1, 2).predicted() == pytest.approx(TWO_PI)
     half = RealAnnulusSector(1, 3, 0.0, math.pi)
-    assert predicted_integral_r2(half) == pytest.approx(2 * math.pi)
+    assert half.predicted() == pytest.approx(2 * math.pi)
     # degenerate annulus carries no mass
     assert RealAnnulusSector(2, 2).predicted() == 0.0
 
@@ -94,7 +92,7 @@ def test_annulus_validation():
 
 def test_shell_prediction_values():
     for p in (2, 3, 5):
-        assert predicted_integral_qp2(PadicShellBox(p, 0)) == 1 - Fraction(1, p * p)
+        assert PadicShellBox(p, 0).predicted() == 1 - Fraction(1, p * p)
         for s in (-2, 1, 3):
             full = PadicShellBox(p, s).predicted()
             assert full == Fraction(p) ** s * (1 - Fraction(1, p * p))
@@ -124,8 +122,6 @@ def test_shell_validation():
         PadicShellBox(2, 0, 1, ((0, 0),))  # not primitive
     with pytest.raises(ConfigError):
         PadicShellBox(2, 0, 0, ((1, 0),))  # classes without a depth
-    with pytest.raises(ConfigError):
-        predicted_integral_qp2(PadicShellBox(2, 0), p=3)
 
 
 def test_wedge_prediction_matches_annulus_in_dim_2():
@@ -280,6 +276,24 @@ def test_orbit_sum_vectorized_matches_pointwise():
         vec = orbit_sum(chunks, v, f, 1.0)
         pt = orbit_sum_pointwise(elements, v, f, 1.0)
         assert vec == pt, f.label
+
+
+def test_pointwise_oracle_scales_odd_p_levels_like_the_vectorized_route():
+    # at p = 3 the level-1 element M = [[-4, 1], [-1, -2]] has |M v / 3|
+    # one ulp larger when the column sums are divided by 3 (the vectorized
+    # route) than when they are multiplied by 3.0**-1; an annulus that
+    # starts exactly there counts it on both routes
+    v = OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=3)
+    m = np.array([[[-4, 1], [-1, -2]]])
+    w = _column_sums(m, v.inf_floats())[0]
+    r1 = float(np.hypot(w[0] / 3.0, w[1] / 3.0))
+    assert np.hypot(w[0] * 3.0**-1, w[1] * 3.0**-1) < r1
+    f = RealAnnulusSector(r1, 4.0)
+    assert orbit_sum([(np.ones(1, dtype=np.int64), m)], v, f, 1.0) == 1
+    assert orbit_sum_pointwise([(1, m[0].tolist())], v, f, 1.0) == 1
+    chunks = small_ball(group="sl2zp", p=3, t_inf=2, t_p=3)
+    assert orbit_sum(chunks, v, f, 1.0) == orbit_sum_pointwise(
+        flatten(chunks), v, f, 1.0)
 
 
 def test_orbit_sum_rotation_equivariance():

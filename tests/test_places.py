@@ -4,16 +4,14 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from orbitlab.places import (
     Place,
-    abs_at_place,
     as_rational,
     continued_fraction,
     evaluate_symbolic,
-    get_real_precision,
-    is_p_integral,
     is_prime,
     looks_rational,
     padic_abs,
@@ -36,19 +34,6 @@ def test_padic_abs_values():
     assert padic_abs(Fraction(5, 8), 2) == 8
     assert padic_abs(0, 3) == 0
     assert padic_abs(-50, 5) == Fraction(1, 25)
-
-
-def test_is_p_integral():
-    assert is_p_integral(6, 2)
-    assert not is_p_integral(Fraction(1, 2), 2)
-    assert is_p_integral(Fraction(3, 5), 2)
-    assert is_p_integral(0, 3)
-
-
-def test_abs_at_place():
-    assert abs_at_place(Fraction(-3, 4), Place.real()) == 0.75
-    assert abs_at_place(Fraction(-3, 4), Place.finite(2)) == 4
-    assert isinstance(abs_at_place(5, Place.finite(5)), Fraction)
 
 
 def test_place_validation():
@@ -117,13 +102,17 @@ def test_evaluate_symbolic():
 
 
 def test_precision_toggle():
-    assert get_real_precision() == 0
+    # hardware doubles by default, mpmath at the set precision, and
+    # doubles again once the precision is reset
+    assert isinstance(evaluate_symbolic("sqrt(2)"), float)
     set_real_precision(50)
     try:
         x = evaluate_symbolic("sqrt(2)")
-        assert abs(float(x * x) - 2.0) < 1e-15
+        assert isinstance(x, mpmath.mpf)
+        assert abs(x * x - 2) < mpmath.mpf(10) ** -45
     finally:
         set_real_precision(0)
+    assert isinstance(evaluate_symbolic("sqrt(2)"), float)
 
 
 def test_cf_heuristic():

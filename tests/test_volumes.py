@@ -10,7 +10,6 @@ from orbitlab.errors import DegenerateSpanError
 from orbitlab.volumes import (
     AsymptoticProfile,
     RatioLimitResult,
-    SkewBallQuery,
     SqrtPower,
     StabilizerBall,
     SymSquareUnipotentBall,
@@ -19,7 +18,6 @@ from orbitlab.volumes import (
     fit_asymptotics,
     padic_sl2_ball_volume,
     skew_ball_ratio_limit,
-    skew_ball_volume,
     slope_fit,
     stab_ball_volume_sl2r,
 )
@@ -205,13 +203,6 @@ def test_sym2_empty_when_translator_exceeds_radius():
     ball = SymSquareUnipotentBall(2)
     assert float(ball.skew_volume((3, 0, 0), (0, 0, 0), 2)) == 0.0
     assert float(ball.skew_volume((0, 0, 0), (0, 0, -3), 2)) == 0.0
-
-
-def test_skew_query_dispatch():
-    q = SkewBallQuery(SymSquareUnipotentBall(2), ((0, 0, 0), (1, 0, -1)), 4)
-    assert q.volume() == SqrtPower.from_half_exponent(2, 4 + 2 * 1)
-    q2 = SkewBallQuery(StabilizerBall((1, 0)), [[1, 0], [0, 1]], 5.0)
-    assert q2.volume() == pytest.approx(stab_ball_volume_sl2r((1, 0), 5.0))
 
 
 # ---------------------------------------------------------------------------
