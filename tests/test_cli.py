@@ -354,6 +354,16 @@ GOLDEN_ORBIT_JSON = {
         "application = a21\nv_inf = 1,sqrt(2)\nladder = 10,2,3\n"
         "tests = annulus(1,2);annulus(1,3);annulus(1,2,0,2)\n",
         "fe0637dab55825ac8fbde75b269a78492eb4ed286d836dbf23fb897e07b6edba"),
+    # A22_TESTS without the bare shell: every test bounds |gamma v|
+    "a22-products": (
+        "application = a22\nv_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2\n"
+        "ladder = 2,2,3\n" + A22_TESTS.replace(";shell(-1,1,1:0)", ""),
+        "18d8bd05cfa43e61cdf798ecb8aaf9240df44b5cbd564b71658a318cc3d08c0a"),
+    # a sector across the branch cut and a rational coordinate
+    "ledrappier-sector": (
+        "application = ledrappier\nv_inf = -3/7,sqrt(5)\nladder = 10,2,3\n"
+        "tests = annulus(1,2);annulus(1,3,5,7);annulus(1/2,2,0,1)\n",
+        "de592598688477ae7f9b6a4c167e3c9983922a30175a6b98ca82fc425de56e66"),
     # SL(3,Z) at T = 2, 3, 9/2
     "wedge": (
         "application = wedge\nn = 3\nv_inf = 1,sqrt(2),sqrt(3)\n"
