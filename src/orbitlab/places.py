@@ -10,7 +10,6 @@ exact rational; at the archimedean place it is the usual |x|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -59,34 +58,6 @@ def as_rational(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TypeError(f"not an exact rational: {x!r}")
-
-
-@dataclass(frozen=True, order=True)
-class Place:
-    """One place of Q: ``Place.real()`` or ``Place.finite(p)``."""
-
-    p: int  # 0 encodes the archimedean place, else a prime
-
-    def __post_init__(self):
-        if self.p != 0 and not is_prime(self.p):
-            raise ValueError(f"finite place needs a prime, got {self.p}")
-
-    @classmethod
-    def real(cls) -> "Place":
-        return cls(0)
-
-    @classmethod
-    def finite(cls, p: int) -> "Place":
-        if p == 0:
-            raise ValueError("finite place needs a prime")
-        return cls(p)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.p != 0
-
-    def __repr__(self):
-        return "Place(inf)" if self.p == 0 else f"Place({self.p})"
 
 
 def padic_valuation(x, p: int):

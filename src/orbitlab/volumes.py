@@ -39,7 +39,6 @@ __all__ = [
     "RatioLimitResult",
     "AsymptoticProfile",
     "skew_ball_ratio_limit",
-    "bounded_ratio_check",
     "stab_ball_volume_sl2r",
     "padic_sl2_ball_volume",
     "fit_asymptotics",
@@ -175,14 +174,6 @@ class StabilizerBall:
               for i in range(2)]
         return math.sqrt(sum(e * e for row in n for e in row)
                          / sum(e * e for row in ng for e in row))
-
-    def duality_ratio(self, g) -> float:
-        """|v| / |g^-1 v|: the calibrated-orientation prediction."""
-        (a, b), (c, d) = ((float(e) for e in row) for row in g)
-        det = a * d - b * c
-        vx, vy = (float(e) for e in self.v)
-        w = ((d * vx - b * vy) / det, (-c * vx + a * vy) / det)
-        return math.hypot(vx, vy) / math.hypot(*w)
 
 
 def stab_ball_volume_sl2r(v, t: float) -> float:
@@ -405,24 +396,6 @@ def _classify_sequence(seq, tol, offset=0):
                                     diagnostics={"tail": seq[-4:]})
     return RatioLimitResult(modulus=0, estimates=classes, converged=False,
                             diagnostics={"tail": seq[-4:], "note": "diverged"})
-
-
-def bounded_ratio_check(case, g, ladder):
-    """Min and max of the skew/plain ratio over a radius ladder."""
-    lo, hi = math.inf, -math.inf
-    for t in ladder:
-        if isinstance(case, SymSquareUnipotentBall):
-            r = float(case.skew_volume(g[0], g[1], t) / case.ball_volume(t))
-        elif isinstance(case, UnipotentPairBall):
-            plain = case.ball_volume(t[0], t[1])
-            r = case.skew_volume(g[0], g[1], t[0], t[1]) / plain
-        else:
-            plain = case.ball_volume(t)
-            if plain == 0.0:
-                continue
-            r = case.skew_volume(g, t) / plain
-        lo, hi = min(lo, r), max(hi, r)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

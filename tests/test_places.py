@@ -8,7 +8,6 @@ import mpmath
 import pytest
 
 from orbitlab.places import (
-    Place,
     as_rational,
     continued_fraction,
     evaluate_symbolic,
@@ -34,15 +33,6 @@ def test_padic_abs_values():
     assert padic_abs(Fraction(5, 8), 2) == 8
     assert padic_abs(0, 3) == 0
     assert padic_abs(-50, 5) == Fraction(1, 25)
-
-
-def test_place_validation():
-    with pytest.raises(ValueError):
-        Place.finite(6)
-    with pytest.raises(ValueError):
-        Place.finite(0)
-    assert Place.finite(2).is_finite
-    assert not Place.real().is_finite
 
 
 def test_is_prime_small():
