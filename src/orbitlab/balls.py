@@ -171,22 +171,31 @@ class CongruenceWindow:
 # shared vector helpers
 
 def _xgcd_arrays(a, b):
-    """Vectorized extended gcd: g >= 0 with x*a + y*b = g."""
-    old_r, r = a.astype(np.int64).copy(), b.astype(np.int64).copy()
-    old_x, x = np.ones_like(old_r), np.zeros_like(old_r)
-    old_y, y = np.zeros_like(old_r), np.ones_like(old_r)
-    while True:
-        nz = r != 0
-        if not nz.any():
-            break
-        q = np.zeros_like(r)
-        np.floor_divide(old_r, r, out=q, where=nz)
-        old_r, r = np.where(nz, r, old_r), np.where(nz, old_r - q * r, r)
-        old_x, x = np.where(nz, x, old_x), np.where(nz, old_x - q * x, x)
-        old_y, y = np.where(nz, y, old_y), np.where(nz, old_y - q * y, y)
-    neg = old_r < 0
-    sign = np.where(neg, -1, 1)
-    return old_r * sign, old_x * sign, old_y * sign
+    """Vectorized extended gcd: g >= 0 with x*a + y*b = g.
+
+    Each Euclid step runs over the pairs not yet finished only; a pair
+    leaves the working set with its state when its remainder reaches 0."""
+    g = a.astype(np.int64).copy()
+    b = b.astype(np.int64)
+    x, y = np.ones_like(g), np.zeros_like(g)
+    live = np.flatnonzero(b != 0)
+    old_r, r = g[live], b[live]
+    old_x, nx = np.ones_like(r), np.zeros_like(r)
+    old_y, ny = np.zeros_like(r), np.ones_like(r)
+    while len(live):
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, nx = nx, old_x - q * nx
+        old_y, ny = ny, old_y - q * ny
+        done = r == 0
+        if done.any():
+            idx = live[done]
+            g[idx], x[idx], y[idx] = old_r[done], old_x[done], old_y[done]
+            more = ~done
+            live, old_r, r = live[more], old_r[more], r[more]
+            old_x, nx, old_y, ny = old_x[more], nx[more], old_y[more], ny[more]
+    sign = np.where(g < 0, -1, 1)
+    return g * sign, x * sign, y * sign
 
 
 def _isqrt_array(x):
@@ -347,6 +356,68 @@ def _sl2_columns(a, c, det, bound, sq_int, prim_p=None):
     return b0, d0, step_a, step_c, tlo, thi, skip
 
 
+def _column_ts(start, lengths, skip=None, p=None, stride=1):
+    """Ragged (column index, t) pairs in column order: for column i the
+    t = start[i] + stride[i] o over the offsets 0 <= o < lengths[i],
+    less, where skip[i] >= 0, the offsets o = skip[i] (mod p).
+
+    Raises CapacityError before laying out more than _SL2_BLOCK_WORK
+    pairs."""
+    lengths = lengths.copy()
+    vanish = np.flatnonzero(skip >= 0) if skip is not None else ()
+    if len(vanish):
+        lengths[vanish] -= (lengths[vanish] + p - 1 - skip[vanish]) // p
+    work = int(lengths.sum())
+    if work > _SL2_BLOCK_WORK:
+        raise CapacityError(
+            f"work guard: one block of first columns would build {work} "
+            f"matrices, over the limit {_SL2_BLOCK_WORK}")
+    rep, off = _ragged_arange(lengths)
+    if len(vanish):
+        # the j-th offset kept sits at j + (j + p - 1 - skip) // (p - 1)
+        sel = np.flatnonzero(skip[rep] >= 0)
+        j = off[sel]
+        off[sel] = j + (j + p - 1 - skip[rep[sel]]) // (p - 1)
+    if not np.isscalar(stride):
+        stride = stride[rep]
+    return rep, start[rep] + off * stride
+
+
+def _sl2_assemble(a, c, b0, d0, step_a, step_c, rep_all, t_all, det, bound,
+                  sq_int, prim_p, meter):
+    """Chunks of the matrices [[a, b0 + t step_a], [c, d0 + t step_c]]
+    of the columns ``rep_all`` at ``t_all``, each row checked to lie in
+    the ball, to have det ``det`` and, with prim_p, not to vanish mod p;
+    ``meter`` is charged with every chunk."""
+    col_p = (a % prim_p == 0) & (c % prim_p == 0) if prim_p else None
+    chunks = []
+    for start in range(0, len(rep_all), _SL2_CHUNK_ELEMS):
+        rep = rep_all[start:start + _SL2_CHUNK_ELEMS]
+        tt = t_all[start:start + _SL2_CHUNK_ELEMS]
+        aa, cc = a[rep], c[rep]
+        bb = b0[rep] + tt * step_a[rep]
+        dd = d0[rep] + tt * step_c[rep]
+        if sq_int is not None:
+            inside = aa * aa + bb * bb + cc * cc + dd * dd <= sq_int
+        else:
+            inside = (np.abs(bb) <= bound) & (np.abs(dd) <= bound)
+        if not inside.all():
+            raise InvariantError("sl2 engine built a matrix outside the ball")
+        if not np.all(aa * dd - bb * cc == det):
+            raise InvariantError(f"sl2 engine built a matrix of det != {det}")
+        if prim_p:
+            on_p = np.flatnonzero(col_p[rep])
+            if np.any((bb[on_p] % prim_p == 0) & (dd[on_p] % prim_p == 0)):
+                raise InvariantError(
+                    f"sl2 engine built a matrix that vanishes mod {prim_p}")
+        out = np.empty((len(rep), 2, 2), dtype=np.int64)
+        out[:, 0, 0], out[:, 0, 1] = aa, bb
+        out[:, 1, 0], out[:, 1, 1] = cc, dd
+        meter.add(len(out))
+        chunks.append(out)
+    return chunks
+
+
 def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers):
     """Chunks of integer matrices M = [[a,b],[c,d]], det M = det.
 
@@ -389,52 +460,9 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers):
             return []
         b0, d0, step_a, step_c, tlo, thi, skip = _sl2_columns(
             a, c, det, bound, sq_int, prim_p)
-        lengths = np.maximum(thi - tlo + 1, 0)
-        # every p-th t, from offset skip, vanishes mod p: the j-th t kept
-        # sits at offset j + (j + p - 1 - skip) // (p - 1)
-        vanish = np.flatnonzero(skip >= 0)
-        if len(vanish):
-            lengths[vanish] -= \
-                (lengths[vanish] + prim_p - 1 - skip[vanish]) // prim_p
-        work = int(lengths.sum())
-        if work > _SL2_BLOCK_WORK:
-            raise CapacityError(
-                f"work guard: one block of first columns would build {work} "
-                f"matrices, over the limit {_SL2_BLOCK_WORK}")
-        rep_all, t_all = _ragged_arange(lengths)
-        if len(vanish):
-            sel = np.flatnonzero(skip[rep_all] >= 0)
-            j = t_all[sel]
-            t_all[sel] = j + (j + prim_p - 1 - skip[rep_all[sel]]) \
-                // (prim_p - 1)
-        t_all += tlo[rep_all]
-        col_p = (a % prim_p == 0) & (c % prim_p == 0) if prim_p else None
-        chunks = []
-        for start in range(0, len(rep_all), _SL2_CHUNK_ELEMS):
-            rep = rep_all[start:start + _SL2_CHUNK_ELEMS]
-            tt = t_all[start:start + _SL2_CHUNK_ELEMS]
-            aa, cc = a[rep], c[rep]
-            bb = b0[rep] + tt * step_a[rep]
-            dd = d0[rep] + tt * step_c[rep]
-            if sq_int is not None:
-                inside = aa * aa + bb * bb + cc * cc + dd * dd <= sq_int
-            else:
-                inside = (np.abs(bb) <= bound) & (np.abs(dd) <= bound)
-            if not inside.all():
-                raise InvariantError("sl2 engine built a matrix outside the ball")
-            if not np.all(aa * dd - bb * cc == det):
-                raise InvariantError(f"sl2 engine built a matrix of det != {det}")
-            if prim_p:
-                on_p = np.flatnonzero(col_p[rep])
-                if np.any((bb[on_p] % prim_p == 0) & (dd[on_p] % prim_p == 0)):
-                    raise InvariantError(
-                        f"sl2 engine built a matrix that vanishes mod {prim_p}")
-            out = np.empty((len(rep), 2, 2), dtype=np.int64)
-            out[:, 0, 0], out[:, 0, 1] = aa, bb
-            out[:, 1, 0], out[:, 1, 1] = cc, dd
-            meter.add(len(out))
-            chunks.append(out)
-        return chunks
+        rep, t = _column_ts(tlo, np.maximum(thi - tlo + 1, 0), skip, prim_p)
+        return _sl2_assemble(a, c, b0, d0, step_a, step_c, rep, t,
+                             det, bound, sq_int, prim_p, meter)
 
     for chunks in _pool_map(run, range(0, npairs, _SL2_BLOCK_PAIRS), workers):
         yield from chunks
@@ -479,6 +507,250 @@ def enum_sl2_zinvp(spec: BallSpec, workers=None):
         return (np.empty(0, dtype=np.int64),
                 np.empty((0, 2, 2), dtype=np.int64))
     return np.concatenate(levels), np.concatenate(mats)
+
+
+
+# ---------------------------------------------------------------------------
+# Frobenius SL(2): rung totals from sums of two squares, and test strips
+
+# Q values per block of the two-squares sum; bounds its temporaries
+_R2_BLOCK = 1 << 17
+
+
+def _r2_range(lo, hi):
+    """r2(n) = #{(u, w) in Z^2 : u^2 + w^2 = n} for lo <= n < hi.
+
+    The eight signed swaps act on Z^2 - 0 with one point u > w >= 1 in
+    each free orbit; the orbits of (u, 0) and (u, u) have four points.
+    The points u > w >= 1 of the annulus lo <= n < hi are laid out row
+    by row between two integer square roots and counted by one bincount;
+    r2(0) = 1."""
+    out = np.zeros(hi - lo, dtype=np.int64)
+    if hi <= lo:
+        return out
+    if lo == 0:
+        out[0] = 1
+    for mult in (1, 2):  # the axis points u^2, then the diagonal 2 u^2
+        u = np.arange(math.isqrt(max(lo - 1, 0) // mult) + 1,
+                      math.isqrt((hi - 1) // mult) + 1, dtype=np.int64)
+        out[mult * u * u - lo] += 4
+    w = np.arange(1, math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
+    w2 = w * w
+    ulo = np.maximum(w + 1, _isqrt_array(np.maximum(lo - 1 - w2, 0)) + 1)
+    uhi = _isqrt_array(hi - 1 - w2)
+    rep, off = _ragged_arange(np.maximum(uhi - ulo + 1, 0))
+    u = ulo[rep] + off
+    out += 8 * np.bincount(w2[rep] + u * u - lo, minlength=hi - lo)
+    return out
+
+
+def _det_norm_counts(det, cuts):
+    """For each X in ``cuts``, the number of integer 2x2 M with det M =
+    det >= 1 and norm_sq(M) <= X.
+
+    With u = a+d, v = a-d, w = b-c, z = b+c, P = u^2 + w^2 and Q = v^2 +
+    z^2, 4 det M = P - Q and 2 norm_sq(M) = P + Q, and M is integral
+    exactly when u = v and w = z (mod 2).  For even Q those parities
+    follow from P = Q (mod 4); for odd Q half of the pairs keep them.  So
+    the count is the sum over 0 <= Q <= X - 2 det of r2(Q + 4 det) r2(Q),
+    halved for odd Q (Jacobi's two-square theorem gives r2), one
+    cumulative sum for every X.  Q runs in blocks of _R2_BLOCK, so the
+    memory used does not grow with X."""
+    shift = 4 * det
+    ends = [x - 2 * det for x in cuts]
+    out = [0] * len(ends)
+    qmax = max(ends, default=-1)
+    running = 0
+    for q0 in range(0, qmax + 1, _R2_BLOCK):
+        q1 = min(q0 + _R2_BLOCK, qmax + 1)
+        if shift <= _R2_BLOCK:
+            r2 = _r2_range(q0, q1 + shift)
+            term = r2[:q1 - q0] * r2[shift:]
+        else:
+            term = _r2_range(q0, q1) * _r2_range(q0 + shift, q1 + shift)
+        term[(q0 + 1) % 2::2] //= 2
+        cum = np.cumsum(term) + running
+        for i, e in enumerate(ends):
+            if q0 <= e < q1:
+                out[i] = int(cum[e - q0])
+        running = int(cum[-1])
+    return out
+
+
+def sl2_ladder_totals(spec: BallSpec, cuts) -> list:
+    """Elements of each rung of a Frobenius SL(2,Z) or SL(2,Z[1/p])
+    ladder whose top rung is ``spec``'s ball, counted without building
+    one.
+
+    ``cuts[i][m]`` is the norm_sq cut of the level-m matrices M at rung i
+    (-1 where the level is excluded).  Level m holds the M of det p^(2m)
+    less those that vanish mod p, which are p times the matrices of det
+    p^(2m-2) and norm_sq at most floor(cut / p^2); level m - 1 counts
+    those in the same pass as its own.  The spec's int64 headroom is
+    checked first, and a top rung over its capacity raises
+    CapacityError, as the stream would."""
+    _sl2_levels(spec)
+    p = spec.p or 1
+    cuts = np.asarray(cuts, dtype=np.int64).tolist()
+    totals = [0] * len(cuts)
+    below = {}
+    for m in range(len(cuts[0]) if cuts else 0):
+        xs = {row[m] for row in cuts if row[m] >= 0}
+        xs |= {row[m + 1] // (p * p) for row in cuts
+               if m + 1 < len(row) and row[m + 1] >= 0}
+        xs = sorted(xs)
+        here = dict(zip(xs, _det_norm_counts(p ** (2 * m), xs)))
+        for i, row in enumerate(cuts):
+            if row[m] >= 0:
+                vanish = below[row[m] // (p * p)] if m else 0
+                totals[i] += here[row[m]] - vanish
+        below = here
+    if totals:
+        _CapacityMeter(spec.capacity).add(totals[-1])
+    return totals
+
+
+def _linear_classes(coef, rhs, p, k):
+    """Solutions t of coef t = rhs (mod p^k), per entry of the int64
+    arrays coef and rhs: (ok, r, step) with t = r (mod step) where ok,
+    and no solution elsewhere; k = 0 gives every t."""
+    mod = p**k
+    c, rhs = coef % mod, rhs % mod
+    f = np.zeros(len(c), dtype=np.int64)
+    for _ in range(k):
+        div = c % p == 0
+        f += div
+        c = np.where(div, c // p, c)
+    pf = np.power(p, f)
+    step = mod // pf
+    _, inv, _ = _xgcd_arrays(c % step, step)
+    r = (rhs // pf) % step * (inv % step) % step
+    return rhs % pf == 0, r, step
+
+
+def _progression_starts(lo, hi, ok, r, step):
+    """First t >= lo with t = r (mod step), and the count of such t <= hi
+    (0 where not ok)."""
+    first = lo + (r - lo) % step
+    count = np.where(ok & (hi >= first), (hi - first) // step + 1, 0)
+    return first, count
+
+
+def _widened_interval(e1, e2, lo, hi):
+    """The integers between the float ends e1, e2 (in either order),
+    widened by one on each side and clipped to [lo, hi]."""
+    low = np.clip(np.minimum(e1, e2), lo - 2, hi + 2)
+    high = np.clip(np.maximum(e1, e2), lo - 2, hi + 2)
+    return (np.maximum(lo, np.ceil(low).astype(np.int64) - 1),
+            np.minimum(hi, np.floor(high).astype(np.int64) + 1))
+
+
+def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
+                          workers=None):
+    """Yield (levels, mats) chunks of the elements gamma = p^-m M of a
+    Frobenius SL(2) ball whose orbit point gamma.vec may lie in the disk
+    of ``radius``: a superset of those whose vectorized float |gamma vec|
+    is at most ``radius``, each element once.
+
+    Both rows of M then satisfy |row . vec| <= p^m R', R' being
+    ``radius`` widened by a relative and an absolute margin far above
+    the rounding of the float orbit point and of the float intervals
+    below, which are widened by one step on each side as well.  First
+    rows run over the disk |row|^2 <= cut - 1 cut by that strip, solving
+    for the coordinate of the larger |vec_j| (so vec = (1, 0) works); the
+    second rows come from _sl2_columns on M^T (transposition keeps det,
+    the norm and vanishing mod p), with t inside its exact norm interval
+    and the strip interval, less the class that vanishes mod p.
+
+    ``congruence = (nums, k0)`` also keeps only the M with M nums = 0
+    (mod p^k), k = max(0, m + k0), on both rows.  Chunks come level by
+    level, in a fixed order that is not the sl2z order.  The int64
+    headroom is checked before the first chunk; capacity is not charged
+    (see sl2_ladder_totals)."""
+    levels = _sl2_levels(spec)
+    workers = resolve_workers(workers)
+    meter = _CapacityMeter(math.inf)
+    vec = np.asarray(vec, dtype=np.float64)
+    j = int(abs(vec[1]) > abs(vec[0]))  # the coordinate solved for
+    p = spec.p or 1
+    eps = 2.0**-40
+
+    def level_chunks(m, det, bound, sq, prim):
+        width = p**m * float(radius) * (1 + eps) \
+            + eps * (4 * math.sqrt(sq) + 1) * (abs(vec[0]) + abs(vec[1]))
+        k = max(0, m + congruence[1]) if congruence else 0
+        while p**k >= 1 << 30:
+            k -= 1
+        mod = p**k
+        nums = np.asarray(congruence[0] if congruence else (0, 0),
+                          dtype=np.int64) % mod
+        amax = math.isqrt(sq - 1)
+        xk = np.arange(-amax, amax + 1, dtype=np.int64)
+        half = _isqrt_array(sq - 1 - xk * xk)
+        lo, hi = _widened_interval((-width - xk * vec[1 - j]) / vec[j],
+                                   (width - xk * vec[1 - j]) / vec[j],
+                                   -half, half)
+        ok, r, step = _linear_classes(np.full(len(xk), nums[j]),
+                                      -(xk % mod) * nums[1 - j], p, k)
+        first, count = _progression_starts(lo, hi, ok, r, step)
+        cum = np.cumsum(count)
+        cuts = np.searchsorted(cum, np.arange(
+            _SL2_BLOCK_PAIRS, cum[-1], _SL2_BLOCK_PAIRS), side="right")
+        edges = np.unique(np.concatenate([[0], cuts, [len(xk)]]))
+
+        def run(span):
+            s0, s1 = span
+            rep, xj = _column_ts(first[s0:s1], count[s0:s1],
+                                 stride=step[s0:s1])
+            rows = [xk[s0:s1][rep], xj]
+            a, b = rows[1 - j], rows[j]
+            g = np.gcd(a, b)
+            keep = (g > 0) & (det % np.where(g > 0, g, 1) == 0)
+            a, b = a[keep], b[keep]
+            if len(a) == 0:
+                return []
+            c0, d0, sa, sb, tlo, thi, skip = _sl2_columns(
+                a, b, det, bound, sq, prim)
+            # the second row (c0 + t sa, d0 + t sb) . vec = offset + t slope
+            offset = c0 * vec[0] + d0 * vec[1]
+            slope = sa * vec[0] + sb * vec[1]
+            flat = slope == 0
+            div = np.where(flat, 1.0, slope)
+            t0, t1 = _widened_interval((-width - offset) / div,
+                                       (width - offset) / div, tlo, thi)
+            # a first row with row . vec = 0 keeps its whole interval
+            # exactly when its constant offset lies in the strip
+            t0 = np.where(flat, tlo, t0)
+            t1 = np.where(flat, np.where(np.abs(offset) > width, tlo - 1, thi),
+                          t1)
+            ok, r, tstep = _linear_classes(
+                sa % mod * nums[0] + sb % mod * nums[1],
+                -(c0 % mod * nums[0] + d0 % mod * nums[1]), p, k)
+            t_first, t_count = _progression_starts(t0, t1, ok, r, tstep)
+            if prim:
+                # a stride p^e >= p stays in one class mod p: the column
+                # goes when that is the vanishing class
+                van = (skip >= 0) & (tstep > 1)
+                t_count[van & ((t_first - tlo - skip) % prim == 0)] = 0
+                skip = np.where(van, -1, skip)
+                at = skip >= 0
+                skip[at] = (tlo[at] + skip[at] - t_first[at]) % prim
+            rep, t = _column_ts(t_first, t_count, skip, prim, tstep)
+            chunks = _sl2_assemble(a, b, c0, d0, sa, sb, rep, t,
+                                   det, bound, sq, prim, meter)
+            return [mats.transpose(0, 2, 1) for mats in chunks]
+
+        for chunks in _pool_map(run, list(zip(edges[:-1], edges[1:])),
+                                workers):
+            yield from chunks
+
+    def stream():
+        for m, (det, bound, sq, prim) in enumerate(levels):
+            if sq >= 1:
+                for mats in level_chunks(m, det, bound, sq, prim):
+                    yield np.full(len(mats), m, dtype=np.int64), mats
+
+    return stream()
 
 
 # ---------------------------------------------------------------------------

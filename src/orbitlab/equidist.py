@@ -1,8 +1,13 @@
 """Empirical orbit distributions against predicted limiting densities.
 
-An orbit experiment streams one lattice ball (at the largest radius of
-the ladder) and bins every element into the whole radius ladder by its
-exact per-place norms, so a single enumeration serves every rung.
+An orbit experiment bins lattice-ball elements (of the ball at the
+largest radius of the ladder) into the whole radius ladder by their
+exact per-place norms, so one pass serves every rung.  Frobenius SL(2)
+balls without a window, under tests that all bound |gamma v| (annulus
+sectors and their products with p-adic shells), count their rung totals
+exactly from sums of two squares and evaluate the tests only on the
+elements whose rows lie in the strips |row . v| <= p^m R; every other
+experiment streams the whole ball.
 
 Test functions are indicators of sets whose boundary carries no
 limit mass: annulus sectors in R^2 - {0}, valuation shells with
@@ -37,8 +42,10 @@ from .balls import (
     exact_radius,
     filter_window,
     iter_ball_chunks,
+    iter_sl2_strip_chunks,
     norm_sq,
     norm_sq_cut,
+    sl2_ladder_totals,
 )
 from .errors import ConfigError, DegenerateSpanError
 from .linalg import mat_vec, wedge_point
@@ -833,6 +840,36 @@ def _ladder_cuts(config: ExperimentConfig):
     return cuts
 
 
+def _strip_route(config: ExperimentConfig):
+    """The largest outer radius R of the tests when run_experiment may
+    count from the test strips, else None (stream the ball).
+
+    That takes a Frobenius SL(2) ball without a window and tests that
+    all bound |gamma v| <= R: annulus sectors, or products of one with a
+    p-adic shell.  Max norm, windows, a bare shell and wedge tests (all
+    of SL(n)) stream."""
+    if config.group == "slnz" or config.norm != "frobenius" \
+            or config.window is not None:
+        return None
+    reals = [f.real if isinstance(f, ProductTest) else f for f in config.tests]
+    if not all(isinstance(f, RealAnnulusSector) for f in reals):
+        return None
+    return max((f.r2 for f in reals), default=0.0)
+
+
+def _strip_congruence(config: ExperimentConfig, fin: _FinAction):
+    """(nums, k0) for iter_sl2_strip_chunks when every test is a product
+    with a shell in SL(2,Z[1/p]), else None.
+
+    A shell s holds the points whose entries of M nums have valuation
+    exactly m + v_p(den) - s, so every test needs both rows with row .
+    nums = 0 mod p^k, k = m + v_p(den) - max s."""
+    if config.group != "sl2zp" \
+            or not all(isinstance(f, ProductTest) for f in config.tests):
+        return None
+    return fin.nums, fin.dv - max(f.padic.s for f in config.tests)
+
+
 def _try_slope(xs, ys, label):
     try:
         exp, err = slope_fit(xs, ys)
@@ -842,11 +879,22 @@ def _try_slope(xs, ys, label):
 
 
 def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionReport:
-    """Stream one ball, bin by ladder rung, compare against predictions.
+    """Count the ball per ladder rung and each test's hits per rung, and
+    compare them against the predictions.
 
-    Deterministic for a fixed config: chunk order is fixed by the
-    enumeration module and every accumulator is an integer count.  The
-    seed only feeds the orientation calibration sample.
+    Two routes give the same integer counts.  The strip route (see
+    _strip_route) takes Frobenius SL(2) balls without a window whose
+    tests all bound |gamma v| <= R: sl2_ladder_totals counts every rung
+    without building an element, and the tests run only over
+    iter_sl2_strip_chunks, the elements whose rows satisfy |row . v| <=
+    p^m R (and, when every test is a product with a shell, the row
+    congruence those shells force).  The max norm, congruence windows, a
+    bare shell test and wedge tests stream the whole ball through
+    iter_ball_chunks and count its totals as they go.
+
+    Deterministic for a fixed config: every accumulator is an integer
+    count, which does not depend on chunk order.  The seed only feeds
+    the orientation calibration sample.
     """
     flags = list(check_density_hypothesis(config.v, config.application))
     rec = predicted_limit(config.application, config.tests, p=config.p,
@@ -869,8 +917,19 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     acc = np.zeros((nrungs, ntests + 1), dtype=np.int64)
     ev = (_ChunkEvaluator(config.v, config.tests, entry_bound(spec))
           if ntests else None)
+    radius = _strip_route(config)
+    if radius is None:
+        chunks, first_col = iter_ball_chunks(spec, config.workers), 0
+    else:
+        acc[:, 0] = sl2_ladder_totals(spec, cuts)
+        chunks, first_col = (), 1
+        if ntests:
+            chunks = iter_sl2_strip_chunks(
+                spec, config.v.inf_floats(), radius,
+                _strip_congruence(config, ev.fin) if ev.need_fin else None,
+                config.workers)
 
-    for levels, mats in iter_ball_chunks(spec, config.workers):
+    for levels, mats in chunks:
         if not len(mats):
             continue
         level = _level_scalar(levels)
@@ -883,7 +942,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
         if config.window is not None:
             first[~filter_window(mats, config.window, levels=levels)] = len(live)
         tmasks = ev.masks(level, mats) if ntests else []
-        for j, mask in enumerate([None] + tmasks):
+        for j, mask in enumerate(([None] + tmasks)[first_col:], first_col):
             hits = first if mask is None else first[mask]
             acc[live, j] += np.cumsum(
                 np.bincount(hits, minlength=len(live) + 1)[:-1])

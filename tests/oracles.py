@@ -34,6 +34,20 @@ def padic_valuation(x, p):
     return v
 
 
+def xgcd(a, b):
+    """(g, x, y) with x a + y b = g >= 0, by Euclid's algorithm with
+    floor division, signs flipped at the end when the last remainder is
+    negative."""
+    old_r, r, old_x, x, old_y, y = a, b, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    sign = -1 if old_r < 0 else 1
+    return old_r * sign, old_x * sign, old_y * sign
+
+
 def laplace_det(a):
     """Determinant by cofactor expansion along the first row."""
     n = len(a)

@@ -37,7 +37,14 @@ from orbitlab.balls import (
 from orbitlab.errors import CapacityError, ConfigError, InvariantError
 from orbitlab.places import padic_abs
 
-from oracles import brute_sl2z, brute_sl2zp, brute_slnz, det_np_batch, laplace_det
+from oracles import (
+    brute_sl2z,
+    brute_sl2zp,
+    brute_slnz,
+    det_np_batch,
+    laplace_det,
+    xgcd,
+)
 
 
 def as_tuples(mats):
@@ -54,6 +61,22 @@ def test_xgcd_arrays_matches_math_gcd():
     for ai, bi, gi, xi, yi in zip(a, b, g, x, y):
         assert gi == math.gcd(int(ai), int(bi))
         assert xi * ai + yi * bi == gi
+
+
+def test_xgcd_arrays_matches_python_xgcd():
+    # the same (g, x, y) as a scalar Euclid, whichever step each pair
+    # finishes at: zeros, negatives, equal and opposite entries
+    rng = random.Random(13)
+    pairs = [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+             for _ in range(3000)]
+    pairs += [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(500)]
+    for k in (0, 1, -1, 6, -6, 10**6):
+        pairs += [(k, 0), (0, k), (k, k), (k, -k), (-k, k)]
+    pairs += [(f, g) for f, g in zip((1, 2, 3, 5, 8, 13, 21, 34, 55, 89),
+                                     (1, 1, 2, 3, 5, 8, 13, 21, 34, 55))]
+    a, b = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    got = np.stack(_xgcd_arrays(a, b), axis=1).tolist()
+    assert got == [list(xgcd(ai, bi)) for ai, bi in pairs]
 
 
 def test_xgcd_bezout_bounds():

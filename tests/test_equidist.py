@@ -2,12 +2,13 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from orbitlab import balls
+from orbitlab import balls, equidist
 from orbitlab.balls import BallSpec, CongruenceWindow, ball_count, iter_ball_chunks
 from orbitlab.equidist import (
     DistributionReport,
@@ -29,10 +30,10 @@ from orbitlab.equidist import (
     wedge_orbit_sum,
     window_scale,
 )
-from orbitlab.errors import ConfigError
+from orbitlab.errors import CapacityError, ConfigError
 from orbitlab.places import padic_valuation
 
-from oracles import orbit_sum_pointwise
+from oracles import brute_sl2z, brute_sl2zp, orbit_sum_pointwise
 
 TWO_PI = 2.0 * math.pi
 
@@ -645,3 +646,243 @@ def test_report_invariants():
     assert all(cv >= 0 for _, cv in rep.constant_cv)
     labels = {r.test_id for r in rep.rows}
     assert labels == {f.label for f in led_config().tests}
+
+
+# ---------------------------------------------------------------------------
+# run_experiment's strip route against the stream
+
+def _stream_only(monkeypatch):
+    monkeypatch.setattr(equidist, "_strip_route", lambda config: None)
+
+
+def _cells(rep):
+    return [c for _, c in rep.totals], [r.count for r in rep.rows]
+
+
+def _both_routes(cfg, monkeypatch):
+    """(strip report, streamed report) of one config; the first must
+    have taken the strip route."""
+    assert equidist._strip_route(cfg) is not None
+    strip = run_experiment(cfg)
+    with monkeypatch.context() as mp:
+        _stream_only(mp)
+        stream = run_experiment(cfg)
+    return strip, stream
+
+
+def _random_literal(rng, zero_ok=True):
+    kind = rng.choice(["surd", "surd", "rational", "zero"] if zero_ok
+                      else ["surd", "rational"])
+    sign = rng.choice(["", "-"])
+    if kind == "zero":
+        return "0"
+    coef = f"{sign}{rng.randint(1, 7)}/{rng.randint(1, 5)}"
+    if kind == "rational":
+        return coef
+    return f"{coef}*sqrt({rng.choice([2, 3, 5, 6, 7, 10, 11])})"
+
+
+def _random_vector(rng):
+    while True:
+        v = (_random_literal(rng), _random_literal(rng))
+        if v != ("0", "0"):
+            return v
+
+
+def _random_annulus(rng):
+    r1 = rng.uniform(0.05, 2.0)
+    r2 = r1 + rng.uniform(0.1, 3.5)
+    if rng.random() < 0.5:
+        return f"annulus({r1!r},{r2!r})"
+    th1 = rng.uniform(-4.0, 4.0)
+    return f"annulus({r1!r},{r2!r},{th1!r},{th1 + rng.uniform(0.1, 6.2)!r})"
+
+
+def _random_shell(rng, p):
+    s = rng.randint(-1, 2)
+    if rng.random() < 0.5:
+        return f"shell({s})"
+    units = {(rng.randrange(p), rng.randrange(1, p)) for _ in range(2)}
+    return f"shell({s},1,{'|'.join(f'{a}:{b}' for a, b in units)})"
+
+
+def _random_ladder(rng, top):
+    # exact and float radii, strictly increasing
+    lo = Fraction(rng.randint(10, 30), 10)
+    mid = float(lo) * rng.uniform(1.2, 1.6)
+    return (lo, mid, top)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_strip_route_matches_stream_sl2zp(p, monkeypatch):
+    # random vectors (surds and rationals, negative and zero coordinates),
+    # exact and float radii, shells and unit-class boxes for s in -1..2;
+    # the all-product configs also take the p^k congruence on both rows
+    rng = random.Random(100 + p)
+    monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 97)
+    monkeypatch.setattr(balls, "_SL2_CHUNK_ELEMS", 113)
+    tops = {2: 9, 3: 8.5, 5: Fraction(21, 2)}
+    for case in range(8):
+        fin = (f"{rng.choice(['', '-'])}{rng.randint(1, 7)}/"
+               f"{rng.choice([1, p, p * p, 5])}",
+               rng.choice(["0", "3", f"1/{p}", f"{p}/7"]))
+        v = OrbitVector.make(_random_vector(rng), fin=fin, p=p)
+        tests = [f"product({_random_annulus(rng)},{_random_shell(rng, p)})"
+                 for _ in range(rng.randint(1, 3))]
+        if case % 3 == 2:
+            tests.append(_random_annulus(rng))
+        cfg = ExperimentConfig(
+            application="a22", v=v, t_ladder=_random_ladder(rng, tops[p]),
+            tests=tuple(parse_test(tok, p=p) for tok in tests),
+            capacity=10**7)
+        strip, stream = _both_routes(cfg, monkeypatch)
+        assert _cells(strip) == _cells(stream), (v, tests)
+
+
+def test_strip_route_matches_stream_sl2z(monkeypatch):
+    rng = random.Random(7)
+    monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 211)
+    for application in ("ledrappier", "a21") * 3:
+        cfg = ExperimentConfig(
+            application=application, v=OrbitVector.make(_random_vector(rng)),
+            t_ladder=_random_ladder(rng, rng.choice([40, 61.5])),
+            tests=tuple(parse_test(_random_annulus(rng))
+                        for _ in range(rng.randint(1, 4))),
+            capacity=10**7)
+        strip, stream = _both_routes(cfg, monkeypatch)
+        assert _cells(strip) == _cells(stream), cfg
+    # an axis vector: the strip solves for its nonzero coordinate
+    for v in (("1", "0"), ("0", "-2/3")):
+        cfg = led_config(v=OrbitVector.make(v), t_ladder=(5, 12))
+        strip, stream = _both_routes(cfg, monkeypatch)
+        assert _cells(strip) == _cells(stream)
+
+
+@pytest.mark.parametrize("p,v_inf", [(0, ("10/9", "-20/3")),
+                                     (3, ("21/5", "-28/5"))])
+def test_strip_route_keeps_elements_on_the_annulus_boundary(p, v_inf,
+                                                            monkeypatch):
+    # outer radii exactly at the float |gamma v| of ball elements whose
+    # other row is orthogonal to v up to rounding: the strip of the first
+    # row is then as tight as it gets, and the second row's slope is 0 or
+    # a rounding error; the float test counts those elements, and so must
+    # the strip route
+    v = OrbitVector.make(v_inf, fin=("1", "2"), p=p or 2)
+    spec = BallSpec("sl2zp" if p else "sl2z", p=p, t_inf=20,
+                    t_p=9 if p else None, capacity=10**6)
+    edges = set()
+    for levels, mats in iter_ball_chunks(spec):
+        w = _column_sums(mats, v.inf_floats()) / float(p or 1) ** levels[0]
+        r = np.hypot(w[:, 0], w[:, 1])
+        axis = (r >= 0.3) & (r <= 3) & (np.abs(w).min(axis=1) < 1e-9 * r)
+        edges.update(r[axis].tolist())
+    edges = sorted(edges)[::max(1, len(edges) // 6)]
+    assert len(edges) >= 3
+    tokens = [f"annulus(0.1,{edge!r})" for edge in edges]
+    if p:
+        tokens = [f"product({tok},shell(0))" for tok in tokens]
+    cfg = ExperimentConfig(
+        application="a22" if p else "ledrappier", v=v, t_ladder=(9, 20),
+        tests=tuple(parse_test(tok, p=p) for tok in tokens), capacity=10**6)
+    strip, stream = _both_routes(cfg, monkeypatch)
+    assert _cells(strip) == _cells(stream)
+
+
+def test_ladder_totals_match_box_scan_oracles():
+    # random exact and float radii; sl2z, and sl2zp at p = 2 and 3
+    rng = random.Random(29)
+    for _ in range(3):
+        t = rng.uniform(1.2, 5.5)
+        cfg = led_config(tests=(), t_ladder=(t,))
+        assert equidist._strip_route(cfg) is not None
+        assert run_experiment(cfg).totals[0][1] == len(brute_sl2z(t))
+    for p, top in ((2, 3.9), (3, 3.6)):
+        for _ in range(2):
+            t = rng.uniform(1.0, top)
+            cfg = ExperimentConfig(
+                application="a22",
+                v=OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=p),
+                t_ladder=(t,), capacity=10**6)
+            assert run_experiment(cfg).totals[0][1] \
+                == len(brute_sl2zp(p, t, t))
+
+
+def test_ladder_totals_capacity_and_headroom():
+    cfg = led_config(tests=(RealAnnulusSector(1, 2),), t_ladder=(10, 20))
+    total = run_experiment(cfg).totals[-1][1]
+    assert run_experiment(led_config(
+        tests=cfg.tests, t_ladder=(10, 20), capacity=total)).totals[-1][1] \
+        == total
+    with pytest.raises(CapacityError, match="capacity"):
+        run_experiment(led_config(tests=cfg.tests, t_ladder=(10, 20),
+                                  capacity=total - 1))
+    with pytest.raises(CapacityError, match="int64"):
+        run_experiment(led_config(tests=cfg.tests, t_ladder=(10, 2**31)))
+
+
+def test_ladder_totals_memory_stays_bounded():
+    # the T = 64 ladder of criterion 8 sums r2 over 2^24 values of Q
+    spec = BallSpec("sl2zp", p=2, t_inf=64, t_p=64, capacity=10**9)
+    cfg = ExperimentConfig(
+        application="a22",
+        v=OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=2),
+        t_ladder=(4, 8, 16, 32, 64))
+    cuts = equidist._ladder_cuts(cfg)
+    tracemalloc.start()
+    try:
+        totals = balls.sl2_ladder_totals(spec, cuts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert totals == [2484, 46916, 775988, 12548820, 201171460]
+    assert peak < 64 * 2**20
+
+
+def _count_routes(monkeypatch):
+    calls = {"stream": 0, "strip": 0}
+    stream, strip = equidist.iter_ball_chunks, equidist.iter_sl2_strip_chunks
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(equidist, "iter_ball_chunks", counted("stream", stream))
+    monkeypatch.setattr(equidist, "iter_sl2_strip_chunks",
+                        counted("strip", strip))
+    return calls
+
+
+A22_V = OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=2)
+
+
+@pytest.mark.parametrize("name,cfg", [
+    ("max", ExperimentConfig(
+        application="a22", v=A22_V, t_ladder=(2, 4), norm="max",
+        tests=(parse_test("product(annulus(1,2),shell(0))", p=2),))),
+    ("window", led_config(
+        application="a21", t_ladder=(5, 10),
+        window=CongruenceWindow(2, 1, reps=((1, 0, 0, 1),)))),
+    ("bare shell", ExperimentConfig(
+        application="a22", v=A22_V, t_ladder=(2, 4),
+        tests=(parse_test("product(annulus(1,2),shell(0))", p=2),
+               parse_test("shell(0)", p=2)))),
+    ("wedge", ExperimentConfig(
+        application="wedge", n=3,
+        v=OrbitVector.make(("1", "sqrt(2)", "sqrt(3)")), t_ladder=(2, 3),
+        tests=(RealWedgeAnnulus(1, 2, 3),))),
+])
+def test_fallback_configs_stream_the_ball(name, cfg, monkeypatch):
+    calls = _count_routes(monkeypatch)
+    run_experiment(cfg)
+    assert calls == {"stream": 1, "strip": 0}, name
+
+
+def test_bounded_tests_take_the_strip_route(monkeypatch):
+    calls = _count_routes(monkeypatch)
+    run_experiment(led_config(t_ladder=(5, 10)))
+    assert calls == {"stream": 0, "strip": 1}
+    # without tests only the totals are needed
+    run_experiment(led_config(t_ladder=(5, 10), tests=()))
+    assert calls == {"stream": 0, "strip": 1}
