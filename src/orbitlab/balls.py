@@ -175,8 +175,8 @@ def _xgcd_arrays(a, b):
 
     Each Euclid step runs over the pairs not yet finished only; a pair
     leaves the working set with its state when its remainder reaches 0."""
-    g = a.astype(np.int64).copy()
-    b = b.astype(np.int64)
+    g = a.astype(np.int64)
+    b = np.asarray(b, dtype=np.int64)
     x, y = np.ones_like(g), np.zeros_like(g)
     live = np.flatnonzero(b != 0)
     old_r, r = g[live], b[live]
@@ -193,7 +193,8 @@ def _xgcd_arrays(a, b):
             g[idx], x[idx], y[idx] = old_r[done], old_x[done], old_y[done]
             more = ~done
             live, old_r, r = live[more], old_r[more], r[more]
-            old_x, nx, old_y, ny = old_x[more], nx[more], old_y[more], ny[more]
+            old_x, nx = old_x[more], nx[more]
+            old_y, ny = old_y[more], ny[more]
     sign = np.where(g < 0, -1, 1)
     return g * sign, x * sign, y * sign
 
