@@ -173,30 +173,21 @@ class CongruenceWindow:
 def _xgcd_arrays(a, b):
     """Vectorized extended gcd: g >= 0 with x*a + y*b = g.
 
-    Each Euclid step runs over the pairs not yet finished only; a pair
-    leaves the working set with its state when its remainder reaches 0."""
-    g = a.astype(np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    x, y = np.ones_like(g), np.zeros_like(g)
-    live = np.flatnonzero(b != 0)
-    old_r, r = g[live], b[live]
-    old_x, nx = np.ones_like(r), np.zeros_like(r)
-    old_y, ny = np.zeros_like(r), np.ones_like(r)
+    Each Euclid step updates, in place, only the pairs whose remainder
+    is still nonzero."""
+    old_r, r = a.astype(np.int64), b.astype(np.int64)
+    old_x, x = np.ones_like(old_r), np.zeros_like(old_r)
+    old_y, y = np.zeros_like(old_r), np.ones_like(old_r)
+    live = np.flatnonzero(r)
     while len(live):
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, nx = nx, old_x - q * nx
-        old_y, ny = ny, old_y - q * ny
-        done = r == 0
-        if done.any():
-            idx = live[done]
-            g[idx], x[idx], y[idx] = old_r[done], old_x[done], old_y[done]
-            more = ~done
-            live, old_r, r = live[more], old_r[more], r[more]
-            old_x, nx = old_x[more], nx[more]
-            old_y, ny = old_y[more], ny[more]
-    sign = np.where(g < 0, -1, 1)
-    return g * sign, x * sign, y * sign
+        q = old_r[live] // r[live]
+        for prev, cur in ((old_r, r), (old_x, x), (old_y, y)):
+            step = cur[live]
+            cur[live] = prev[live] - q * step
+            prev[live] = step
+        live = live[r[live] != 0]
+    sign = np.where(old_r < 0, -1, 1)
+    return old_r * sign, old_x * sign, old_y * sign
 
 
 def _isqrt_array(x):
