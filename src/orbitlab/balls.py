@@ -501,7 +501,6 @@ def enum_sl2_zinvp(spec: BallSpec, workers=None):
     return np.concatenate(levels), np.concatenate(mats)
 
 
-
 # ---------------------------------------------------------------------------
 # Frobenius SL(2): rung totals from sums of two squares, and test strips
 
@@ -541,8 +540,8 @@ def _det_norm_counts(det, cuts):
     det >= 1 and norm_sq(M) <= X.
 
     With u = a+d, v = a-d, w = b-c, z = b+c, P = u^2 + w^2 and Q = v^2 +
-    z^2, 4 det M = P - Q and 2 norm_sq(M) = P + Q, and M is integral
-    exactly when u = v and w = z (mod 2).  For even Q those parities
+    z^2, 4 det M = P - Q and 2 norm_sq(M) = P + Q, and (u, v, w, z) comes
+    from an integral M exactly when u = v and w = z (mod 2).  For even Q those parities
     follow from P = Q (mod 4); for odd Q half of the pairs keep them.  So
     the count is the sum over 0 <= Q <= X - 2 det of r2(Q + 4 det) r2(Q),
     halved for odd Q (Jacobi's two-square theorem gives r2), one
@@ -668,6 +667,10 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
     eps = 2.0**-40
 
     def level_chunks(m, det, bound, sq, prim):
+        # every row entry, every (c0, d0) with a nonempty t interval and
+        # every t (sa, sb) in it is at most 4 sqrt(cut), so the rounding of
+        # the float orbit point and of offset + t slope stays far below
+        # the absolute margin
         width = p**m * float(radius) * (1 + eps) \
             + eps * (4 * math.sqrt(sq) + 1) * (abs(vec[0]) + abs(vec[1]))
         k = max(0, m + congruence[1]) if congruence else 0

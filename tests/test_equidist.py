@@ -651,10 +651,6 @@ def test_report_invariants():
 # ---------------------------------------------------------------------------
 # run_experiment's strip route against the stream
 
-def _stream_only(monkeypatch):
-    monkeypatch.setattr(equidist, "_strip_route", lambda config: None)
-
-
 def _cells(rep):
     return [c for _, c in rep.totals], [r.count for r in rep.rows]
 
@@ -665,14 +661,13 @@ def _both_routes(cfg, monkeypatch):
     assert equidist._strip_route(cfg) is not None
     strip = run_experiment(cfg)
     with monkeypatch.context() as mp:
-        _stream_only(mp)
+        mp.setattr(equidist, "_strip_route", lambda config: None)
         stream = run_experiment(cfg)
     return strip, stream
 
 
-def _random_literal(rng, zero_ok=True):
-    kind = rng.choice(["surd", "surd", "rational", "zero"] if zero_ok
-                      else ["surd", "rational"])
+def _random_literal(rng):
+    kind = rng.choice(["surd", "surd", "rational", "zero"])
     sign = rng.choice(["", "-"])
     if kind == "zero":
         return "0"
