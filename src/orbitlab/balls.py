@@ -49,9 +49,6 @@ _MAX_N = 4
 _ROW_BUDGET = 3 * 10**7
 # radii whose full (2b+1)^n row table fits the row budget
 _SLNZ_RADIUS_LIMITS = {2: 2500, 3: 150, 4: 15}
-# the reduced n = 2 count holds only the fundamental-domain first rows,
-# about pi T^2 / 8 of them (29,730,763 at T = 8700), in the same budget
-_SL2_ORBIT_RADIUS_LIMIT = 8700
 # matrices one SL(2) block may build (the work guard, apart from
 # capacity): the block stops before allocating them
 _SL2_BLOCK_WORK = 1 << 24
@@ -80,6 +77,15 @@ def norm_sq_cut(t: Fraction) -> int:
     Under the max norm the key max|e|^2 is a square, and an integer
     square is at most t^2 exactly when it is at most floor(t^2)."""
     return math.floor(t * t)
+
+
+def _level_cuts(t_inf: Fraction, p: int, t_p: Fraction) -> list:
+    """norm_sq_cut(p^m t_inf) for each level m >= 0 with p^m <= t_p, the
+    cut of the integer matrices M = p^m gamma of that level.  Without a
+    finite place (p = 0) level 0 is the only one."""
+    if not p:
+        return [norm_sq_cut(t_inf)]
+    return [norm_sq_cut(p**m * t_inf) for m in range(floor_log(t_p, p) + 1)]
 
 
 def resolve_workers(workers=None) -> int:
@@ -255,16 +261,11 @@ def _sl2_levels(spec: BallSpec):
     norm_sq(M) <= norm_sq_cut(p^m t_inf), so entries at most ``bound``,
     its integer square root; ``sq_int`` is that cut under the Frobenius
     norm and None under the max norm; ``prim_p`` drops the M that vanish
-    mod p."""
-    t_inf = spec._exact_t_inf()
-    if spec.group == "sl2z":
-        p, mmax = 1, 0
-    else:
-        p, t_p = spec.p, spec._exact_t_p()
-        mmax = floor_log(t_p, p) if t_p >= 1 else -1
+    mod p.  An slnz spec with n = 2 is the sl2z ball."""
+    p = spec.p or 1
     levels = []
-    for m in range(mmax + 1):
-        cut = norm_sq_cut(p**m * t_inf)
+    cuts = _level_cuts(spec._exact_t_inf(), spec.p, spec._exact_t_p())
+    for m, cut in enumerate(cuts):
         sq = cut if spec.norm == "frobenius" else None
         levels.append((p ** (2 * m), math.isqrt(cut), sq, p if m else None))
         _check_sl2_headroom(*levels[-1][:3])
@@ -917,7 +918,9 @@ def _quadratic_interval_count(qa, qb, qc):
 
 
 def _count_last_row(prefix, budget, weight, meter):
-    """Exact Frobenius completion count, no matrices materialized.
+    """Exact Frobenius completion count of two-row SL(3) prefixes, no
+    matrices materialized: the last rows form a plane lattice, counted
+    line by line by exact interval lengths.
 
     Each prefix's completions count ``weight`` times (the orbit size of
     its first row); the meter and the box guard see weighted totals."""
@@ -929,14 +932,6 @@ def _count_last_row(prefix, budget, weight, meter):
         return 0
     ws = _size_reduce_basis(prefix)
     x0 = _babai_shift(_particular_solution(m), ws)
-    if ws.shape[1] == 1:
-        w = ws[:, 0]
-        counts = _quadratic_interval_count(
-            (w * w).sum(axis=1), (x0 * w).sum(axis=1),
-            (x0 * x0).sum(axis=1) - budget)
-        total = int((counts * weight).sum())
-        meter.add(total)
-        return total
     w1, w2 = ws[:, 0], ws[:, 1]
     aa = (w1 * w1).sum(axis=1)
     bb = (w1 * w2).sum(axis=1)
@@ -1039,30 +1034,28 @@ class _SlnzPlan:
     """First rows, later-row tables and prefix block layout of slnz.
 
     Enumeration takes every first row of the lex sorted row table.  The
-    count path (``reduced``) takes only the first rows of the signed
-    permutation fundamental domain, each standing for its whole orbit
-    (``orbit``, the orbit sizes): for a signed permutation matrix P and
-    D = diag(1, det P, 1, ...), gamma -> D gamma P maps the ball onto
+    SL(3) Frobenius count (``reduced``) takes only the first rows of the
+    signed permutation fundamental domain, each standing for its whole
+    orbit (``orbit``, the orbit sizes): for a signed permutation matrix
+    P and D = diag(1, det P, 1), gamma -> D gamma P maps the ball onto
     itself and first row r to rP, so every row of an orbit has the same
     number of completions.  Rows 2..n-1 always range over the full
-    norm-sorted table."""
+    norm-sorted table, so its radius limit holds for both."""
 
     def __init__(self, spec: BallSpec, reduced: bool = False):
         n, cut = spec.n, norm_sq_cut(spec._exact_t_inf())
         self.n, self.spec = n, spec
         self.bound = math.isqrt(cut)
-        table = n > 2 or not reduced
-        limit = _SLNZ_RADIUS_LIMITS[n] if table else _SL2_ORBIT_RADIUS_LIMIT
-        if self.bound > limit:
-            raise CapacityError(f"slnz n={n} supports radii up to {limit}")
+        if self.bound > _SLNZ_RADIUS_LIMITS[n]:
+            raise CapacityError(
+                f"slnz n={n} supports radii up to {_SLNZ_RADIUS_LIMITS[n]}")
         self.empty = self.bound < 1
         if self.empty:
             return
         self.sq = cut if spec.norm == "frobenius" else None
         self.orbit = None
-        if table:
-            self.rows1, self.rows_ns, self.norms_ns = _row_table(
-                n, self.bound, self.sq, spec.norm)
+        self.rows1, self.rows_ns, self.norms_ns = _row_table(
+            n, self.bound, self.sq, spec.norm)
         if reduced:
             self.rows1, self.orbit = _orbit_rows(n, self.sq - (n - 1))
         self.empty = len(self.rows1) == 0
@@ -1155,13 +1148,8 @@ def entry_bound(spec: BallSpec) -> int:
 
     Under either norm every entry e of M has e^2 <= norm_sq(M), and the
     level-m integer matrix of sl2zp is p^m gamma."""
-    t = spec._exact_t_inf()
-    if spec.group == "sl2zp":
-        t_p = spec._exact_t_p()
-        if t_p < 1:
-            return 0
-        t *= spec.p ** floor_log(t_p, spec.p)
-    return math.isqrt(norm_sq_cut(t))
+    cuts = _level_cuts(spec._exact_t_inf(), spec.p, spec._exact_t_p())
+    return math.isqrt(cuts[-1]) if cuts else 0
 
 
 def iter_ball_chunks(spec: BallSpec, workers=None):
@@ -1174,21 +1162,20 @@ def iter_ball_chunks(spec: BallSpec, workers=None):
 def ball_count(spec: BallSpec, workers=None) -> int:
     """Number of elements in the ball.
 
-    Frobenius balls of SL(n,Z), n <= 3, and of SL(2,Z) (the same set as
-    slnz n = 2) are counted without building a matrix: only first rows
-    of the signed-permutation fundamental domain are visited, each
-    weighted by its orbit size (see ``_SlnzPlan``), and the last row is
-    counted by exact interval lengths.  Capacity applies to the weighted
-    totals, so it trips as soon as the element count exceeds it.
-    Other balls (max norm, sl2zp, n = 4, and sl2z radii whose
-    fundamental-domain rows exceed the row budget) are enumerated chunk
-    by chunk."""
-    reduced = spec.norm == "frobenius" and (
-        spec.group == "slnz" and spec.n <= 3
-        or spec.group == "sl2z"
-        and math.floor(spec._exact_t_inf()) <= _SL2_ORBIT_RADIUS_LIMIT)
-    if not reduced:
+    Frobenius balls with n <= 3 are counted without building a matrix.
+    SL(2,Z), slnz n = 2 (the same set) and SL(2,Z[1/p]) come from sums
+    of two squares: sl2_ladder_totals with the ball as its one rung.
+    Their int64 headroom is checked before counting and their capacity
+    against the finished count.  SL(3,Z) visits only the first rows of
+    the signed-permutation fundamental domain, each weighted by its
+    orbit size (see ``_SlnzPlan``), and counts the last row by exact
+    interval lengths; capacity applies to the weighted totals block by
+    block.  The max norm and n = 4 are enumerated chunk by chunk."""
+    if spec.norm != "frobenius" or spec.n > 3:
         return sum(len(m) for _, m in iter_ball_chunks(spec, workers))
+    if spec.n == 2:
+        cuts = _level_cuts(spec._exact_t_inf(), spec.p, spec._exact_t_p())
+        return sl2_ladder_totals(spec, [cuts])[0]
     plan = _SlnzPlan(spec, reduced=True)
     if plan.empty:
         return 0

@@ -38,13 +38,13 @@ import numpy as np
 from .balls import (
     BallSpec,
     CongruenceWindow,
+    _level_cuts,
     entry_bound,
     exact_radius,
     filter_window,
     iter_ball_chunks,
     iter_sl2_strip_chunks,
     norm_sq,
-    norm_sq_cut,
     sl2_ladder_totals,
 )
 from .errors import ConfigError, DegenerateSpanError
@@ -646,8 +646,6 @@ def _column_sums(mats, vec):
 def _as_chunks(ball, workers):
     if isinstance(ball, BallSpec):
         return iter_ball_chunks(ball, workers)
-    if isinstance(ball, np.ndarray):
-        return [(0, ball)]
     return ball
 
 
@@ -661,9 +659,8 @@ def orbit_sum(ball, v: OrbitVector, f, normalizer: float, *,
               window: CongruenceWindow | None = None, workers=None) -> float:
     """(1/normalizer) * sum over gamma in the ball of f(gamma.v).
 
-    ``ball`` may be a BallSpec (enumerated here), an iterable of
-    (level, mats) chunks, or a plain (N, n, n) integer array taken at
-    level 0.  Indicator tests make the sum a count.
+    ``ball`` may be a BallSpec (enumerated here) or an iterable of
+    (level, mats) chunks.  Indicator tests make the sum a count.
     """
     if normalizer <= 0:
         raise ConfigError("normalizer must be positive")
@@ -825,18 +822,17 @@ class DistributionReport:
 
 
 def _ladder_cuts(config: ExperimentConfig):
-    """Exact per-(rung, level) cutoffs on norm_sq of M = p^m gamma:
-    norm_sq_cut(p^m T) where p^m <= T, -1 (level excluded) elsewhere.
-    Without a finite place p = 1: a rung T < 1 holds no element either
-    way, as every element has norm at least 1."""
-    p = config.p or 1
-    mmax = floor_log(exact_radius(config.t_ladder[-1]), p) if config.p else 0
-    cuts = np.full((len(config.t_ladder), mmax + 1), -1, dtype=np.int64)
-    for i, t in enumerate(config.t_ladder):
-        r = exact_radius(t)
-        for m in range(mmax + 1):
-            if p**m <= r:
-                cuts[i, m] = norm_sq_cut(p**m * r)
+    """Exact per-(rung, level) cutoffs on norm_sq of M = p^m gamma: the
+    level cuts of each rung's ball (t_p = t_inf = T), -1 (level
+    excluded) past them.  A rung T < 1 holds no element: it has no level
+    with a finite place, and without one its cut floor(T^2) = 0 is below
+    every element's norm."""
+    rows = [_level_cuts(r, config.p, r)
+            for r in map(exact_radius, config.t_ladder)]
+    cuts = np.full((len(rows), max(map(len, rows), default=0)), -1,
+                   dtype=np.int64)
+    for i, row in enumerate(rows):
+        cuts[i, :len(row)] = row
     return cuts
 
 

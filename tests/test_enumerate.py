@@ -216,7 +216,8 @@ def test_count_only_route_matches_enumeration(n, t):
 
 @pytest.mark.parametrize("n,tmax", [(2, 9.0), (3, 4.2)])
 def test_reduced_count_random_radii(n, tmax):
-    # the symmetry-reduced count against the materialized ball
+    # the count-only route (two squares for n = 2, symmetry-reduced for
+    # n = 3) against the materialized ball
     rng = random.Random(20 + n)
     for _ in range(12):
         t = Fraction(rng.randint(100, int(tmax * 100)), 100)
@@ -225,8 +226,8 @@ def test_reduced_count_random_radii(n, tmax):
 
 
 def test_reduced_count_sl2z_matches_column_engine():
-    # sl2z Frobenius counts share the slnz n = 2 path; the column engine
-    # is the independent route
+    # sl2z Frobenius counts come from sums of two squares; the column
+    # engine is the independent route
     rng = random.Random(31)
     radii = [Fraction(rng.randint(50, 6000), 100) for _ in range(12)]
     for t in radii + [Fraction(1), Fraction(3, 2), 40]:
@@ -234,26 +235,45 @@ def test_reduced_count_sl2z_matches_column_engine():
         assert ball_count(spec, workers=2) == len(enum_sl2z(spec, workers=1)), t
 
 
-def test_reduced_sl2_count_has_its_own_radius_limit(monkeypatch):
-    # the reduced n = 2 count never builds the row table, so the table's
-    # radius limit does not apply to it; sl2z stops enumerating above it
-    want = len(enum_sl2z(BallSpec("sl2z", t_inf=30), workers=1))
-    monkeypatch.setattr(balls, "_SLNZ_RADIUS_LIMITS", {2: 10, 3: 150, 4: 15})
-
+def test_two_squares_count_matches_oracles(monkeypatch):
+    # Frobenius SL(2) balls are counted from sums of two squares alone:
+    # no column engine, no chunk stream and no slnz row table
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the count enumerated the ball")
 
-    monkeypatch.setattr(balls, "_sl2_det_blocks", no_enumeration)
-    assert ball_count(BallSpec("sl2z", t_inf=30)) == want
-    assert ball_count(BallSpec("slnz", n=2, t_inf=30)) == want
-    with pytest.raises(CapacityError):
-        enum_slnz(BallSpec("slnz", n=2, t_inf=30))
-    # above the reduced path's own limit sl2z falls back to enumeration
-    monkeypatch.undo()
-    monkeypatch.setattr(balls, "_SL2_ORBIT_RADIUS_LIMIT", 20)
-    assert ball_count(BallSpec("sl2z", t_inf=30)) == want
-    with pytest.raises(CapacityError):
-        ball_count(BallSpec("slnz", n=2, t_inf=30))
+    for name in ("_sl2_det_blocks", "iter_ball_chunks", "_SlnzPlan"):
+        monkeypatch.setattr(balls, name, no_enumeration)
+    rng = random.Random(43)
+    for _ in range(6):
+        t = Fraction(rng.randint(100, 900), 100)
+        want = len(brute_sl2z(t))
+        assert ball_count(BallSpec("sl2z", t_inf=t)) == want, t
+        assert ball_count(BallSpec("slnz", n=2, t_inf=t)) == want, t
+    cases = [(2, Fraction(23, 10), Fraction(9, 2)),  # levels 0, 1, 2
+             (3, Fraction(5, 2), Fraction(5, 2)),  # t_p = t_inf
+             (5, Fraction(3), Fraction(1, 2))]  # t_p < 1: no level
+    for p in (2, 3, 5):
+        for _ in range(3):
+            # t_p < p + 1 <= p^2: levels 0 and at most 1
+            cases.append((p, Fraction(rng.randint(100, 240), 100),
+                          Fraction(rng.randint(20, 100 * p + 99), 100)))
+    for p, t_inf, t_p in cases:
+        got = ball_count(BallSpec("sl2zp", p=p, t_inf=t_inf, t_p=t_p))
+        assert got == len(brute_sl2zp(p, t_inf, t_p)), (p, t_inf, t_p)
+        if t_p < 1:
+            assert got == 0
+
+
+@pytest.mark.parametrize("group", ["sl2z", "slnz"])
+def test_two_squares_count_checks_headroom_first(group, monkeypatch):
+    # the int64 headroom of the SL(2) engine ends at T = 65536 (see
+    # test_sl2_int64_headroom_guard); the count raises before it starts
+    def no_count(*args, **kwargs):
+        raise AssertionError("the count started")
+
+    monkeypatch.setattr(balls, "_det_norm_counts", no_count)
+    with pytest.raises(CapacityError, match="int64"):
+        ball_count(BallSpec(group, n=2, t_inf=65536))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -270,12 +290,15 @@ def test_orbit_weights_cover_row_table(n, limit):
 
 
 @pytest.mark.parametrize("group,n,t", [("slnz", 2, 7.5), ("slnz", 3, 3.5),
-                                       ("sl2z", 2, 7.5)])
+                                       ("sl2z", 2, 7.5), ("sl2zp", 2, 7.5),
+                                       ("sl2zp", 2, 2.9)])
 def test_reduced_count_capacity_edge(group, n, t):
-    true = ball_count(BallSpec(group, n=n, t_inf=t))
-    assert ball_count(BallSpec(group, n=n, t_inf=t, capacity=true)) == true
+    p = {"p": 2} if group == "sl2zp" else {}
+    true = ball_count(BallSpec(group, n=n, t_inf=t, **p))
+    assert ball_count(BallSpec(group, n=n, t_inf=t, capacity=true, **p)) \
+        == true
     with pytest.raises(CapacityError):
-        ball_count(BallSpec(group, n=n, t_inf=t, capacity=true - 1))
+        ball_count(BallSpec(group, n=n, t_inf=t, capacity=true - 1, **p))
 
 
 def test_invariant_checks_raise_typed_errors(monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from orbitlab import balls, equidist
-from orbitlab.balls import BallSpec, CongruenceWindow, ball_count, iter_ball_chunks
+from orbitlab.balls import BallSpec, CongruenceWindow, iter_ball_chunks
 from orbitlab.equidist import (
     DistributionReport,
     ExperimentConfig,
@@ -506,11 +506,13 @@ def test_run_experiment_sarithmetic_rungs():
 
 @pytest.mark.parametrize("norm", ["frobenius", "max"])
 def test_run_experiment_rungs_follow_the_norm(norm):
-    # rung totals are ball counts under the configured norm; the max
-    # ball is the larger one (sl2z at 4, 8, 16: 180/692/2548 against
-    # the Frobenius 100/388/1476)
+    # rung totals are ball sizes under the configured norm, taken from
+    # the enumeration (the Frobenius totals and ball_count share the
+    # two-squares counter); the max ball is the larger one (sl2z at 4, 8,
+    # 16: 180/692/2548 against the Frobenius 100/388/1476)
     led = led_config(t_ladder=(4, 8, 16), norm=norm)
-    want = [ball_count(BallSpec("sl2z", t_inf=t, norm=norm))
+    want = [sum(len(m) for _, m in small_ball(group="sl2z", t_inf=t,
+                                              norm=norm))
             for t in led.t_ladder]
     assert [c for _, c in run_experiment(led).totals] == want
     a22 = ExperimentConfig(
@@ -518,7 +520,8 @@ def test_run_experiment_rungs_follow_the_norm(norm):
         v=OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=3),
         t_ladder=(3, 6, 9), tests=(parse_test("shell(0)", p=3),),
         norm=norm, capacity=10**6)
-    want = [ball_count(BallSpec("sl2zp", p=3, t_inf=t, t_p=t, norm=norm))
+    want = [sum(len(m) for _, m in small_ball(group="sl2zp", p=3, t_inf=t,
+                                              t_p=t, norm=norm))
             for t in a22.t_ladder]
     assert [c for _, c in run_experiment(a22).totals] == want
 
