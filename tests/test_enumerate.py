@@ -237,12 +237,16 @@ def test_reduced_count_sl2z_matches_column_engine():
 
 def test_two_squares_count_matches_oracles(monkeypatch):
     # Frobenius SL(2) balls are counted from sums of two squares alone:
-    # no column engine, no chunk stream and no slnz row table
+    # no column engine, no chunk stream and no slnz row table, whose
+    # radius limit binds the enumeration only
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the count enumerated the ball")
 
-    for name in ("_sl2_det_blocks", "iter_ball_chunks", "_SlnzPlan"):
+    for name in ("_sl2_det_blocks", "iter_ball_chunks"):
         monkeypatch.setattr(balls, name, no_enumeration)
+    monkeypatch.setattr(balls, "_SLNZ_RADIUS_LIMITS", {2: 1, 3: 150, 4: 15})
+    with pytest.raises(CapacityError):
+        enum_slnz(BallSpec("slnz", n=2, t_inf=3))
     rng = random.Random(43)
     for _ in range(6):
         t = Fraction(rng.randint(100, 900), 100)
