@@ -5,7 +5,9 @@ ladders and orbit sums never materialize more than one block.  All
 norm comparisons reduce to exact integer inequalities (radii are
 converted through Fraction, never trusted as floats).  The SL(2) engine
 solves exact integer intervals and builds only elements of the ball;
-the SL(n) path searches float boxes, which only ever widen, and keeps
+it is the one engine of both the whole-ball stream and the test strips
+of orbit runs, which pass it a strip to cut its rows and intervals.
+The SL(n) path searches float boxes, which only ever widen, and keeps
 the candidates that pass an exact post-filter.
 
 The size of a matrix is its squared norm |M|^2 as an exact integer,
@@ -411,41 +413,62 @@ def _sl2_assemble(a, c, b0, d0, step_a, step_c, rep_all, t_all, det, bound,
     return chunks
 
 
-def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers):
-    """Chunks of integer matrices M = [[a,b],[c,d]], det M = det.
+def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
+    """Chunks of integer matrices N = [[a,b],[c,d]], det N = det; the one
+    SL(2) engine, for the whole ball and for test strips.
 
     ``bound``: max entry modulus allowed (max norm) and the column search
     radius.  ``sq_int``: floor of the squared Frobenius radius (None for
     max norm).  ``prim_p``: leave out matrices that vanish mod p (levels
     >= 1 of SL(2,Z[1/p])).  First columns run over the disk a^2 + c^2 <=
-    sq_int - 1 (the square |a|, |c| <= bound under the max norm), a-major
-    and c ascending, in blocks of _SL2_BLOCK_PAIRS.  Only the matrices
-    that belong to the ball are built: the exact t-intervals of
-    _sl2_columns without their residue class mod p that vanishes.  Every
-    row is checked all the same (in the ball, det, nonzero mod p), and
-    ``meter`` is charged with the emitted matrices."""
-    if sq_int is not None:
-        if sq_int < 1:
-            return
-        amax = math.isqrt(sq_int - 1)
-        a_rows = np.arange(-amax, amax + 1, dtype=np.int64)
-        half = _isqrt_array(sq_int - 1 - a_rows * a_rows)
-        row_end = np.cumsum(2 * half + 1)
-        npairs = int(row_end[-1])
+    sq_int - 1 in rows of the major coordinate, each row a progression
+    (first, count, step) of the minor one, in blocks of _SL2_BLOCK_PAIRS
+    pairs (the max-norm square |a|, |c| <= bound is indexed by divmod).
+    Without a strip a is major and c runs with step 1: the sl2z order.
+    Only the matrices that belong to the ball are built: the exact
+    t-intervals of _sl2_columns without their residue class mod p that
+    vanishes.  Every row is checked all the same (in the ball, det,
+    nonzero mod p), and ``meter`` is charged with the emitted matrices.
+
+    ``strip = (vec, width, nums, p, k)``, Frobenius only, keeps a superset
+    of the N whose columns x have |x . vec| <= width and x . nums = 0
+    (mod p^k): the minor coordinate is the one of the larger |vec_j|, and
+    each row and each t-interval is cut to its widened float strip
+    interval and its congruence progression (_strip_ts)."""
+    j = 1  # the minor coordinate of the first column
+    if sq_int is None:
+        side = 2 * bound + 1
+        npairs = side * side
+    elif sq_int < 1:
+        return
     else:
-        width = 2 * bound + 1
-        npairs = width * width
+        amax = math.isqrt(sq_int - 1)
+        major = np.arange(-amax, amax + 1, dtype=np.int64)
+        half = _isqrt_array(sq_int - 1 - major * major)
+        first, count, step = -half, 2 * half + 1, np.ones_like(half)
+        if strip is not None:
+            vec, width, nums, p, k = strip
+            j = int(abs(vec[1]) > abs(vec[0]))
+            lo, hi = _widened_interval((-width - major * vec[1 - j]) / vec[j],
+                                       (width - major * vec[1 - j]) / vec[j],
+                                       -half, half)
+            ok, r, step = _linear_classes(np.full(len(major), nums[j]),
+                                          -(major % p**k) * nums[1 - j], p, k)
+            first, count = _progression_starts(lo, hi, ok, r, step)
+        row_end = np.cumsum(count)
+        npairs = int(row_end[-1])
 
     def run(lo):
         idx = np.arange(lo, min(lo + _SL2_BLOCK_PAIRS, npairs), dtype=np.int64)
-        if sq_int is not None:
-            row = np.searchsorted(row_end, idx, side="right")
-            a = row - amax
-            c = idx - row_end[row] + half[row] + 1
+        if sq_int is None:
+            x, y = np.divmod(idx, side)
+            x -= bound
+            y -= bound
         else:
-            a, c = np.divmod(idx, width)
-            a -= bound
-            c -= bound
+            row = np.searchsorted(row_end, idx, side="right")
+            x = row - amax
+            y = first[row] + (idx - row_end[row] + count[row]) * step[row]
+        a, c = (x, y) if j else (y, x)
         g = np.gcd(a, c)
         keep = (g > 0) & (det % np.where(g > 0, g, 1) == 0)
         a, c = a[keep], c[keep]
@@ -453,7 +476,11 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers):
             return []
         b0, d0, step_a, step_c, tlo, thi, skip = _sl2_columns(
             a, c, det, bound, sq_int, prim_p)
-        rep, t = _column_ts(tlo, np.maximum(thi - tlo + 1, 0), skip, prim_p)
+        if strip is None:
+            rep, t = _column_ts(tlo, np.maximum(thi - tlo + 1, 0), skip, prim_p)
+        else:
+            rep, t = _strip_ts(strip, b0, d0, step_a, step_c, tlo, thi, skip,
+                               prim_p)
         return _sl2_assemble(a, c, b0, d0, step_a, step_c, rep, t,
                              det, bound, sq_int, prim_p, meter)
 
@@ -536,7 +563,7 @@ def _r2_range(lo, hi):
     return out
 
 
-def _det_norm_counts(det, cuts):
+def _det_norm_counts(det, cuts, meter=None):
     """For each X in ``cuts``, the number of integer 2x2 M with det M =
     det >= 1 and norm_sq(M) <= X.
 
@@ -547,7 +574,9 @@ def _det_norm_counts(det, cuts):
     the count is the sum over 0 <= Q <= X - 2 det of r2(Q + 4 det) r2(Q),
     halved for odd Q (Jacobi's two-square theorem gives r2), one
     cumulative sum for every X.  Q runs in blocks of _R2_BLOCK, so the
-    memory used does not grow with X."""
+    memory used does not grow with X.  ``meter`` is charged with the
+    running sum, a lower bound on the count of the largest X, block by
+    block."""
     shift = 4 * det
     ends = [x - 2 * det for x in cuts]
     out = [0] * len(ends)
@@ -565,6 +594,8 @@ def _det_norm_counts(det, cuts):
         for i, e in enumerate(ends):
             if q0 <= e < q1:
                 out[i] = int(cum[e - q0])
+        if meter is not None:
+            meter.add(int(cum[-1]) - running)
         running = int(cum[-1])
     return out
 
@@ -580,7 +611,9 @@ def sl2_ladder_totals(spec: BallSpec, cuts) -> list:
     p^(2m-2) and norm_sq at most floor(cut / p^2); level m - 1 counts
     those in the same pass as its own.  The spec's int64 headroom is
     checked first, and a top rung over its capacity raises
-    CapacityError, as the stream would."""
+    CapacityError, as the stream would: early, as soon as the level-0
+    count of its cut passes the capacity (the top rung holds every other
+    rung, so no level-0 cut is larger), else once the totals are known."""
     _sl2_levels(spec)
     p = spec.p or 1
     cuts = np.asarray(cuts, dtype=np.int64).tolist()
@@ -591,7 +624,8 @@ def sl2_ladder_totals(spec: BallSpec, cuts) -> list:
         xs |= {row[m + 1] // (p * p) for row in cuts
                if m + 1 < len(row) and row[m + 1] >= 0}
         xs = sorted(xs)
-        here = dict(zip(xs, _det_norm_counts(p ** (2 * m), xs)))
+        here = dict(zip(xs, _det_norm_counts(
+            p ** (2 * m), xs, None if m else _CapacityMeter(spec.capacity))))
         for i, row in enumerate(cuts):
             if row[m] >= 0:
                 vanish = below[row[m] // (p * p)] if m else 0
@@ -637,6 +671,40 @@ def _widened_interval(e1, e2, lo, hi):
             np.minimum(hi, np.floor(high).astype(np.int64) + 1))
 
 
+def _strip_ts(strip, b0, d0, step_a, step_c, tlo, thi, skip, prim_p):
+    """_column_ts of the second columns (b0 + t step_a, d0 + t step_c)
+    whose t lies in the exact interval tlo <= t <= thi and in the strip
+    (vec, width, nums, p, k): the float interval of |col . vec| <= width
+    widened by one step on each side, and the progression of col . nums
+    = 0 (mod p^k), less the class that vanishes mod prim_p."""
+    vec, width, nums, p, k = strip
+    mod = p**k
+    # the second column . vec = offset + t slope
+    offset = b0 * vec[0] + d0 * vec[1]
+    slope = step_a * vec[0] + step_c * vec[1]
+    flat = slope == 0
+    div = np.where(flat, 1.0, slope)
+    t0, t1 = _widened_interval((-width - offset) / div,
+                               (width - offset) / div, tlo, thi)
+    # a first column with col . vec = 0 keeps its whole interval exactly
+    # when the constant offset lies in the strip
+    t0 = np.where(flat, tlo, t0)
+    t1 = np.where(flat, np.where(np.abs(offset) > width, tlo - 1, thi), t1)
+    ok, r, tstep = _linear_classes(
+        step_a % mod * nums[0] + step_c % mod * nums[1],
+        -(b0 % mod * nums[0] + d0 % mod * nums[1]), p, k)
+    first, count = _progression_starts(t0, t1, ok, r, tstep)
+    if prim_p:
+        # a stride p^e >= p stays in one class mod p: the column goes
+        # when that is the vanishing class
+        van = (skip >= 0) & (tstep > 1)
+        count[van & ((first - tlo - skip) % prim_p == 0)] = 0
+        skip = np.where(van, -1, skip)
+        at = skip >= 0
+        skip[at] = (tlo[at] + skip[at] - first[at]) % prim_p
+    return _column_ts(first, count, skip, prim_p, tstep)
+
+
 def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
                           workers=None):
     """Yield (levels, mats) chunks of the elements gamma = p^-m M of a
@@ -646,13 +714,10 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
 
     Both rows of M then satisfy |row . vec| <= p^m R', R' being
     ``radius`` widened by a relative and an absolute margin far above
-    the rounding of the float orbit point and of the float intervals
-    below, which are widened by one step on each side as well.  First
-    rows run over the disk |row|^2 <= cut - 1 cut by that strip, solving
-    for the coordinate of the larger |vec_j| (so vec = (1, 0) works); the
-    second rows come from _sl2_columns on M^T (transposition keeps det,
-    the norm and vanishing mod p), with t inside its exact norm interval
-    and the strip interval, less the class that vanishes mod p.
+    the rounding of the float orbit point and of the float intervals of
+    the strip.  Per level this runs _sl2_det_blocks on M^T with that
+    strip (transposition keeps det, the norm and vanishing mod p) and
+    transposes what it yields.
 
     ``congruence = (nums, k0)`` also keeps only the M with M nums = 0
     (mod p^k), k = max(0, m + k0), on both rows.  Chunks come level by
@@ -663,88 +728,26 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
     workers = resolve_workers(workers)
     meter = _CapacityMeter(math.inf)
     vec = np.asarray(vec, dtype=np.float64)
-    j = int(abs(vec[1]) > abs(vec[0]))  # the coordinate solved for
     p = spec.p or 1
     eps = 2.0**-40
 
-    def level_chunks(m, det, bound, sq, prim):
-        # every row entry, every (c0, d0) with a nonempty t interval and
-        # every t (sa, sb) in it is at most 4 sqrt(cut), so the rounding of
-        # the float orbit point and of offset + t slope stays far below
-        # the absolute margin
-        width = p**m * float(radius) * (1 + eps) \
-            + eps * (4 * math.sqrt(sq) + 1) * (abs(vec[0]) + abs(vec[1]))
-        k = max(0, m + congruence[1]) if congruence else 0
-        while p**k >= 1 << 30:
-            k -= 1
-        mod = p**k
-        nums = np.asarray(congruence[0] if congruence else (0, 0),
-                          dtype=np.int64) % mod
-        amax = math.isqrt(sq - 1)
-        xk = np.arange(-amax, amax + 1, dtype=np.int64)
-        half = _isqrt_array(sq - 1 - xk * xk)
-        lo, hi = _widened_interval((-width - xk * vec[1 - j]) / vec[j],
-                                   (width - xk * vec[1 - j]) / vec[j],
-                                   -half, half)
-        ok, r, step = _linear_classes(np.full(len(xk), nums[j]),
-                                      -(xk % mod) * nums[1 - j], p, k)
-        first, count = _progression_starts(lo, hi, ok, r, step)
-        cum = np.cumsum(count)
-        cuts = np.searchsorted(cum, np.arange(
-            _SL2_BLOCK_PAIRS, cum[-1], _SL2_BLOCK_PAIRS), side="right")
-        edges = np.unique(np.concatenate([[0], cuts, [len(xk)]]))
-
-        def run(span):
-            s0, s1 = span
-            rep, xj = _column_ts(first[s0:s1], count[s0:s1],
-                                 stride=step[s0:s1])
-            rows = [xk[s0:s1][rep], xj]
-            a, b = rows[1 - j], rows[j]
-            g = np.gcd(a, b)
-            keep = (g > 0) & (det % np.where(g > 0, g, 1) == 0)
-            a, b = a[keep], b[keep]
-            if len(a) == 0:
-                return []
-            c0, d0, sa, sb, tlo, thi, skip = _sl2_columns(
-                a, b, det, bound, sq, prim)
-            # the second row (c0 + t sa, d0 + t sb) . vec = offset + t slope
-            offset = c0 * vec[0] + d0 * vec[1]
-            slope = sa * vec[0] + sb * vec[1]
-            flat = slope == 0
-            div = np.where(flat, 1.0, slope)
-            t0, t1 = _widened_interval((-width - offset) / div,
-                                       (width - offset) / div, tlo, thi)
-            # a first row with row . vec = 0 keeps its whole interval
-            # exactly when its constant offset lies in the strip
-            t0 = np.where(flat, tlo, t0)
-            t1 = np.where(flat, np.where(np.abs(offset) > width, tlo - 1, thi),
-                          t1)
-            ok, r, tstep = _linear_classes(
-                sa % mod * nums[0] + sb % mod * nums[1],
-                -(c0 % mod * nums[0] + d0 % mod * nums[1]), p, k)
-            t_first, t_count = _progression_starts(t0, t1, ok, r, tstep)
-            if prim:
-                # a stride p^e >= p stays in one class mod p: the column
-                # goes when that is the vanishing class
-                van = (skip >= 0) & (tstep > 1)
-                t_count[van & ((t_first - tlo - skip) % prim == 0)] = 0
-                skip = np.where(van, -1, skip)
-                at = skip >= 0
-                skip[at] = (tlo[at] + skip[at] - t_first[at]) % prim
-            rep, t = _column_ts(t_first, t_count, skip, prim, tstep)
-            chunks = _sl2_assemble(a, b, c0, d0, sa, sb, rep, t,
-                                   det, bound, sq, prim, meter)
-            return [mats.transpose(0, 2, 1) for mats in chunks]
-
-        for chunks in _pool_map(run, list(zip(edges[:-1], edges[1:])),
-                                workers):
-            yield from chunks
-
     def stream():
         for m, (det, bound, sq, prim) in enumerate(levels):
-            if sq >= 1:
-                for mats in level_chunks(m, det, bound, sq, prim):
-                    yield np.full(len(mats), m, dtype=np.int64), mats
+            # every row entry, every (b0, d0) with a nonempty t interval
+            # and every t (step_a, step_c) in it is at most 4 sqrt(cut), so
+            # the rounding of the float orbit point and of offset + t slope
+            # stays far below the absolute margin
+            width = p**m * float(radius) * (1 + eps) \
+                + eps * (4 * math.sqrt(sq) + 1) * (abs(vec[0]) + abs(vec[1]))
+            k = max(0, m + congruence[1]) if congruence else 0
+            while p**k >= 1 << 30:
+                k -= 1
+            nums = np.asarray(congruence[0] if congruence else (0, 0),
+                              dtype=np.int64) % p**k
+            for mats in _sl2_det_blocks(det, bound, sq, prim, meter, workers,
+                                        (vec, width, nums, p, k)):
+                yield (np.full(len(mats), m, dtype=np.int64),
+                       mats.transpose(0, 2, 1))
 
     return stream()
 
@@ -1165,8 +1168,8 @@ def ball_count(spec: BallSpec, workers=None) -> int:
     Frobenius balls with n <= 3 are counted without building a matrix.
     SL(2,Z), slnz n = 2 (the same set) and SL(2,Z[1/p]) come from sums
     of two squares: sl2_ladder_totals with the ball as its one rung.
-    Their int64 headroom is checked before counting and their capacity
-    against the finished count.  SL(3,Z) visits only the first rows of
+    Their int64 headroom is checked before counting, and capacity as the
+    count runs (see sl2_ladder_totals).  SL(3,Z) visits only the first rows of
     the signed-permutation fundamental domain, each weighted by its
     orbit size (see ``_SlnzPlan``), and counts the last row by exact
     interval lengths; capacity applies to the weighted totals block by

@@ -643,34 +643,18 @@ def _column_sums(mats, vec):
     return out
 
 
-def _as_chunks(ball, workers):
-    if isinstance(ball, BallSpec):
-        return iter_ball_chunks(ball, workers)
-    return ball
-
-
-def _level_scalar(levels) -> int:
-    """Chunk level as an int; chunks carry one level per stream block."""
-    arr = np.asarray(levels)
-    return int(arr.flat[0]) if arr.ndim else int(arr)
-
-
-def orbit_sum(ball, v: OrbitVector, f, normalizer: float, *,
-              window: CongruenceWindow | None = None, workers=None) -> float:
-    """(1/normalizer) * sum over gamma in the ball of f(gamma.v).
-
-    ``ball`` may be a BallSpec (enumerated here) or an iterable of
-    (level, mats) chunks.  Indicator tests make the sum a count.
-    """
+def orbit_sum(chunks, v: OrbitVector, f, normalizer: float, *,
+              window: CongruenceWindow | None = None) -> float:
+    """(1/normalizer) * sum over gamma in the (levels, mats) chunks of
+    f(gamma.v).  Indicator tests make the sum a count."""
     if normalizer <= 0:
         raise ConfigError("normalizer must be positive")
-    ev = _ChunkEvaluator(
-        v, [f], entry_bound(ball) if isinstance(ball, BallSpec) else None)
+    ev = _ChunkEvaluator(v, [f])
     total = 0
-    for levels, mats in _as_chunks(ball, workers):
+    for levels, mats in chunks:
         if not len(mats):
             continue
-        mask = ev.masks(_level_scalar(levels), mats)[0]
+        mask = ev.masks(int(levels[0]), mats)[0]
         if window is not None:
             mask = mask & filter_window(mats, window, levels=levels)
         total += int(mask.sum())
@@ -928,7 +912,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     for levels, mats in chunks:
         if not len(mats):
             continue
-        level = _level_scalar(levels)
+        level = int(levels[0])
         key = norm_sq(mats, config.norm)
         # rungs are nested: an element lies in its first rung whose cut
         # admits it and in every later one, so count first rungs and

@@ -29,6 +29,7 @@ from orbitlab.balls import (
     exact_radius,
     filter_window,
     iter_ball_chunks,
+    iter_sl2_strip_chunks,
     iter_sl2_zinvp_chunks,
     norm_sq,
     norm_sq_cut,
@@ -278,6 +279,78 @@ def test_two_squares_count_checks_headroom_first(group, monkeypatch):
     monkeypatch.setattr(balls, "_det_norm_counts", no_count)
     with pytest.raises(CapacityError, match="int64"):
         ball_count(BallSpec(group, n=2, t_inf=65536))
+
+
+def test_two_squares_count_stops_at_capacity(monkeypatch):
+    # the level-0 running sum bounds the count from below, so a ball far
+    # over its capacity raises after a few blocks of Q, not after all
+    monkeypatch.setattr(balls, "_R2_BLOCK", 1 << 12)
+    calls = []
+    real_r2 = balls._r2_range
+
+    def counted(lo, hi):
+        calls.append(lo)
+        return real_r2(lo, hi)
+
+    monkeypatch.setattr(balls, "_r2_range", counted)
+    true = ball_count(BallSpec("sl2z", t_inf=1000))
+    full = len(calls)
+    assert true == 6000052 and full > 200
+    assert ball_count(BallSpec("sl2z", t_inf=1000, capacity=true)) == true
+    with pytest.raises(CapacityError, match="exceeds capacity"):
+        ball_count(BallSpec("sl2z", t_inf=1000, capacity=true - 1))
+    calls.clear()
+    with pytest.raises(CapacityError, match="exceeds capacity"):
+        ball_count(BallSpec("sl2z", t_inf=1000, capacity=10**5))
+    assert 0 < len(calls) < full // 20
+
+
+def _strip_elements(chunks):
+    return [(int(m), tuple(int(e) for e in mat.ravel()))
+            for levels, mats in chunks for m, mat in zip(levels, mats)]
+
+
+@pytest.mark.parametrize("p,t_inf,t_p", [(0, 6.5, None), (2, 2.2, 4),
+                                         (3, Fraction(5, 2), 3)])
+def test_strip_chunks_against_box_scan(p, t_inf, t_p, monkeypatch):
+    # blocks of 5 first columns split the rows and their progressions;
+    # a strip holds, once each, every ball element whose float |gamma v|
+    # is at most the radius and that meets the shell congruence, and
+    # nothing outside the ball
+    monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 5)
+    ball = (brute_sl2zp(p, t_inf, t_p) if p
+            else [(0, mat) for mat in brute_sl2z(t_inf)])
+    spec = BallSpec("sl2zp" if p else "sl2z", p=p, t_inf=t_inf, t_p=t_p)
+    levels = np.array([m for m, _ in ball])
+    mats = np.array([mat for _, mat in ball]).reshape(-1, 2, 2)
+    rng = random.Random(19 + p)
+    vecs = [(1.0, 0.0), (0.0, -2 / 3), (1.0, math.sqrt(2))]
+    vecs += [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)]
+    congruences = [None] + [((rng.randint(1, 9), rng.randint(0, 9)), k0)
+                            for k0 in ((-1, 0, 1) if p else ())]
+    for vec in vecs:
+        w = mats[:, :, 0] * vec[0] + mats[:, :, 1] * vec[1]
+        r = np.hypot(w[:, 0], w[:, 1]) / float(p or 1) ** levels
+        for congruence in congruences:
+            radius = rng.uniform(0.3, 3)
+            got = _strip_elements(iter_sl2_strip_chunks(
+                spec, vec, radius, congruence, workers=2))
+            assert len(got) == len(set(got))
+            assert set(got) <= set(ball)
+            keep = r <= radius
+            if congruence:
+                nums, k0 = congruence
+                mod = np.power(p, np.maximum(levels + k0, 0))[:, None]
+                keep &= np.all(mats @ np.array(nums) % mod == 0, axis=1)
+                for m, flat in got:
+                    k = max(0, m + k0)
+                    assert all((flat[2 * i] * nums[0] + flat[2 * i + 1]
+                                * nums[1]) % p**k == 0 for i in (0, 1))
+            assert {ball[i] for i in np.flatnonzero(keep)} <= set(got)
+        # a radius past every orbit point gives exactly the ball
+        got = _strip_elements(iter_sl2_strip_chunks(
+            spec, vec, float(r.max()) + 1, workers=1))
+        assert sorted(got) == ball
 
 
 @pytest.mark.parametrize("n", [2, 3])

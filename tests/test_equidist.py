@@ -611,8 +611,6 @@ def test_finite_place_action_int64_headroom():
     shell = parse_test("shell(0)", p=3)
     spec = BallSpec("sl2zp", p=3, t_inf=128, t_p=1, capacity=10**6)
     with pytest.raises(ConfigError, match="int64"):
-        orbit_sum(spec, v, shell, 1.0)
-    with pytest.raises(ConfigError, match="int64"):
         orbit_sum(list(iter_ball_chunks(spec)), v, shell, 1.0)
     cfg = ExperimentConfig(application="a22", v=v, t_ladder=(64, 128),
                            tests=(shell,), capacity=10**6)
