@@ -445,7 +445,7 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
         amax = math.isqrt(sq_int - 1)
         major = np.arange(-amax, amax + 1, dtype=np.int64)
         half = _isqrt_array(sq_int - 1 - major * major)
-        first, count, step = -half, 2 * half + 1, np.ones_like(half)
+        first, count = -half, 2 * half + 1
         if strip is not None:
             vec, width, nums, p, k = strip
             j = int(abs(vec[1]) > abs(vec[0]))
@@ -456,6 +456,7 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
                                           -(major % p**k) * nums[1 - j], p, k)
             first, count = _progression_starts(lo, hi, ok, r, step)
         row_end = np.cumsum(count)
+        row_start = row_end - count
         npairs = int(row_end[-1])
 
     def run(lo):
@@ -467,7 +468,10 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
         else:
             row = np.searchsorted(row_end, idx, side="right")
             x = row - amax
-            y = first[row] + (idx - row_end[row] + count[row]) * step[row]
+            y = idx - row_start[row]
+            if strip is not None:
+                y *= step[row]
+            y += first[row]
         a, c = (x, y) if j else (y, x)
         g = np.gcd(a, c)
         keep = (g > 0) & (det % np.where(g > 0, g, 1) == 0)
