@@ -1173,9 +1173,9 @@ def ball_count(spec: BallSpec, workers=None) -> int:
     SL(2,Z), slnz n = 2 (the same set) and SL(2,Z[1/p]) come from sums
     of two squares: sl2_ladder_totals with the ball as its one rung.
     Their int64 headroom is checked before counting, and capacity as the
-    count runs (see sl2_ladder_totals).  SL(3,Z) visits only the first rows of
-    the signed-permutation fundamental domain, each weighted by its
-    orbit size (see ``_SlnzPlan``), and counts the last row by exact
+    count runs (see sl2_ladder_totals).  SL(3,Z) visits only the first
+    rows of the signed-permutation fundamental domain, each weighted by
+    its orbit size (see ``_SlnzPlan``), and counts the last row by exact
     interval lengths; capacity applies to the weighted totals block by
     block.  The max norm and n = 4 are enumerated chunk by chunk."""
     if spec.norm != "frobenius" or spec.n > 3:
