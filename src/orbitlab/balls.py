@@ -7,8 +7,11 @@ converted through Fraction, never trusted as floats).  The SL(2) engine
 solves exact integer intervals and builds only elements of the ball;
 it is the one engine of both the whole-ball stream and the test strips
 of orbit runs, which pass it a strip to cut its rows and intervals.
-The SL(n) path searches float boxes, which only ever widen, and keeps
-the candidates that pass an exact post-filter.
+SL(n) matrices are built row by row: the first n-1 rows from tables,
+the last one by one solver (_last_row_lines) that splits its lattice
+coset into lines, each with an exact integer interval, so counts sum
+interval lengths and Frobenius enumeration builds only elements of the
+ball.
 
 The size of a matrix is its squared norm |M|^2 as an exact integer,
 ``norm_sq``; the cut for radius r is floor(r^2), ``norm_sq_cut``, under
@@ -56,6 +59,10 @@ _SLNZ_RADIUS_LIMITS = {2: 2500, 3: 150, 4: 15}
 _SL2_BLOCK_WORK = 1 << 24
 # bound on every intermediate of the SL(2) engine (_check_sl2_headroom)
 _INT_HEADROOM = 1 << 62
+# the SL(n) last-row solver: absolute margin of its float line ranges,
+# and the bound on its integers (a sixteenth of the int64 range)
+_LINE_MARGIN = 1e-6
+_LINE_HEADROOM = 1 << 58
 
 
 def exact_radius(t) -> Fraction:
@@ -515,21 +522,20 @@ def iter_sl2_zinvp_chunks(spec: BallSpec, workers=None):
 
 
 def enum_sl2z(spec: BallSpec, workers=None) -> np.ndarray:
-    chunks = [m for _, m in iter_sl2_zinvp_chunks(spec, workers)]
-    if not chunks:
-        return np.empty((0, 2, 2), dtype=np.int64)
-    return np.concatenate(chunks)
+    return enum_sl2_zinvp(spec, workers)[1]
 
 
 def enum_sl2_zinvp(spec: BallSpec, workers=None):
     """(levels, mats) arrays for the SL(2,Z[1/p]) ball."""
-    levels, mats = [], []
-    for lev, blk in iter_sl2_zinvp_chunks(spec, workers):
+    return _concat_chunks(iter_sl2_zinvp_chunks(spec, workers), 2)
+
+
+def _concat_chunks(chunks, n):
+    """A stream of (levels, mats) chunks of n x n matrices as two arrays."""
+    levels, mats = [np.empty(0, np.int64)], [np.empty((0, n, n), np.int64)]
+    for lev, blk in chunks:
         levels.append(lev)
         mats.append(blk)
-    if not mats:
-        return (np.empty(0, dtype=np.int64),
-                np.empty((0, 2, 2), dtype=np.int64))
     return np.concatenate(levels), np.concatenate(mats)
 
 
@@ -726,8 +732,10 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
     ``congruence = (nums, k0)`` also keeps only the M with M nums = 0
     (mod p^k), k = max(0, m + k0), on both rows.  Chunks come level by
     level, in a fixed order that is not the sl2z order.  The int64
-    headroom is checked before the first chunk; capacity is not charged
-    (see sl2_ladder_totals)."""
+    headroom and the norm (Frobenius only: ConfigError) are checked when
+    called; capacity is not charged (see sl2_ladder_totals)."""
+    if spec.norm != "frobenius":
+        raise ConfigError("test strips need the Frobenius norm")
     levels = _sl2_levels(spec)
     workers = resolve_workers(workers)
     meter = _CapacityMeter(math.inf)
@@ -809,27 +817,29 @@ def _pack_rows(rows):
     return key
 
 
+def _det(g):
+    """Determinant of a square nested list of arrays, by cofactors."""
+    if len(g) < 2:
+        return g[0][0] if g else 1
+    return sum((-1) ** j * g[0][j] * _det([row[:j] + row[j + 1:]
+                                           for row in g[1:]])
+               for j in range(len(g)))
+
+
+def _adjugate(g):
+    """Adjugate of a square nested list of arrays."""
+    r = range(len(g))
+    return [[(-1) ** (a + b) * _det([row[:a] + row[a + 1:]
+                                     for i, row in enumerate(g) if i != b])
+             for b in r] for a in r]
+
+
 def _cofactor_vector(prefix):
     """Signed minors m with det(prefix stacked over x) = m . x."""
-    k = prefix.shape[2]  # n
-    if k == 2:
-        r = prefix[:, 0]
-        return np.stack([-r[:, 1], r[:, 0]], axis=1)
-    if k == 3:
-        u, v = prefix[:, 0], prefix[:, 1]
-        return np.cross(u, v)
-    u, v, w = prefix[:, 0], prefix[:, 1], prefix[:, 2]
-
-    def det3(c0, c1, c2):
-        return (u[:, c0] * (v[:, c1] * w[:, c2] - v[:, c2] * w[:, c1])
-                - u[:, c1] * (v[:, c0] * w[:, c2] - v[:, c2] * w[:, c0])
-                + u[:, c2] * (v[:, c0] * w[:, c1] - v[:, c1] * w[:, c0]))
-
-    m0 = -det3(1, 2, 3)
-    m1 = det3(0, 2, 3)
-    m2 = -det3(0, 1, 3)
-    m3 = det3(0, 1, 2)
-    return np.stack([m0, m1, m2, m3], axis=1)
+    k, n = prefix.shape[1:]
+    rows = [[prefix[:, i, j] for j in range(n)] for i in range(k)]
+    return np.stack([(-1) ** (k + j) * _det([r[:j] + r[j + 1:] for r in rows])
+                     for j in range(n)], axis=1)
 
 
 def _particular_solution(m):
@@ -851,9 +861,9 @@ def _particular_solution(m):
 def _size_reduce_basis(ws):
     """Cheap pairwise Lagrange sweeps on a (N, k, n) batch of bases.
 
-    Only shrinks the search boxes; correctness never depends on the
-    reduction quality because ranges come from exact Gram bounding
-    boxes and candidates pass an exact norm filter."""
+    A shorter, more orthogonal basis gives shorter line ranges and
+    smaller intermediates in _last_row_lines, which checks its int64
+    headroom itself; the rows found never depend on the basis."""
     ws = ws.copy()
     k = ws.shape[1]
     for _ in range(64):
@@ -873,167 +883,169 @@ def _size_reduce_basis(ws):
     return ws
 
 
-def _babai_shift(x0, ws):
-    """Subtract near-closest lattice combinations from x0, per batch row."""
-    x0 = x0.copy()
-    for _ in range(2):
-        for i in range(ws.shape[1]):
-            w = ws[:, i]
-            nw = (w * w).sum(axis=1)
-            mu = np.rint((x0 * w).sum(axis=1) / nw).astype(np.int64)
-            x0 -= mu[:, None] * w
-    return x0
-
-
-def _ellipsoid_boxes(ws, x0, c_eff):
-    """Widened integer bounding boxes of {y : |x0 + y . ws|^2 <= c}.
-
-    Float arithmetic only ever widens; callers re-check candidates
-    exactly."""
-    k = ws.shape[1]
-    gram_f = np.einsum("nij,nkj->nik", ws, ws).astype(np.float64)
-    b_vec = np.einsum("nij,nj->ni", ws, x0).astype(np.float64)
-    inv = np.linalg.inv(gram_f)
-    center = -np.einsum("nij,nj->ni", inv, b_vec)
-    quad = np.einsum("ni,nij,nj->n", center, gram_f, center)
-    c_full = c_eff + quad
-    c_ok = c_full >= 0
-    diag_inv = np.stack([inv[:, i, i] for i in range(k)], axis=1)
-    half = np.sqrt(np.maximum(c_full, 0)[:, None]
-                   * np.maximum(diag_inv, 0))
-    los = np.where(c_ok[:, None], np.floor(center - half) - 1,
-                   1).astype(np.int64)
-    his = np.where(c_ok[:, None], np.ceil(center + half) + 1,
-                   0).astype(np.int64)
-    return los, np.maximum(his - los + 1, 0)
-
-
-def _quadratic_interval_count(qa, qb, qc):
-    """Exact #{t in Z : qa t^2 + 2 qb t + qc <= 0} for qa > 0.
+def _quadratic_interval(qa, qb, qc):
+    """Exact ends tlo, thi of {t in Z : qa t^2 + 2 qb t + qc <= 0} for
+    qa > 0; thi = tlo - 1 where it is empty.
 
     With the exact integer isqrt of the discriminant, each division
     candidate is off by at most one and a single polynomial-sign fix
-    per endpoint is enough."""
-    disc = qb * qb - qa * qc
-    s = _isqrt_array(np.maximum(disc, 0))
+    per endpoint is enough; the candidates are ordered, so thi >= tlo -
+    1 always."""
+    s = _isqrt_array(np.maximum(qb * qb - qa * qc, 0))
     tlo = np.floor_divide(-qb - s, qa)
     thi = np.floor_divide(-qb + s, qa)
     tlo += tlo * (qa * tlo + 2 * qb) + qc > 0
     t1 = thi + 1
     thi += t1 * (qa * t1 + 2 * qb) + qc <= 0
-    return np.where(disc < 0, 0, np.maximum(thi - tlo + 1, 0))
+    return tlo, thi
+
+
+def _last_row_lines(prefix, budget, limit):
+    """The one last-row solver of SL(n): the rows x with det(prefix
+    stacked over x) = 1 and |x|^2 <= budget, for an (N, k, n) batch of
+    prefixes (the first k = n-1 rows), as lines with exact intervals.
+
+    Returns (keep, m, ws, x0) and (rep, ys, tlo, thi).  A prefix keeps
+    when its cofactor vector m has gcd 1 and its budget is at least 1;
+    its rows, m . x = 1, are x0 + y . ws, y in Z^k, ws the size-reduced
+    prefix (it spans the kernel lattice: its Gram determinant is |m|^2)
+    and x0 a particular solution less the lattice point of its rounded
+    coordinates.  Line i belongs to kept prefix rep[i], fixes y_j =
+    ys[j][i] for j < k-1 and holds x0 + sum_j ys[j] ws_j + t ws_(k-1),
+    tlo[i] <= t <= thi[i].
+
+    With G the Gram matrix of ws the ball is y G y + 2 h . y + c <= 0, h
+    = ws x0, c = |x0|^2 - budget.  Each y_j, j < k-1, runs in turn over
+    the float projection onto y_j of the section fixing the earlier
+    ones, widened by _LINE_MARGIN; h and c of a section are exact
+    integers, updated from 1-D columns.  With H = G[j:, j:], A = adj H
+    and d = det H the projection has center -(A h)_0 / d and half-width
+    sqrt(q A_00) / d, q = h A h - c d, and q = d budget - 1 for the whole
+    ellipsoid (the plane m . x = 1 lies at distance 1/|m| from 0).  The
+    last coordinate takes its exact interval (_quadratic_interval), so
+    counting sums the lengths and enumeration builds no rejected row.
+
+    Headroom: with W the largest |ws_i|^2, B the largest budget and R a
+    bound on |x0 + sum y_j ws_j| over the coordinates fixed so far, every
+    integer formed is at most (r^2 + 1)(R^2 + B) W^r, r the coordinates
+    still free; CapacityError unless that is below 2^58.  For the last
+    one it bounds qb^2 and qa qc; qb^2 - qa qc itself is qa (budget -
+    min |x|^2 on the line) <= W B: below 22,801^2 for n = 3 at the limit
+    T = 150 (67,500^2 under the max norm's sphere n B^2, B = 150), below
+    256^2 for n = 4, T = 15 (900^2).  On random and nearly parallel
+    prefixes at those limits the checked bound reached 2^46 (n = 3) and
+    2^34 (n = 4), 2^51 and 2^43 under the max norm.  The float ends come
+    from exact integers with at most five roundings, each end off by at
+    most 5 2^-53 (|center| + half) < 6e-10 while |center| + half < 2^20
+    (checked), far inside the margin.  More than ``limit`` lines on one
+    level raise CapacityError before they are laid out."""
+    m = _cofactor_vector(prefix)
+    keep = (np.gcd.reduce(np.abs(m), axis=1) == 1) & (budget >= 1)
+    m, budget = m[keep], budget[keep]
+    ws = _size_reduce_basis(prefix[keep])
+    x0 = _particular_solution(m)
+    k = ws.shape[1]
+    gram = [[(ws[:, i] * ws[:, j]).sum(axis=1) for j in range(k)]
+            for i in range(k)]
+    adj, d = _adjugate(gram), _det(gram)
+    h = [(x0 * ws[:, i].astype(np.float64)).sum(axis=1) for i in range(k)]
+    for a in range(k):
+        mu = np.rint(sum(adj[a][b] * h[b] for b in range(k)) / d)
+        x0 = x0 - mu.astype(np.int64)[:, None] * ws[:, a]
+    h = [(x0 * ws[:, i]).sum(axis=1) for i in range(k)]
+    c = (x0 * x0).sum(axis=1) - budget
+    rep, ys = np.arange(len(x0)), []
+    wmax = max(float(gram[i][i].max(initial=0)) for i in range(k))
+    radius = math.sqrt(int((x0 * x0).sum(axis=1).max(initial=0)))
+    big_b = int(budget.max(initial=0))
+    for j in range(k):
+        r = k - j
+        if (r * r + 1) * (radius**2 + big_b) * wmax**r >= _LINE_HEADROOM:
+            raise CapacityError("slnz last-row integers past the int64 range")
+        if r == 1:
+            break
+        if j:
+            sub = [row[j:] for row in gram[j:]]
+            adj = [[e[rep] for e in row] for row in _adjugate(sub)]
+            d = _det(sub)[rep]
+            q = sum(h[a] * adj[a][b] * h[b]
+                    for a in range(r) for b in range(r)) - c * d
+        else:
+            q = d * budget - 1
+        center = -sum(adj[0][b] * h[b] for b in range(r)) / d
+        half = np.sqrt(np.maximum(q, 0) * adj[0][0].astype(np.float64)) / d
+        ymax = float((np.abs(center) + half).max(initial=0)) + 1
+        if ymax >= 2**20:
+            raise CapacityError("slnz last-row lines past the float range")
+        radius += ymax * math.sqrt(wmax)
+        lo = np.ceil(center - half - _LINE_MARGIN).astype(np.int64)
+        hi = np.floor(center + half + _LINE_MARGIN).astype(np.int64)
+        lines = np.where(q >= 0, np.maximum(hi - lo + 1, 0), 0)
+        if int(lines.sum()) > limit:
+            raise CapacityError("search lines exceed capacity")
+        sel, off = _ragged_arange(lines)
+        v = lo[sel] + off
+        src = rep[sel] if j else sel
+        c = c[sel] + v * (2 * h[0][sel] + v * gram[j][j][src])
+        h = [h[a][sel] + v * gram[j + a][j][src] for a in range(1, r)]
+        ys = [y[sel] for y in ys] + [v]
+        rep = src
+    tlo, thi = _quadratic_interval(gram[-1][-1][rep], h[0], c)
+    return (keep, m, ws, x0), (rep, ys, tlo, thi)
 
 
 def _count_last_row(prefix, budget, weight, meter):
-    """Exact Frobenius completion count of two-row SL(3) prefixes, no
-    matrices materialized: the last rows form a plane lattice, counted
-    line by line by exact interval lengths.
-
-    Each prefix's completions count ``weight`` times (the orbit size of
-    its first row); the meter and the box guard see weighted totals."""
-    m = _cofactor_vector(prefix)
-    g = np.gcd.reduce(np.abs(m), axis=1)
-    keep = (g == 1) & (budget >= 1)
-    prefix, budget, m, weight = prefix[keep], budget[keep], m[keep], weight[keep]
-    if len(prefix) == 0:
-        return 0
-    ws = _size_reduce_basis(prefix)
-    x0 = _babai_shift(_particular_solution(m), ws)
-    w1, w2 = ws[:, 0], ws[:, 1]
-    aa = (w1 * w1).sum(axis=1)
-    bb = (w1 * w2).sum(axis=1)
-    cc = (w2 * w2).sum(axis=1)
-    b1 = (x0 * w1).sum(axis=1)
-    b2 = (x0 * w2).sum(axis=1)
-    n0 = (x0 * x0).sum(axis=1) - budget
-    det = (aa * cc - bb * bb).astype(np.float64)
-    center = (-cc * b1 + bb * b2) / det
-    c_full = (cc * b1 * b1 - 2.0 * bb * (b1 * b2) + aa * b2 * b2) / det \
-        - n0
-    half = np.sqrt(np.maximum(c_full, 0) * cc / det)
-    ilo = np.floor(center - half - 1e-6).astype(np.int64)
-    lens = np.where(c_full >= 0,
-                    np.floor(center + half + 1e-6).astype(np.int64)
-                    - ilo + 1, 0)
-    lens = np.maximum(lens, 0)
-    if int((lens * weight).sum()) > 8 * meter.limit:
-        raise CapacityError("search boxes exceed capacity")
-    rep, off = _ragged_arange(lens)
-    ii = ilo[rep] + off
-    counts = _quadratic_interval_count(
-        cc[rep], b2[rep] + ii * bb[rep],
-        n0[rep] + ii * (2 * b1[rep] + ii * aa[rep]))
-    total = int((counts * weight[rep]).sum())
+    """Exact Frobenius count of the last rows of the prefixes, each
+    prefix's rows counting ``weight`` times (the orbit size of its first
+    row): the summed lengths of the solver's lines, no matrix built.
+    The meter sees the weighted total."""
+    (keep, _, _, _), (rep, _, tlo, thi) = _last_row_lines(
+        prefix, budget, 8 * meter.limit)
+    total = int(((thi - tlo + 1) * weight[keep][rep]).sum())
     meter.add(total)
     return total
 
 
 def _complete_last_row(prefix, budget, bound, norm, meter):
-    """All integer matrices (prefix rows stacked over x) of det 1.
-
-    ``budget`` is the exact remaining allowance for |x|^2 under the
-    Frobenius norm (None for max norm).  Solutions of m.x = 1 form
-    x0 + Z-span(prefix rows); the span equals the full kernel lattice
-    because the prefix Gram determinant matches |m|^2."""
-    nn = prefix.shape[2]
-    m = _cofactor_vector(prefix)
-    g = np.gcd.reduce(np.abs(m), axis=1)
-    keep = g == 1
-    if norm == "frobenius":
-        keep &= budget >= 1
-        budget = budget[keep]
-    prefix, m = prefix[keep], m[keep]
-    if len(prefix) == 0:
-        return None
-    ws = _size_reduce_basis(prefix)
-    x0 = _babai_shift(_particular_solution(m), ws)
-    k = ws.shape[1]
-    if norm == "frobenius":
-        c_eff = budget.astype(np.float64) - (x0 * x0).sum(axis=1)
-    else:
-        c_eff = float(nn) * bound * bound - (x0 * x0).sum(axis=1)
-    los, lens = _ellipsoid_boxes(ws, x0, c_eff)
-    if lens.astype(np.float64).prod(axis=1).sum() > 8 * meter.limit:
-        raise CapacityError("search boxes exceed capacity")
-    counts = lens.prod(axis=1)
+    """All matrices (prefix rows stacked over x) of det 1 in the ball,
+    built from the solver's lines in sub-batches of about _CHUNK_PAIRS
+    rows, split by the exact line lengths.  ``budget``: the allowance for
+    |x|^2 under the Frobenius norm, where the lines hold exactly the
+    ball's rows: the meter is charged before any is built, and every row
+    is checked (in the ball, det 1).  Under the max norm (None) the lines
+    cover the sphere |x|^2 <= n B^2 and the rows with an entry past B are
+    dropped before the meter sees them."""
+    frob = norm == "frobenius"
+    if not frob:
+        budget = np.full(len(prefix), prefix.shape[2] * bound * bound)
+    (keep, m, ws, x0), (rep, ys, tlo, thi) = _last_row_lines(
+        prefix, budget, 8 * meter.limit)
+    prefix, budget = prefix[keep], budget[keep]
+    lengths = thi - tlo + 1
+    total = int(lengths.sum())
+    if frob:
+        meter.add(total)
+    elif total > 8 * meter.limit:
+        raise CapacityError("search lines exceed capacity")
+    base = x0[rep] + sum(y[:, None] * ws[rep, j] for j, y in enumerate(ys))
+    step = ws[rep, -1]
+    splits = np.searchsorted(np.cumsum(lengths), np.arange(
+        _CHUNK_PAIRS, total, _CHUNK_PAIRS), side="right")
     outs = []
-    # sub-batch so one skinny ellipsoid cannot blow up a whole block
-    n_splits = max(int(counts.sum()) // (4 * _CHUNK_PAIRS), 0)
-    splits = np.searchsorted(np.cumsum(counts),
-                             np.arange(1, n_splits + 1)
-                             * (4 * _CHUNK_PAIRS)) + 1
-    lo_idx = 0
-    for hi_idx in list(splits) + [len(ws)]:
-        hi_idx = min(max(hi_idx, lo_idx), len(ws))
-        if hi_idx == lo_idx:
-            continue
-        sl = slice(lo_idx, hi_idx)
-        lo_idx = hi_idx
-        rep, off = _ragged_arange(counts[sl])
-        if len(rep) == 0:
-            continue
-        base = np.zeros((len(rep), ws.shape[2]), dtype=np.int64)
-        rem = off
-        for axis in range(k - 1, -1, -1):
-            ll = lens[sl][rep, axis]
-            coord = los[sl][rep, axis] + rem % ll
-            rem = rem // ll
-            base += coord[:, None] * ws[sl][rep, axis]
-        x = x0[sl][rep] + base
-        if norm == "frobenius":
-            ok = (x * x).sum(axis=1) <= budget[sl][rep]
-        else:
-            ok = np.abs(x).max(axis=1) <= bound
-        x, rep = x[ok], rep[ok]
-        if len(x) == 0:
-            continue
-        if not np.all((m[sl][rep] * x).sum(axis=1) == 1):
+    for sel in np.split(np.arange(len(rep)), splits):
+        line, off = _ragged_arange(lengths[sel])
+        line = sel[line]
+        x = base[line] + (tlo[line] + off)[:, None] * step[line]
+        own = rep[line]
+        if not frob:
+            inside = np.abs(x).max(axis=1) <= bound
+            x, own = x[inside], own[inside]
+            meter.add(len(x))
+        elif np.any((x * x).sum(axis=1) > budget[own]):
+            raise InvariantError("completed last row lies outside the ball")
+        if not np.all((m[own] * x).sum(axis=1) == 1):
             raise InvariantError("completed last row gives det != 1")
-        meter.add(len(x))
-        outs.append(np.concatenate(
-            [prefix[sl][rep], x[:, None, :]], axis=1))
-    if not outs:
-        return None
+        outs.append(np.concatenate([prefix[own], x[:, None, :]], axis=1))
     return np.concatenate(outs)
 
 
@@ -1041,13 +1053,15 @@ class _SlnzPlan:
     """First rows, later-row tables and prefix block layout of slnz.
 
     Enumeration takes every first row of the lex sorted row table.  The
-    SL(3) Frobenius count (``reduced``) takes only the first rows of the
-    signed permutation fundamental domain, each standing for its whole
-    orbit (``orbit``, the orbit sizes): for a signed permutation matrix
-    P and D = diag(1, det P, 1), gamma -> D gamma P maps the ball onto
-    itself and first row r to rP, so every row of an orbit has the same
-    number of completions.  Rows 2..n-1 always range over the full
-    norm-sorted table, so its radius limit holds for both."""
+    Frobenius count for n >= 3 (``reduced``) takes only the first rows
+    of the signed permutation fundamental domain, each standing for its
+    whole orbit (``orbit``, the orbit sizes): for a signed permutation
+    matrix P and D = diag(1, det P, 1, ..., 1), gamma -> D gamma P maps
+    the ball onto itself and first row r to rP, so every row of an orbit
+    has the same number of completions.  Rows 2..n-1 always range over
+    the full norm-sorted table, so its radius limit holds for both.
+    Either way each block's prefixes (rows 1..n-1) go to the one
+    last-row solver, _last_row_lines."""
 
     def __init__(self, spec: BallSpec, reduced: bool = False):
         n, cut = spec.n, norm_sq_cut(spec._exact_t_inf())
@@ -1072,11 +1086,10 @@ class _SlnzPlan:
         if n == 2:
             per_row = np.ones(len(self.rows1), dtype=np.int64)
         elif spec.norm == "frobenius":
-            self.pref = per_row = np.searchsorted(
+            per_row = np.searchsorted(
                 self.norms_ns, self.sq - (n - 2) - self.norms1, side="right")
         else:
-            self.pref = per_row = np.full(len(self.rows1), len(self.rows_ns),
-                                          dtype=np.int64)
+            per_row = np.full(len(self.rows1), len(self.rows_ns))
         cum = np.cumsum(per_row)
         cuts = np.searchsorted(
             cum, np.arange(1, math.ceil(cum[-1] / _CHUNK_PAIRS))
@@ -1093,32 +1106,21 @@ class _SlnzPlan:
 
     def prefixes(self, span):
         """(prefix rows, exact Frobenius budget or None, index of each
-        prefix's first row in ``rows1``) for a block."""
-        g0, g1 = span
+        prefix's first row in ``rows1``) for a block: each later row runs
+        over the norm-sorted table, up to what leaves every row after it
+        a norm of at least 1."""
         n, sq = self.n, self.sq
-        frob = self.spec.norm == "frobenius"
-        first = np.arange(g0, g1)
-        if n == 2:
-            prefix = self.rows1[g0:g1][:, None, :]
-            return prefix, (sq - self.norms1[g0:g1]) if frob else None, first
-        rep1, off = _ragged_arange(self.pref[g0:g1])
-        first = first[rep1]
-        r1 = self.rows1[first]
-        r2 = self.rows_ns[off]
-        if n == 3:
-            prefix = np.stack([r1, r2], axis=1)
-            budget = sq - self.norms1[first] - self.norms_ns[off] \
-                if frob else None
-            return prefix, budget, first
-        used = self.norms1[first] + self.norms_ns[off]
-        if frob:
-            p3 = np.searchsorted(self.norms_ns, sq - 1 - used, side="right")
-        else:
-            p3 = np.full(len(r1), len(self.rows_ns), dtype=np.int64)
-        rep2, off3 = _ragged_arange(p3)
-        prefix = np.stack([r1[rep2], r2[rep2], self.rows_ns[off3]], axis=1)
-        budget = (sq - used[rep2] - self.norms_ns[off3]) if frob else None
-        return prefix, budget, first[rep2]
+        first = np.arange(*span)
+        rows, used = [self.rows1[first]], self.norms1[first]
+        for i in range(n - 2):
+            more = (np.full(len(first), len(self.rows_ns)) if sq is None else
+                    np.searchsorted(self.norms_ns, sq - n + 2 + i - used,
+                                    side="right"))
+            rep, off = _ragged_arange(more)
+            rows = [r[rep] for r in rows] + [self.rows_ns[off]]
+            used, first = used[rep] + self.norms_ns[off], first[rep]
+        return (np.stack(rows, axis=1), None if sq is None else sq - used,
+                first)
 
 
 def iter_slnz_chunks(spec: BallSpec, workers=None):
@@ -1132,22 +1134,16 @@ def iter_slnz_chunks(spec: BallSpec, workers=None):
         prefix, budget, _ = plan.prefixes(span)
         mats = _complete_last_row(prefix, budget, plan.bound, spec.norm,
                                   meter)
-        if mats is None:
-            return None
         keys = [_pack_rows(mats[:, i]) for i in range(spec.n)]
-        order = np.lexsort(tuple(reversed(keys)))
-        return mats[order]
+        return mats[np.lexsort(keys[::-1])]
 
     for block in _pool_map(run, plan.blocks, resolve_workers(workers)):
-        if block is not None:
+        if len(block):
             yield np.zeros(len(block), dtype=np.int64), block
 
 
 def enum_slnz(spec: BallSpec, workers=None) -> np.ndarray:
-    chunks = [m for _, m in iter_slnz_chunks(spec, workers)]
-    if not chunks:
-        return np.empty((0, spec.n, spec.n), dtype=np.int64)
-    return np.concatenate(chunks)
+    return _concat_chunks(iter_slnz_chunks(spec, workers), spec.n)[1]
 
 
 def entry_bound(spec: BallSpec) -> int:
@@ -1169,16 +1165,17 @@ def iter_ball_chunks(spec: BallSpec, workers=None):
 def ball_count(spec: BallSpec, workers=None) -> int:
     """Number of elements in the ball.
 
-    Frobenius balls with n <= 3 are counted without building a matrix.
-    SL(2,Z), slnz n = 2 (the same set) and SL(2,Z[1/p]) come from sums
-    of two squares: sl2_ladder_totals with the ball as its one rung.
-    Their int64 headroom is checked before counting, and capacity as the
-    count runs (see sl2_ladder_totals).  SL(3,Z) visits only the first
-    rows of the signed-permutation fundamental domain, each weighted by
-    its orbit size (see ``_SlnzPlan``), and counts the last row by exact
-    interval lengths; capacity applies to the weighted totals block by
-    block.  The max norm and n = 4 are enumerated chunk by chunk."""
-    if spec.norm != "frobenius" or spec.n > 3:
+    Frobenius balls are counted without building a matrix.  SL(2,Z),
+    slnz n = 2 (the same set) and SL(2,Z[1/p]) come from sums of two
+    squares: sl2_ladder_totals with the ball as its one rung.  Their
+    int64 headroom is checked before counting, and capacity as the count
+    runs (see sl2_ladder_totals).  SL(3,Z) and SL(4,Z) visit only the
+    first rows of the signed-permutation fundamental domain, each
+    weighted by its orbit size (see ``_SlnzPlan``), and sum the lengths
+    of the last-row solver's exact intervals (_count_last_row); capacity
+    applies to the weighted totals block by block.  The max norm is
+    enumerated chunk by chunk."""
+    if spec.norm != "frobenius":
         return sum(len(m) for _, m in iter_ball_chunks(spec, workers))
     if spec.n == 2:
         cuts = _level_cuts(spec._exact_t_inf(), spec.p, spec._exact_t_p())

@@ -93,6 +93,41 @@ def brute_slnz(n, t, norm="frobenius"):
     return sorted(out)
 
 
+def _int_det(mats):
+    """Exact integer determinants of an (N, n, n) int64 stack by cofactor
+    expansion along the first row."""
+    n = mats.shape[1]
+    if n == 1:
+        return mats[:, 0, 0]
+    total = np.zeros(len(mats), dtype=np.int64)
+    for j in range(n):
+        sub = np.delete(mats[:, 1:], j, axis=2)
+        total += (-1) ** j * mats[:, 0, j] * _int_det(sub)
+    return total
+
+
+def box_scan_slnz(n, t, norm="frobenius"):
+    """brute_slnz in numpy: the matrices of the full entry box, one first
+    row at a time, with exact cofactor determinants; an (N, n*n) array in
+    lex order of the flattened entries."""
+    t = Fraction(t)
+    cut = math.floor(t * t)
+    bound = math.floor(t) if norm == "max" else math.isqrt(max(cut - n + 1, 0))
+    rows = np.array(list(itertools.product(range(-bound, bound + 1),
+                                           repeat=n)), dtype=np.int64)
+    rest = np.array(list(itertools.product(range(len(rows)), repeat=n - 1)),
+                    dtype=np.int64).reshape(-1, n - 1)
+    found = []
+    for first in rows:
+        mats = np.concatenate([np.broadcast_to(first, (len(rest), 1, n)),
+                               rows[rest]], axis=1)
+        ok = _int_det(mats) == 1
+        if norm != "max":
+            ok &= (mats * mats).sum(axis=(1, 2)) <= cut
+        found.append(mats[ok].reshape(-1, n * n))
+    return np.concatenate(found)
+
+
 def brute_sl2z(t, norm="frobenius"):
     return brute_slnz(2, t, norm)
 

@@ -39,6 +39,7 @@ from orbitlab.errors import CapacityError, ConfigError, InvariantError
 from orbitlab.places import padic_abs
 
 from oracles import (
+    box_scan_slnz,
     brute_sl2z,
     brute_sl2zp,
     brute_slnz,
@@ -207,6 +208,122 @@ def test_sl4_signed_permutations():
     assert np.all(np.abs(mats).sum(axis=(1, 2)) == 4)
 
 
+@pytest.mark.parametrize("n,tmax,norm", [(2, 4.0, "frobenius"),
+                                         (2, 4.0, "max"),
+                                         (3, 2.4, "frobenius"),
+                                         (3, 2.4, "max")])
+def test_slnz_against_box_scan_random_radii(n, tmax, norm):
+    # count and enumeration share the last-row solver; the box scan
+    # shares nothing with either, and equals the slower brute_slnz
+    small = 2.2 if norm == "frobenius" else 1.5
+    assert [tuple(r) for r in box_scan_slnz(n, small, norm).tolist()] \
+        == brute_slnz(n, small, norm)
+    rng = random.Random(40 + n)
+    for _ in range(6):
+        t = Fraction(rng.randint(100, int(tmax * 100)), 100)
+        want = box_scan_slnz(n, t, norm)
+        spec = BallSpec("slnz", n=n, t_inf=t, norm=norm)
+        got = enum_slnz(spec, workers=1).reshape(-1, n * n)
+        assert np.array_equal(got, want), t
+        assert ball_count(spec, workers=1) == len(want), t
+
+
+@pytest.mark.parametrize("route,t,norm,count", [
+    ("count", 2.5, "frobenius", 50880), ("enum", 2.5, "frobenius", 50880),
+    ("count", 3, "frobenius", 2109120), ("count", 1, "max", 5170368)])
+def test_sl4_counts_pinned(route, t, norm, count):
+    # counted by the float-box enumeration that the last-row solver
+    # replaced
+    spec = BallSpec("slnz", n=4, t_inf=t, norm=norm)
+    if route == "count":
+        assert ball_count(spec, workers=2) == count
+    else:
+        assert len(enum_slnz(spec, workers=2)) == count
+
+
+def test_quadratic_interval_is_exact():
+    rng = np.random.default_rng(8)
+    qa = rng.integers(1, 40, 3000)
+    qb = rng.integers(-400, 400, 3000)
+    qc = rng.integers(-3000, 3000, 3000)
+    tlo, thi = balls._quadratic_interval(qa, qb, qc)
+    t = np.arange(-1000, 1000)
+    inside = qa[:, None] * t * t + 2 * qb[:, None] * t + qc[:, None] <= 0
+    assert np.array_equal(thi - tlo + 1, inside.sum(axis=1))
+    some = inside.any(axis=1)
+    assert np.array_equal(t[inside.argmax(axis=1)][some], tlo[some])
+    assert np.all(thi[~some] == tlo[~some] - 1)
+
+
+def _count_interval_rows(monkeypatch):
+    """Counter of the rows in the exact intervals of the last-row solver,
+    which are all the rows enumeration builds."""
+    built = [0]
+    real = balls._quadratic_interval
+
+    def counting(qa, qb, qc):
+        tlo, thi = real(qa, qb, qc)
+        built[0] += int((thi - tlo + 1).sum())
+        return tlo, thi
+
+    monkeypatch.setattr(balls, "_quadratic_interval", counting)
+    return built
+
+
+@pytest.mark.parametrize("n,t", [(2, 9.5), (3, 3.5), (4, 2.5)])
+def test_slnz_builds_no_rejected_row(n, t, monkeypatch):
+    built = _count_interval_rows(monkeypatch)
+    mats = enum_slnz(BallSpec("slnz", n=n, t_inf=t), workers=1)
+    assert len(mats) > 0 and built[0] == len(mats)
+
+
+@pytest.mark.parametrize("n,t", [(2, 3), (3, 3), (4, 2.5)])
+def test_widened_last_row_interval_raises(n, t, monkeypatch):
+    # a row the solver should not have built is an invariant error,
+    # never dropped silently
+    real = balls._quadratic_interval
+    monkeypatch.setattr(balls, "_quadratic_interval",
+                        lambda *q: (real(*q)[0] - 1, real(*q)[1] + 1))
+    with pytest.raises(InvariantError, match="outside the ball"):
+        enum_slnz(BallSpec("slnz", n=n, t_inf=t), workers=1)
+
+
+@pytest.mark.parametrize("n,t,norm", [(3, 3.5, "frobenius"), (3, 1, "max"),
+                                      (4, 2.5, "frobenius")])
+def test_slnz_capacity_counts_emitted_elements(n, t, norm):
+    # capacity equal to the element count passes, one below fails
+    spec = dict(group="slnz", n=n, t_inf=t, norm=norm)
+    true = len(enum_slnz(BallSpec(**spec), workers=1))
+    assert len(enum_slnz(BallSpec(**spec, capacity=true), workers=1)) == true
+    with pytest.raises(CapacityError, match="exceeds capacity"):
+        enum_slnz(BallSpec(**spec, capacity=true - 1), workers=1)
+
+
+def test_sl4_max_norm_capacity_counts_kept_rows():
+    # the smallest SL(4) max-norm ball takes seconds to build, so the
+    # meter is checked on the first prefixes of its plan: the dropped
+    # rows of the sphere are not charged
+    spec = BallSpec("slnz", n=4, t_inf=1, norm="max")
+    plan = balls._SlnzPlan(spec)
+    prefix = plan.prefixes(plan.blocks[0])[0][:4000]
+    true = len(balls._complete_last_row(prefix, None, 1, "max",
+                                        balls._CapacityMeter(math.inf)))
+    assert len(balls._complete_last_row(
+        prefix, None, 1, "max", balls._CapacityMeter(true))) == true
+    with pytest.raises(CapacityError, match="exceeds capacity"):
+        balls._complete_last_row(prefix, None, 1, "max",
+                                 balls._CapacityMeter(true - 1))
+
+
+def test_last_row_headroom_guard(monkeypatch):
+    # the solver's integers are bounded before they are formed
+    monkeypatch.setattr(balls, "_LINE_HEADROOM", 1 << 10)
+    with pytest.raises(CapacityError, match="int64"):
+        enum_slnz(BallSpec("slnz", n=3, t_inf=6), workers=1)
+    with pytest.raises(CapacityError, match="int64"):
+        ball_count(BallSpec("slnz", n=3, t_inf=6), workers=1)
+
+
 @pytest.mark.parametrize("n,t", [(3, 2.2), (3, 3.5), (2, 6.25)])
 def test_count_only_route_matches_enumeration(n, t):
     # the count path never materializes matrices; it must agree with
@@ -351,6 +468,13 @@ def test_strip_chunks_against_box_scan(p, t_inf, t_p, monkeypatch):
         got = _strip_elements(iter_sl2_strip_chunks(
             spec, vec, float(r.max()) + 1, workers=1))
         assert sorted(got) == ball
+
+
+def test_strip_chunks_need_the_frobenius_norm():
+    # checked when called, before the generator runs
+    with pytest.raises(ConfigError, match="Frobenius"):
+        iter_sl2_strip_chunks(BallSpec("sl2z", t_inf=5, norm="max"),
+                              (1.0, 1.4), 2.0)
 
 
 @pytest.mark.parametrize("n", [2, 3])
