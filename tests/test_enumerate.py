@@ -232,8 +232,9 @@ def test_slnz_against_box_scan_random_radii(n, tmax, norm):
     ("count", 2.5, "frobenius", 50880), ("enum", 2.5, "frobenius", 50880),
     ("count", 3, "frobenius", 2109120), ("count", 1, "max", 5170368)])
 def test_sl4_counts_pinned(route, t, norm, count):
-    # counted by the float-box enumeration that the last-row solver
-    # replaced
+    # too large for the box scan: the counts of an earlier, independent
+    # enumeration (float bounding boxes around the whole ellipsoid and an
+    # exact filter)
     spec = BallSpec("slnz", n=4, t_inf=t, norm=norm)
     if route == "count":
         assert ball_count(spec, workers=2) == count
