@@ -234,8 +234,8 @@ def test_slnz_against_box_scan_random_radii(n, tmax, norm):
 def test_sl4_counts_pinned(route, t, norm, count):
     # too large for the box scan: the counts of an earlier, independent
     # enumeration (float bounding boxes around the whole ellipsoid and an
-    # exact filter)
-    spec = BallSpec("slnz", n=4, t_inf=t, norm=norm)
+    # exact filter); a capacity equal to the count passes
+    spec = BallSpec("slnz", n=4, t_inf=t, norm=norm, capacity=count)
     if route == "count":
         assert ball_count(spec, workers=2) == count
     else:
