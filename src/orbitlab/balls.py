@@ -9,9 +9,9 @@ it is the one engine of both the whole-ball stream and the test strips
 of orbit runs, which pass it a strip to cut its rows and intervals.
 SL(n) matrices are built row by row: the first n-1 rows from tables,
 the last one by one solver (_last_row_lines) that splits its lattice
-coset into lines, each with an exact integer interval, so counts sum
-interval lengths and Frobenius enumeration builds only elements of the
-ball.
+coset into lines, each with an exact integer interval under either norm,
+so counts sum interval lengths and enumeration builds only elements of
+the ball.  Counts build no matrix under either norm.
 
 The size of a matrix is its squared norm |M|^2 as an exact integer,
 ``norm_sq``; the cut for radius r is floor(r^2), ``norm_sq_cut``, under
@@ -216,6 +216,33 @@ def _isqrt_array(x):
     return s
 
 
+def _box_interval(base, step, bound):
+    """Exact ends tlo, thi of {t in Z : every entry of base + t step is
+    at most ``bound`` in modulus}; base and step yield the k coordinates
+    of N vectors, one int64 array of length N each, every step vector
+    nonzero; thi = tlo - 1 where the set is empty.
+
+    A coordinate with step s > 0 (signs flipped to make it so) gives the
+    floor-division interval ceil((-bound - base) / s) .. floor((bound -
+    base) / s), one with s = 0 every t or none, and the coordinates'
+    intervals intersect: the max-norm interval of both the SL(2) engine
+    and the SL(n) last-row solver."""
+    huge = np.int64(1) << 60
+    tlo = thi = None
+    for b, s in zip(base, step):
+        if tlo is None:
+            tlo, thi = np.full(len(b), -huge), np.full(len(b), huge)
+        move = np.flatnonzero(s)
+        sm, bm = s[move], b[move]
+        bm = np.where(sm < 0, -bm, bm)
+        sm = np.abs(sm)
+        tlo[move] = np.maximum(tlo[move], -((bound + bm) // sm))
+        thi[move] = np.minimum(thi[move], (bound - bm) // sm)
+        out = np.flatnonzero((s == 0) & (np.abs(b) > bound))
+        tlo[out], thi[out] = huge, -huge
+    return tlo, np.maximum(thi, tlo - 1)
+
+
 def _ragged_arange(lengths):
     """(index, offset) pairs enumerating range(lengths[i]) for each i."""
     lengths = lengths.astype(np.int64)
@@ -311,8 +338,7 @@ def _sl2_columns(a, c, det, bound, sq_int, prim_p=None):
     step_a^2 + step_c^2 and rr = step_a b0 + step_c d0, the norm bound is
     q t^2 + 2 rr t + |b0, d0|^2 <= rem, whose discriminant is q rem -
     (det/g)^2 by Lagrange's identity; q t is an integer, so the integer
-    square root s gives the interval exactly.  Max norm: each entry gives
-    an exact floor-division interval.
+    square root s gives the interval exactly.  Max norm: _box_interval.
 
     ``skip`` is -1, or where the matrices of a column vanish mod prim_p,
     the residue (t - tlo) mod p of exactly those t.  They occur only when
@@ -336,18 +362,7 @@ def _sl2_columns(a, c, det, bound, sq_int, prim_p=None):
         tlo = -np.floor_divide(rr + s, q)
         thi = np.where(disc >= 0, np.floor_divide(s - rr, q), tlo - 1)
     else:
-        huge = np.int64(1) << 60
-        tlo = np.full(len(a), -huge)
-        thi = np.full(len(a), huge)
-        for coef, base in ((step_a, b0), (step_c, d0)):
-            zero = coef == 0
-            cpos = np.where(zero, 1, np.abs(coef))
-            baseq = base * np.where(coef < 0, -1, 1)
-            lo1 = -np.floor_divide(bound + baseq, cpos)
-            hi1 = np.floor_divide(bound - baseq, cpos)
-            bad = zero & (np.abs(base) > bound)
-            tlo = np.where(zero, np.where(bad, huge, tlo), np.maximum(tlo, lo1))
-            thi = np.where(zero, np.where(bad, -huge, thi), np.minimum(thi, hi1))
+        tlo, thi = _box_interval((b0, d0), (step_a, step_c), bound)
     skip = np.full(len(a), -1, dtype=np.int64)
     if prim_p:
         p = prim_p
@@ -610,21 +625,67 @@ def _det_norm_counts(det, cuts, meter=None):
     return out
 
 
-def sl2_ladder_totals(spec: BallSpec, cuts) -> list:
-    """Elements of each rung of a Frobenius SL(2,Z) or SL(2,Z[1/p])
-    ladder whose top rung is ``spec``'s ball, counted without building
-    one.
+def _det_max_counts(det, cuts, meter, workers):
+    """For each X in ``cuts``, the number of integer 2x2 M with det M =
+    det >= 1 and norm_sq(M) <= X under the max norm: every entry at most
+    isqrt(X).
+
+    For a signed permutation matrix P, M -> P M diag(1, det P) keeps det
+    and the largest entry and moves the first column to P (a, c), so one
+    first column 0 <= c <= a, gcd(a, c) | det, stands for its orbit of
+    (4 << (c > 0)) >> (a == c) columns, each completed by the t of its
+    exact max-norm interval (_sl2_columns).  The columns run in blocks of
+    a of about _R2_BLOCK pairs on ``workers`` threads, and ``meter`` is
+    charged block by block with the count of the largest X."""
+    bounds = [math.isqrt(x) for x in cuts]
+    top = max(bounds, default=0)
+    width = max(1, _R2_BLOCK // (top + 1))
+
+    def run(a0):
+        rep, c = _ragged_arange(np.arange(a0, min(a0 + width, top + 1)) + 1)
+        a = rep + a0
+        keep = det % np.gcd(a, c) == 0
+        a, c = a[keep], c[keep]
+        weight = (4 << (c > 0)) >> (a == c)
+        counts = []
+        for bound in bounds:
+            on = a <= bound
+            *_, tlo, thi, _ = _sl2_columns(a[on], c[on], det, bound, None)
+            counts.append(int(((thi - tlo + 1) * weight[on]).sum()))
+        return counts
+
+    out = [0] * len(cuts)
+    for counts in _pool_map(run, range(1, top + 1, width), workers):
+        out = [total + k for total, k in zip(out, counts)]
+        if meter is not None:
+            meter.add(max(counts))
+    return out
+
+
+def sl2_ladder_totals(spec: BallSpec, cuts, workers=None) -> list:
+    """Elements of each rung of an SL(2,Z) or SL(2,Z[1/p]) ladder whose
+    top rung is ``spec``'s ball, counted without building one: from sums
+    of two squares under the Frobenius norm (_det_norm_counts), from the
+    exact column intervals under the max norm (_det_max_counts, on
+    ``workers`` threads).
 
     ``cuts[i][m]`` is the norm_sq cut of the level-m matrices M at rung i
     (-1 where the level is excluded).  Level m holds the M of det p^(2m)
     less those that vanish mod p, which are p times the matrices of det
-    p^(2m-2) and norm_sq at most floor(cut / p^2); level m - 1 counts
-    those in the same pass as its own.  The spec's int64 headroom is
-    checked first, and a top rung over its capacity raises
-    CapacityError, as the stream would: early, as soon as the level-0
-    count of its cut passes the capacity (the top rung holds every other
-    rung, so no level-0 cut is larger), else once the totals are known."""
+    p^(2m-2) and norm_sq at most floor(cut / p^2), under either norm;
+    level m - 1 counts those in the same pass as its own.  The spec's
+    int64 headroom is checked first, and a top rung over its capacity
+    raises CapacityError, as the stream would: early, as soon as the
+    level-0 count of its cut passes the capacity (the top rung holds
+    every other rung, so no level-0 cut is larger), else once the totals
+    are known."""
     _sl2_levels(spec)
+
+    def det_counts(det, xs, meter):
+        if spec.norm == "frobenius":
+            return _det_norm_counts(det, xs, meter)
+        return _det_max_counts(det, xs, meter, resolve_workers(workers))
+
     p = spec.p or 1
     cuts = np.asarray(cuts, dtype=np.int64).tolist()
     totals = [0] * len(cuts)
@@ -634,7 +695,7 @@ def sl2_ladder_totals(spec: BallSpec, cuts) -> list:
         xs |= {row[m + 1] // (p * p) for row in cuts
                if m + 1 < len(row) and row[m + 1] >= 0}
         xs = sorted(xs)
-        here = dict(zip(xs, _det_norm_counts(
+        here = dict(zip(xs, det_counts(
             p ** (2 * m), xs, None if m else _CapacityMeter(spec.capacity))))
         for i, row in enumerate(cuts):
             if row[m] >= 0:
@@ -783,9 +844,10 @@ def _row_table(n, bound, sq_int, norm):
     return rows, rows[order], norms[order]
 
 
-def _orbit_rows(n, limit):
-    """Rows r0 >= r1 >= ... >= r(n-1) >= 0, r != 0, |r|^2 <= limit, lex
-    sorted, with their orbit sizes under signed permutations.
+def _orbit_rows(n, limit, cap):
+    """Rows r0 >= r1 >= ... >= r(n-1) >= 0, r != 0, |r|^2 <= limit and
+    r0 <= cap, lex sorted, with their orbit sizes under signed
+    permutations.
 
     These rows form a fundamental domain of the signed permutations on
     the integer rows; the orbit of r has 2^#nonzero * n!/prod(mult!)
@@ -793,7 +855,7 @@ def _orbit_rows(n, limit):
     one coordinate at a time, never through the full (2b+1)^n table."""
     rows = np.zeros((1, 0), dtype=np.int64)
     rem = np.array([max(limit, 0)], dtype=np.int64)
-    prev = _isqrt_array(rem)  # each entry is capped by the one before
+    prev = np.array([cap])  # each entry is capped by the one before
     for _ in range(n):
         rep, val = _ragged_arange(np.minimum(prev, _isqrt_array(rem)) + 1)
         rows = np.concatenate([rows[rep], val[:, None]], axis=1)
@@ -900,10 +962,11 @@ def _quadratic_interval(qa, qb, qc):
     return tlo, thi
 
 
-def _last_row_lines(prefix, budget, limit):
+def _last_row_lines(prefix, budget, limit, bound=None):
     """The one last-row solver of SL(n): the rows x with det(prefix
-    stacked over x) = 1 and |x|^2 <= budget, for an (N, k, n) batch of
-    prefixes (the first k = n-1 rows), as lines with exact intervals.
+    stacked over x) = 1, |x|^2 <= budget and, with a ``bound`` (the max
+    norm), every entry at most bound, for an (N, k, n) batch of prefixes
+    (the first k = n-1 rows), as lines with exact intervals.
 
     Returns (keep, m, ws, x0) and (rep, ys, tlo, thi).  A prefix keeps
     when its cofactor vector m has gcd 1 and its budget is at least 1;
@@ -922,8 +985,10 @@ def _last_row_lines(prefix, budget, limit):
     and d = det H the projection has center -(A h)_0 / d and half-width
     sqrt(q A_00) / d, q = h A h - c d, and q = d budget - 1 for the whole
     ellipsoid (the plane m . x = 1 lies at distance 1/|m| from 0).  The
-    last coordinate takes its exact interval (_quadratic_interval), so
-    counting sums the lengths and enumeration builds no rejected row.
+    last coordinate takes its exact interval, on the ellipsoid
+    (_quadratic_interval) or, with a bound, on the cube inside the sphere
+    of budget n bound^2 (_box_interval), so counting sums the lengths and
+    enumeration builds no rejected row under either norm.
 
     Headroom: with W the largest |ws_i|^2, B the largest budget and R a
     bound on |x0 + sum y_j ws_j| over the coordinates fixed so far, every
@@ -932,12 +997,14 @@ def _last_row_lines(prefix, budget, limit):
     one it bounds qb^2 and qa qc; qb^2 - qa qc itself is qa (budget -
     min |x|^2 on the line) <= W B: below 22,801^2 for n = 3 at the limit
     T = 150 (67,500^2 under the max norm's sphere n B^2, B = 150), below
-    256^2 for n = 4, T = 15 (900^2).  On random and nearly parallel
-    prefixes at those limits the checked bound reached 2^46 (n = 3) and
-    2^34 (n = 4), 2^51 and 2^43 under the max norm.  The float ends come
-    from exact integers with at most five roundings, each end off by at
-    most 5 2^-53 (|center| + half) < 6e-10 while |center| + half < 2^20
-    (checked), far inside the margin.  More than ``limit`` lines on one
+    256^2 for n = 4, T = 15 (900^2).  The box interval forms at most
+    bound + |base|, base = x0 + sum y_j ws_j the line's point, so below
+    2 sqrt(R^2 + B) as bound^2 <= B: inside the same checked bound.  On
+    random and nearly parallel prefixes at those limits the checked bound
+    reached 2^46 (n = 3) and 2^34 (n = 4), 2^51 and 2^43 under the max
+    norm.  The float ends come from exact integers with at most five
+    roundings, each end off by at most 5 2^-53 (|center| + half) < 6e-10
+    while |center| + half < 2^20 (checked), far inside the margin.  More than ``limit`` lines on one
     level raise CapacityError before they are laid out."""
     m = _cofactor_vector(prefix)
     keep = (np.gcd.reduce(np.abs(m), axis=1) == 1) & (budget >= 1)
@@ -990,43 +1057,44 @@ def _last_row_lines(prefix, budget, limit):
         h = [h[a][sel] + v * gram[j + a][j][src] for a in range(1, r)]
         ys = [y[sel] for y in ys] + [v]
         rep = src
-    tlo, thi = _quadratic_interval(gram[-1][-1][rep], h[0], c)
+    if bound is None:
+        tlo, thi = _quadratic_interval(gram[-1][-1][rep], h[0], c)
+    else:
+        # the lines' points and steps one coordinate at a time
+        cols = range(ws.shape[2])
+        base = (x0[rep, i] + sum(y * ws[rep, j, i] for j, y in enumerate(ys))
+                for i in cols)
+        tlo, thi = _box_interval(base, (ws[rep, -1, i] for i in cols), bound)
     return (keep, m, ws, x0), (rep, ys, tlo, thi)
 
 
-def _count_last_row(prefix, budget, weight, meter):
-    """Exact Frobenius count of the last rows of the prefixes, each
-    prefix's rows counting ``weight`` times (the orbit size of its first
-    row): the summed lengths of the solver's lines, no matrix built.
-    The meter sees the weighted total."""
+def _count_last_row(prefix, budget, bound, weight, meter):
+    """Exact count of the last rows of the prefixes (``budget`` and
+    ``bound`` as in _last_row_lines), each prefix's rows counting
+    ``weight`` times (the orbit size of its first row): the summed
+    lengths of the solver's lines, no matrix built.  The meter sees the
+    weighted total."""
     (keep, _, _, _), (rep, _, tlo, thi) = _last_row_lines(
-        prefix, budget, 8 * meter.limit)
+        prefix, budget, 8 * meter.limit, bound)
     total = int(((thi - tlo + 1) * weight[keep][rep]).sum())
     meter.add(total)
     return total
 
 
-def _complete_last_row(prefix, budget, bound, norm, meter):
+def _complete_last_row(prefix, budget, bound, meter):
     """All matrices (prefix rows stacked over x) of det 1 in the ball,
     built from the solver's lines in sub-batches of about _CHUNK_PAIRS
-    rows, split by the exact line lengths.  ``budget``: the allowance for
-    |x|^2 under the Frobenius norm, where the lines hold exactly the
-    ball's rows: the meter is charged before any is built, and every row
-    is checked (in the ball, det 1).  Under the max norm (None) the lines
-    cover the sphere |x|^2 <= n B^2 and the rows with an entry past B are
-    dropped before the meter sees them."""
-    frob = norm == "frobenius"
-    if not frob:
-        budget = np.full(len(prefix), prefix.shape[2] * bound * bound)
+    rows, split by the exact line lengths.  ``budget`` bounds |x|^2 and
+    ``bound``, under the max norm (None under the Frobenius norm), every
+    entry of x, as in _last_row_lines.  The lines hold exactly the ball's
+    rows under either norm: the meter is charged with their total before
+    any is built, and every row is checked (in the ball, det 1)."""
     (keep, m, ws, x0), (rep, ys, tlo, thi) = _last_row_lines(
-        prefix, budget, 8 * meter.limit)
+        prefix, budget, 8 * meter.limit, bound)
     prefix, budget = prefix[keep], budget[keep]
     lengths = thi - tlo + 1
     total = int(lengths.sum())
-    if frob:
-        meter.add(total)
-    elif total > 8 * meter.limit:
-        raise CapacityError("search lines exceed capacity")
+    meter.add(total)
     base = x0[rep] + sum(y[:, None] * ws[rep, j] for j, y in enumerate(ys))
     step = ws[rep, -1]
     splits = np.searchsorted(np.cumsum(lengths), np.arange(
@@ -1037,11 +1105,9 @@ def _complete_last_row(prefix, budget, bound, norm, meter):
         line = sel[line]
         x = base[line] + (tlo[line] + off)[:, None] * step[line]
         own = rep[line]
-        if not frob:
-            inside = np.abs(x).max(axis=1) <= bound
-            x, own = x[inside], own[inside]
-            meter.add(len(x))
-        elif np.any((x * x).sum(axis=1) > budget[own]):
+        outside = ((x * x).sum(axis=1) > budget[own] if bound is None
+                   else np.abs(x) > bound)
+        if np.any(outside):
             raise InvariantError("completed last row lies outside the ball")
         if not np.all((m[own] * x).sum(axis=1) == 1):
             raise InvariantError("completed last row gives det != 1")
@@ -1053,15 +1119,19 @@ class _SlnzPlan:
     """First rows, later-row tables and prefix block layout of slnz.
 
     Enumeration takes every first row of the lex sorted row table.  The
-    Frobenius count for n >= 3 (``reduced``) takes only the first rows
-    of the signed permutation fundamental domain, each standing for its
-    whole orbit (``orbit``, the orbit sizes): for a signed permutation
-    matrix P and D = diag(1, det P, 1, ..., 1), gamma -> D gamma P maps
-    the ball onto itself and first row r to rP, so every row of an orbit
+    count for n >= 3 (``reduced``) takes only the first rows of the
+    signed permutation fundamental domain, each standing for its whole
+    orbit (``orbit``, the orbit sizes): for a signed permutation matrix P
+    and D = diag(1, det P, 1, ..., 1), gamma -> D gamma P keeps det, the
+    Frobenius norm and the largest entry, so it maps the ball onto itself
+    under either norm and first row r to rP, and every row of an orbit
     has the same number of completions.  Rows 2..n-1 always range over
     the full norm-sorted table, so its radius limit holds for both.
-    Either way each block's prefixes (rows 1..n-1) go to the one
-    last-row solver, _last_row_lines."""
+    Blocks hold at most _CHUNK_PAIRS prefixes (rows 1..n-1), or a single
+    first row, by each first row's exact prefix count, and each block's
+    prefixes go to the one last-row solver, _last_row_lines, with the
+    entry bound ``box`` under the max norm (None under the Frobenius
+    norm)."""
 
     def __init__(self, spec: BallSpec, reduced: bool = False):
         n, cut = spec.n, norm_sq_cut(spec._exact_t_inf())
@@ -1074,41 +1144,41 @@ class _SlnzPlan:
         if self.empty:
             return
         self.sq = cut if spec.norm == "frobenius" else None
+        self.box = self.bound if self.sq is None else None
         self.orbit = None
         self.rows1, self.rows_ns, self.norms_ns = _row_table(
             n, self.bound, self.sq, spec.norm)
         if reduced:
-            self.rows1, self.orbit = _orbit_rows(n, self.sq - (n - 1))
+            limit = n * self.bound**2 if self.sq is None else self.sq - n + 1
+            self.rows1, self.orbit = _orbit_rows(n, limit, self.bound)
         self.empty = len(self.rows1) == 0
         if self.empty:
             return
         self.norms1 = (self.rows1 * self.rows1).sum(axis=1)
-        if n == 2:
-            per_row = np.ones(len(self.rows1), dtype=np.int64)
-        elif spec.norm == "frobenius":
-            per_row = np.searchsorted(
-                self.norms_ns, self.sq - (n - 2) - self.norms1, side="right")
+        if n == 2 or self.sq is None:
+            per_row = np.full(len(self.rows1), len(self.rows_ns) ** (n - 2))
         else:
-            per_row = np.full(len(self.rows1), len(self.rows_ns))
-        cum = np.cumsum(per_row)
-        cuts = np.searchsorted(
-            cum, np.arange(1, math.ceil(cum[-1] / _CHUNK_PAIRS))
-            * _CHUNK_PAIRS, side="left") + 1
-        self.blocks = []
-        start = 0
-        for cut in list(cuts) + [len(self.rows1)]:
-            cut = min(max(int(cut), start + 1), len(self.rows1))
-            if cut > start:
-                self.blocks.append((start, cut))
-                start = cut
-        if start < len(self.rows1):
-            self.blocks.append((start, len(self.rows1)))
+            # ways[s]: tuples of n - 2 later rows of total norm <= s, the
+            # (n-3)-fold convolution of the norm histogram with its sum
+            hist = np.bincount(self.norms_ns, minlength=self.sq)
+            ways = np.cumsum(hist)
+            for _ in range(n - 3):
+                ways = np.convolve(hist, ways)[:self.sq]
+            per_row = ways[self.sq - 1 - self.norms1]
+        cum = np.concatenate([[0], np.cumsum(per_row)])
+        self.blocks, start = [], 0
+        while start < len(self.rows1):
+            stop = np.searchsorted(cum, cum[start] + _CHUNK_PAIRS, "right") - 1
+            self.blocks.append((start, max(int(stop), start + 1)))
+            start = self.blocks[-1][1]
 
     def prefixes(self, span):
-        """(prefix rows, exact Frobenius budget or None, index of each
+        """(prefix rows, budget of |x|^2 for the last row x, index of each
         prefix's first row in ``rows1``) for a block: each later row runs
-        over the norm-sorted table, up to what leaves every row after it
-        a norm of at least 1."""
+        over the norm-sorted table, under the Frobenius norm up to what
+        leaves every row after it a norm of at least 1, and the budget is
+        what the cut leaves (Frobenius) or the sphere n B^2 around the
+        cube (max)."""
         n, sq = self.n, self.sq
         first = np.arange(*span)
         rows, used = [self.rows1[first]], self.norms1[first]
@@ -1119,8 +1189,9 @@ class _SlnzPlan:
             rep, off = _ragged_arange(more)
             rows = [r[rep] for r in rows] + [self.rows_ns[off]]
             used, first = used[rep] + self.norms_ns[off], first[rep]
-        return (np.stack(rows, axis=1), None if sq is None else sq - used,
-                first)
+        budget = np.full(len(first), n * self.bound**2) if sq is None \
+            else sq - used
+        return np.stack(rows, axis=1), budget, first
 
 
 def iter_slnz_chunks(spec: BallSpec, workers=None):
@@ -1132,8 +1203,7 @@ def iter_slnz_chunks(spec: BallSpec, workers=None):
 
     def run(span):
         prefix, budget, _ = plan.prefixes(span)
-        mats = _complete_last_row(prefix, budget, plan.bound, spec.norm,
-                                  meter)
+        mats = _complete_last_row(prefix, budget, plan.box, meter)
         keys = [_pack_rows(mats[:, i]) for i in range(spec.n)]
         return mats[np.lexsort(keys[::-1])]
 
@@ -1163,23 +1233,21 @@ def iter_ball_chunks(spec: BallSpec, workers=None):
 
 
 def ball_count(spec: BallSpec, workers=None) -> int:
-    """Number of elements in the ball.
+    """Number of elements in the ball, counted without building a matrix
+    under either norm.
 
-    Frobenius balls are counted without building a matrix.  SL(2,Z),
-    slnz n = 2 (the same set) and SL(2,Z[1/p]) come from sums of two
-    squares: sl2_ladder_totals with the ball as its one rung.  Their
-    int64 headroom is checked before counting, and capacity as the count
-    runs (see sl2_ladder_totals).  SL(3,Z) and SL(4,Z) visit only the
-    first rows of the signed-permutation fundamental domain, each
-    weighted by its orbit size (see ``_SlnzPlan``), and sum the lengths
-    of the last-row solver's exact intervals (_count_last_row); capacity
-    applies to the weighted totals block by block.  The max norm is
-    enumerated chunk by chunk."""
-    if spec.norm != "frobenius":
-        return sum(len(m) for _, m in iter_ball_chunks(spec, workers))
+    SL(2,Z), slnz n = 2 (the same set) and SL(2,Z[1/p]) are
+    sl2_ladder_totals with the ball as its one rung: sums of two squares
+    under the Frobenius norm, exact column intervals under the max norm.
+    Their int64 headroom is checked before counting, and capacity as the
+    count runs.  SL(3,Z) and SL(4,Z) visit only the first rows of the
+    signed-permutation fundamental domain, each weighted by its orbit
+    size (see ``_SlnzPlan``), and sum the lengths of the last-row
+    solver's exact intervals (_count_last_row); capacity applies to the
+    weighted totals block by block."""
     if spec.n == 2:
         cuts = _level_cuts(spec._exact_t_inf(), spec.p, spec._exact_t_p())
-        return sl2_ladder_totals(spec, [cuts])[0]
+        return sl2_ladder_totals(spec, [cuts], workers)[0]
     plan = _SlnzPlan(spec, reduced=True)
     if plan.empty:
         return 0
@@ -1187,7 +1255,8 @@ def ball_count(spec: BallSpec, workers=None) -> int:
 
     def run(span):
         prefix, budget, first = plan.prefixes(span)
-        return _count_last_row(prefix, budget, plan.orbit[first], meter)
+        return _count_last_row(prefix, budget, plan.box, plan.orbit[first],
+                               meter)
 
     return sum(_pool_map(run, plan.blocks, resolve_workers(workers)))
 

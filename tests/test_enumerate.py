@@ -242,6 +242,50 @@ def test_sl4_counts_pinned(route, t, norm, count):
         assert len(enum_slnz(spec, workers=2)) == count
 
 
+@pytest.mark.parametrize("t,norm,reduced,chunk", [
+    (2, "max", True, None), (3, "frobenius", False, None),
+    (3, "frobenius", False, 1 << 14)])
+def test_slnz_blocks_hold_at_most_chunk_prefixes(t, norm, reduced, chunk,
+                                                 monkeypatch):
+    # the prefixes (rows 1..3) of each first row of SL(4), counted here
+    # without building them: every block holds at most _CHUNK_PAIRS of
+    # them or a single first row, and the blocks cover the first rows in
+    # order; with small blocks the built prefixes match the counts
+    if chunk:
+        monkeypatch.setattr(balls, "_CHUNK_PAIRS", chunk)
+    plan = balls._SlnzPlan(BallSpec("slnz", n=4, t_inf=t, norm=norm), reduced)
+    later = plan.norms_ns
+    if norm == "max":
+        per_row = np.full(len(plan.rows1), len(later) ** 2)
+    else:
+        # rows 2 and 3 leave the last row a norm of at least 1
+        pairs = np.sort(np.add.outer(later, later).ravel())
+        per_row = np.searchsorted(pairs, plan.sq - 1 - plan.norms1, "right")
+    starts, stops = zip(*plan.blocks)
+    assert starts[0] == 0 and stops[-1] == len(plan.rows1)
+    assert starts[1:] == stops[:-1]
+    sizes = [int(per_row[a:b].sum()) for a, b in plan.blocks]
+    assert all(size <= balls._CHUNK_PAIRS or b - a == 1
+               for size, (a, b) in zip(sizes, plan.blocks))
+    if chunk:
+        assert len(plan.blocks) > 20
+        assert [len(plan.prefixes(span)[0]) for span in plan.blocks] == sizes
+
+
+@pytest.mark.parametrize("group,kw,count", [
+    ("sl2z", dict(t_inf=1000), 9734132), ("sl2z", dict(t_inf=2000), 38930804),
+    ("sl2zp", dict(p=2, t_inf=20, t_p=8), 500300),
+    ("sl2zp", dict(p=3, t_inf=30, t_p=27), 9594596),
+    ("sl2zp", dict(p=5, t_inf=12, t_p=25), 1088500),
+    ("slnz", dict(n=3, t_inf=2), 67704), ("slnz", dict(n=3, t_inf=4), 2597208)])
+def test_max_norm_counts_pinned(group, kw, count):
+    # too large for the box scans: the counts of the earlier max-norm
+    # ball_count, which built, checked and counted every element through
+    # the chunk stream; a capacity equal to the count passes
+    spec = BallSpec(group, norm="max", capacity=count, **kw)
+    assert ball_count(spec, workers=2) == count
+
+
 def test_quadratic_interval_is_exact():
     rng = np.random.default_rng(8)
     qa = rng.integers(1, 40, 3000)
@@ -278,15 +322,23 @@ def test_slnz_builds_no_rejected_row(n, t, monkeypatch):
     assert len(mats) > 0 and built[0] == len(mats)
 
 
-@pytest.mark.parametrize("n,t", [(2, 3), (3, 3), (4, 2.5)])
-def test_widened_last_row_interval_raises(n, t, monkeypatch):
+@pytest.mark.parametrize("n,t,norm", [
+    (2, 3, "frobenius"), (3, 3, "frobenius"), (4, 2.5, "frobenius"),
+    (2, 3, "max"), (3, 2, "max")],
+    ids=["2-3", "3-3", "4-2.5", "2-3-max", "3-2-max"])
+def test_widened_last_row_interval_raises(n, t, norm, monkeypatch):
     # a row the solver should not have built is an invariant error,
-    # never dropped silently
-    real = balls._quadratic_interval
-    monkeypatch.setattr(balls, "_quadratic_interval",
-                        lambda *q: (real(*q)[0] - 1, real(*q)[1] + 1))
+    # never dropped silently, under either norm's exact interval
+    name = "_quadratic_interval" if norm == "frobenius" else "_box_interval"
+    real = getattr(balls, name)
+
+    def widened(*args):
+        tlo, thi = real(*args)
+        return tlo - 1, thi + 1
+
+    monkeypatch.setattr(balls, name, widened)
     with pytest.raises(InvariantError, match="outside the ball"):
-        enum_slnz(BallSpec("slnz", n=n, t_inf=t), workers=1)
+        enum_slnz(BallSpec("slnz", n=n, t_inf=t, norm=norm), workers=1)
 
 
 @pytest.mark.parametrize("n,t,norm", [(3, 3.5, "frobenius"), (3, 1, "max"),
@@ -298,22 +350,6 @@ def test_slnz_capacity_counts_emitted_elements(n, t, norm):
     assert len(enum_slnz(BallSpec(**spec, capacity=true), workers=1)) == true
     with pytest.raises(CapacityError, match="exceeds capacity"):
         enum_slnz(BallSpec(**spec, capacity=true - 1), workers=1)
-
-
-def test_sl4_max_norm_capacity_counts_kept_rows():
-    # the smallest SL(4) max-norm ball takes seconds to build, so the
-    # meter is checked on the first prefixes of its plan: the dropped
-    # rows of the sphere are not charged
-    spec = BallSpec("slnz", n=4, t_inf=1, norm="max")
-    plan = balls._SlnzPlan(spec)
-    prefix = plan.prefixes(plan.blocks[0])[0][:4000]
-    true = len(balls._complete_last_row(prefix, None, 1, "max",
-                                        balls._CapacityMeter(math.inf)))
-    assert len(balls._complete_last_row(
-        prefix, None, 1, "max", balls._CapacityMeter(true))) == true
-    with pytest.raises(CapacityError, match="exceeds capacity"):
-        balls._complete_last_row(prefix, None, 1, "max",
-                                 balls._CapacityMeter(true - 1))
 
 
 def test_last_row_headroom_guard(monkeypatch):
@@ -355,9 +391,10 @@ def test_reduced_count_sl2z_matches_column_engine():
 
 
 def test_two_squares_count_matches_oracles(monkeypatch):
-    # Frobenius SL(2) balls are counted from sums of two squares alone:
-    # no column engine, no chunk stream and no slnz row table, whose
-    # radius limit binds the enumeration only
+    # SL(2) balls are counted from sums of two squares (Frobenius) or
+    # from the exact column intervals (max) alone: no column engine, no
+    # chunk stream and no slnz row table, whose radius limit binds the
+    # enumeration only
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the count enumerated the ball")
 
@@ -366,25 +403,29 @@ def test_two_squares_count_matches_oracles(monkeypatch):
     monkeypatch.setattr(balls, "_SLNZ_RADIUS_LIMITS", {2: 1, 3: 150, 4: 15})
     with pytest.raises(CapacityError):
         enum_slnz(BallSpec("slnz", n=2, t_inf=3))
-    rng = random.Random(43)
-    for _ in range(6):
-        t = Fraction(rng.randint(100, 900), 100)
-        want = len(brute_sl2z(t))
-        assert ball_count(BallSpec("sl2z", t_inf=t)) == want, t
-        assert ball_count(BallSpec("slnz", n=2, t_inf=t)) == want, t
-    cases = [(2, Fraction(23, 10), Fraction(9, 2)),  # levels 0, 1, 2
-             (3, Fraction(5, 2), Fraction(5, 2)),  # t_p = t_inf
-             (5, Fraction(3), Fraction(1, 2))]  # t_p < 1: no level
-    for p in (2, 3, 5):
-        for _ in range(3):
-            # t_p < p + 1 <= p^2: levels 0 and at most 1
-            cases.append((p, Fraction(rng.randint(100, 240), 100),
-                          Fraction(rng.randint(20, 100 * p + 99), 100)))
-    for p, t_inf, t_p in cases:
-        got = ball_count(BallSpec("sl2zp", p=p, t_inf=t_inf, t_p=t_p))
-        assert got == len(brute_sl2zp(p, t_inf, t_p)), (p, t_inf, t_p)
-        if t_p < 1:
-            assert got == 0
+    for norm in ("frobenius", "max"):
+        rng = random.Random(43)
+        for _ in range(6):
+            t = Fraction(rng.randint(100, 900), 100)
+            want = len(brute_sl2z(t, norm))
+            assert ball_count(BallSpec("sl2z", t_inf=t, norm=norm)) == want, t
+            assert ball_count(BallSpec("slnz", n=2, t_inf=t, norm=norm)) \
+                == want, t
+        cases = [(2, Fraction(23, 10), Fraction(9, 2)),  # levels 0, 1, 2
+                 (3, Fraction(5, 2), Fraction(5, 2)),  # t_p = t_inf
+                 (5, Fraction(3), Fraction(1, 2))]  # t_p < 1: no level
+        for p in (2, 3, 5):
+            for _ in range(3):
+                # t_p < p + 1 <= p^2: levels 0 and at most 1
+                cases.append((p, Fraction(rng.randint(100, 240), 100),
+                              Fraction(rng.randint(20, 100 * p + 99), 100)))
+        for p, t_inf, t_p in cases:
+            got = ball_count(BallSpec("sl2zp", p=p, t_inf=t_inf, t_p=t_p,
+                                      norm=norm))
+            assert got == len(brute_sl2zp(p, t_inf, t_p, norm)), \
+                (p, t_inf, t_p, norm)
+            if t_p < 1:
+                assert got == 0
 
 
 @pytest.mark.parametrize("group", ["sl2z", "slnz"])
@@ -421,6 +462,20 @@ def test_two_squares_count_stops_at_capacity(monkeypatch):
     with pytest.raises(CapacityError, match="exceeds capacity"):
         ball_count(BallSpec("sl2z", t_inf=1000, capacity=10**5))
     assert 0 < len(calls) < full // 20
+    # the max-norm count is charged block by block too: B = 2^15 holds
+    # about 10^10 elements in some 10^4 blocks of first columns, and the
+    # default capacity of 10^8 stops it within a few hundred
+    blocks = []
+    real_columns = balls._sl2_columns
+
+    def counted_columns(*args):
+        blocks.append(len(args[0]))
+        return real_columns(*args)
+
+    monkeypatch.setattr(balls, "_sl2_columns", counted_columns)
+    with pytest.raises(CapacityError, match="exceeds capacity"):
+        ball_count(BallSpec("sl2z", t_inf=2**15, norm="max"))
+    assert 0 < len(blocks) < 1000
 
 
 def _strip_elements(chunks):
@@ -481,26 +536,40 @@ def test_strip_chunks_need_the_frobenius_norm():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 11, 50, 99])
 def test_orbit_weights_cover_row_table(n, limit):
-    rows, sizes = _orbit_rows(n, limit)
-    assert np.all(rows[:, :-1] >= rows[:, 1:]) and np.all(rows[:, -1] >= 0)
-    full, _, _ = _row_table(n, math.isqrt(limit), limit + n - 1, "frobenius")
-    assert int(sizes.sum()) == len(full)
-    # each orbit representative stands for exactly its signed permutations
-    canon = {tuple(sorted((abs(int(e)) for e in r), reverse=True))
-             for r in full}
-    assert canon == {tuple(int(e) for e in r) for r in rows}
+    # the Frobenius rows |r|^2 <= limit, and the max-norm rows of entries
+    # at most b, their sphere n b^2 capped at b
+    b = math.isqrt(limit)
+    for (rows, sizes), (full, _, _) in (
+            (_orbit_rows(n, limit, b),
+             _row_table(n, b, limit + n - 1, "frobenius")),
+            (_orbit_rows(n, n * b * b, b), _row_table(n, b, None, "max"))):
+        assert np.all(rows[:, :-1] >= rows[:, 1:]) and np.all(rows[:, -1] >= 0)
+        assert int(sizes.sum()) == len(full)
+        # each orbit representative stands for exactly its signed
+        # permutations
+        canon = {tuple(sorted((abs(int(e)) for e in r), reverse=True))
+                 for r in full}
+        assert canon == {tuple(int(e) for e in r) for r in rows}
 
 
-@pytest.mark.parametrize("group,n,t", [("slnz", 2, 7.5), ("slnz", 3, 3.5),
-                                       ("sl2z", 2, 7.5), ("sl2zp", 2, 7.5),
-                                       ("sl2zp", 2, 2.9)])
-def test_reduced_count_capacity_edge(group, n, t):
-    p = {"p": 2} if group == "sl2zp" else {}
-    true = ball_count(BallSpec(group, n=n, t_inf=t, **p))
-    assert ball_count(BallSpec(group, n=n, t_inf=t, capacity=true, **p)) \
-        == true
+_EDGE_CASES = [("slnz", 2, 7.5, "frobenius"), ("slnz", 3, 3.5, "frobenius"),
+               ("sl2z", 2, 7.5, "frobenius"), ("sl2zp", 2, 7.5, "frobenius"),
+               ("sl2zp", 2, 2.9, "frobenius"), ("sl2z", 2, 7.5, "max"),
+               ("sl2zp", 2, 2.9, "max"), ("slnz", 3, 2, "max"),
+               ("slnz", 4, 1, "max")]
+
+
+@pytest.mark.parametrize("group,n,t,norm", _EDGE_CASES, ids=[
+    f"{g}-{n}-{t}" + ("-max" if norm == "max" else "")
+    for g, n, t, norm in _EDGE_CASES])
+def test_reduced_count_capacity_edge(group, n, t, norm):
+    # the count charges capacity with exactly the elements of the ball
+    spec = dict(group=group, n=n, t_inf=t, norm=norm,
+                p=2 if group == "sl2zp" else 0)
+    true = ball_count(BallSpec(**spec))
+    assert ball_count(BallSpec(**spec, capacity=true)) == true
     with pytest.raises(CapacityError):
-        ball_count(BallSpec(group, n=n, t_inf=t, capacity=true - 1, **p))
+        ball_count(BallSpec(**spec, capacity=true - 1))
 
 
 def test_invariant_checks_raise_typed_errors(monkeypatch):
@@ -678,20 +747,26 @@ def test_sl2_block_work_guard(monkeypatch):
 def test_sl2_int64_headroom_guard(norm, ok, past, monkeypatch):
     # Frobenius: disc = q rem - (det/g)^2 reaches S^2/4, S = floor(T^2),
     # so T = 65536 is the first radius past 2^62; max norm: the shift
-    # numerator reaches 2 * 2B^2.  The check runs before any block.
+    # numerator reaches 2 * 2B^2.  The check runs before any block of the
+    # stream and before ball_count counts anything.
     def no_work(*args, **kwargs):
         raise AssertionError("the engine started enumerating")
 
-    monkeypatch.setattr(balls, "_sl2_det_blocks", no_work)
+    for name in ("_sl2_det_blocks", "_det_norm_counts", "_det_max_counts"):
+        monkeypatch.setattr(balls, name, no_work)
     chunks = iter_sl2_zinvp_chunks(BallSpec("sl2z", t_inf=ok, norm=norm))
     with pytest.raises(AssertionError, match="started"):
         next(chunks)  # the guard passed; blocks start on iteration only
-    with pytest.raises(CapacityError, match="int64"):
-        iter_sl2_zinvp_chunks(BallSpec("sl2z", t_inf=past, norm=norm))
-    # sl2zp: level 0 fits, the top level does not; nothing is yielded
-    with pytest.raises(CapacityError, match="int64"):
-        iter_sl2_zinvp_chunks(
-            BallSpec("sl2zp", p=2, t_inf=3, t_p=2**15, norm=norm))
+    with pytest.raises(AssertionError, match="started"):
+        ball_count(BallSpec("sl2z", t_inf=ok, norm=norm))
+    # past the guard, and for sl2zp with level 0 inside and the top level
+    # past it, nothing is yielded and nothing counted
+    for spec in (BallSpec("sl2z", t_inf=past, norm=norm),
+                 BallSpec("sl2zp", p=2, t_inf=3, t_p=2**15, norm=norm)):
+        with pytest.raises(CapacityError, match="int64"):
+            iter_sl2_zinvp_chunks(spec)
+        with pytest.raises(CapacityError, match="int64"):
+            ball_count(spec)
 
 
 def test_sl2_max_norm_blocks_need_no_radius_sized_setup():
