@@ -217,29 +217,20 @@ def _isqrt_array(x):
 
 
 def _box_interval(base, step, bound):
-    """Exact ends tlo, thi of {t in Z : every entry of base + t step is
-    at most ``bound`` in modulus}; base and step yield the k coordinates
-    of N vectors, one int64 array of length N each, every step vector
-    nonzero; thi = tlo - 1 where the set is empty.
-
-    A coordinate with step s > 0 (signs flipped to make it so) gives the
-    floor-division interval ceil((-bound - base) / s) .. floor((bound -
-    base) / s), one with s = 0 every t or none, and the coordinates'
-    intervals intersect: the max-norm interval of both the SL(2) engine
-    and the SL(n) last-row solver."""
-    huge = np.int64(1) << 60
-    tlo = thi = None
+    """Exact ends tlo, thi (thi = tlo - 1 where empty) of the t in Z with
+    |base + t step| <= bound in every coordinate, base and step yielding
+    the k coordinates of N vectors (int64 arrays; no step vector zero):
+    the max-norm interval of the SL(2) engine and the last-row solver."""
+    huge = 1 << 60
+    tlo, thi = -huge, huge
     for b, s in zip(base, step):
-        if tlo is None:
-            tlo, thi = np.full(len(b), -huge), np.full(len(b), huge)
         move = np.flatnonzero(s)
-        sm, bm = s[move], b[move]
-        bm = np.where(sm < 0, -bm, bm)
-        sm = np.abs(sm)
-        tlo[move] = np.maximum(tlo[move], -((bound + bm) // sm))
-        thi[move] = np.minimum(thi[move], (bound - bm) // sm)
+        sm, bm = np.abs(s[move]), np.where(s[move] < 0, -b[move], b[move])
+        lo, hi = np.full(len(b), -huge), np.full(len(b), huge)
+        lo[move], hi[move] = -((bound + bm) // sm), (bound - bm) // sm
         out = np.flatnonzero((s == 0) & (np.abs(b) > bound))
-        tlo[out], thi[out] = huge, -huge
+        lo[out], hi[out] = huge, -huge
+        tlo, thi = np.maximum(tlo, lo, out=lo), np.minimum(thi, hi, out=hi)
     return tlo, np.maximum(thi, tlo - 1)
 
 
@@ -626,24 +617,20 @@ def _det_norm_counts(det, cuts, meter=None):
 
 
 def _det_max_counts(det, cuts, meter, workers):
-    """For each X in ``cuts``, the number of integer 2x2 M with det M =
-    det >= 1 and norm_sq(M) <= X under the max norm: every entry at most
-    isqrt(X).
+    """_det_norm_counts under the max norm (entries at most isqrt(X)).
 
-    For a signed permutation matrix P, M -> P M diag(1, det P) keeps det
-    and the largest entry and moves the first column to P (a, c), so one
-    first column 0 <= c <= a, gcd(a, c) | det, stands for its orbit of
-    (4 << (c > 0)) >> (a == c) columns, each completed by the t of its
-    exact max-norm interval (_sl2_columns).  The columns run in blocks of
-    a of about _R2_BLOCK pairs on ``workers`` threads, and ``meter`` is
-    charged block by block with the count of the largest X."""
+    M -> P M diag(1, det P), P a signed permutation, keeps det and the
+    largest entry, so a first column 0 <= c <= a, gcd(a, c) | det, stands
+    for its orbit of (4 << (c > 0)) >> (a == c) columns; its matrices are
+    the t of its max-norm interval (_sl2_columns).  Blocks of a run on
+    ``workers`` threads, charging ``meter`` with the largest X's count."""
     bounds = [math.isqrt(x) for x in cuts]
     top = max(bounds, default=0)
     width = max(1, _R2_BLOCK // (top + 1))
 
     def run(a0):
-        rep, c = _ragged_arange(np.arange(a0, min(a0 + width, top + 1)) + 1)
-        a = rep + a0
+        a, c = _ragged_arange(np.arange(a0, min(a0 + width, top + 1)) + 1)
+        a += a0
         keep = det % np.gcd(a, c) == 0
         a, c = a[keep], c[keep]
         weight = (4 << (c > 0)) >> (a == c)
@@ -652,40 +639,28 @@ def _det_max_counts(det, cuts, meter, workers):
             on = a <= bound
             *_, tlo, thi, _ = _sl2_columns(a[on], c[on], det, bound, None)
             counts.append(int(((thi - tlo + 1) * weight[on]).sum()))
+        meter.add(max(counts))
         return counts
 
-    out = [0] * len(cuts)
-    for counts in _pool_map(run, range(1, top + 1, width), workers):
-        out = [total + k for total, k in zip(out, counts)]
-        if meter is not None:
-            meter.add(max(counts))
-    return out
+    blocks = _pool_map(run, range(1, top + 1, width), workers)
+    return [sum(col) for col in zip([0] * len(cuts), *blocks)]
 
 
 def sl2_ladder_totals(spec: BallSpec, cuts, workers=None) -> list:
     """Elements of each rung of an SL(2,Z) or SL(2,Z[1/p]) ladder whose
     top rung is ``spec``'s ball, counted without building one: from sums
-    of two squares under the Frobenius norm (_det_norm_counts), from the
-    exact column intervals under the max norm (_det_max_counts, on
-    ``workers`` threads).
+    of two squares (Frobenius) or column intervals (max, on ``workers``).
 
     ``cuts[i][m]`` is the norm_sq cut of the level-m matrices M at rung i
     (-1 where the level is excluded).  Level m holds the M of det p^(2m)
-    less those that vanish mod p, which are p times the matrices of det
-    p^(2m-2) and norm_sq at most floor(cut / p^2), under either norm;
-    level m - 1 counts those in the same pass as its own.  The spec's
-    int64 headroom is checked first, and a top rung over its capacity
-    raises CapacityError, as the stream would: early, as soon as the
-    level-0 count of its cut passes the capacity (the top rung holds
-    every other rung, so no level-0 cut is larger), else once the totals
-    are known."""
+    less those that vanish mod p, p times the matrices of det p^(2m-2) and
+    norm_sq at most floor(cut / p^2) under either norm; level m - 1 counts
+    those in the same pass as its own.  The spec's int64 headroom is
+    checked first, and a top rung over its capacity raises CapacityError,
+    as the stream would: early, as soon as the level-0 count of its cut
+    passes the capacity (the top rung holds every other rung, so no
+    level-0 cut is larger), else once the totals are known."""
     _sl2_levels(spec)
-
-    def det_counts(det, xs, meter):
-        if spec.norm == "frobenius":
-            return _det_norm_counts(det, xs, meter)
-        return _det_max_counts(det, xs, meter, resolve_workers(workers))
-
     p = spec.p or 1
     cuts = np.asarray(cuts, dtype=np.int64).tolist()
     totals = [0] * len(cuts)
@@ -695,8 +670,10 @@ def sl2_ladder_totals(spec: BallSpec, cuts, workers=None) -> list:
         xs |= {row[m + 1] // (p * p) for row in cuts
                if m + 1 < len(row) and row[m + 1] >= 0}
         xs = sorted(xs)
-        here = dict(zip(xs, det_counts(
-            p ** (2 * m), xs, None if m else _CapacityMeter(spec.capacity))))
+        meter = _CapacityMeter(math.inf if m else spec.capacity)
+        here = dict(zip(xs, _det_norm_counts(p ** (2 * m), xs, meter)
+                        if spec.norm == "frobenius" else _det_max_counts(
+                            p ** (2 * m), xs, meter, resolve_workers(workers))))
         for i, row in enumerate(cuts):
             if row[m] >= 0:
                 vanish = below[row[m] // (p * p)] if m else 0
@@ -845,9 +822,8 @@ def _row_table(n, bound, sq_int, norm):
 
 
 def _orbit_rows(n, limit, cap):
-    """Rows r0 >= r1 >= ... >= r(n-1) >= 0, r != 0, |r|^2 <= limit and
-    r0 <= cap, lex sorted, with their orbit sizes under signed
-    permutations.
+    """Rows cap >= r0 >= r1 >= ... >= r(n-1) >= 0, r != 0, |r|^2 <= limit,
+    lex sorted, with their orbit sizes under signed permutations.
 
     These rows form a fundamental domain of the signed permutations on
     the integer rows; the orbit of r has 2^#nonzero * n!/prod(mult!)
@@ -964,9 +940,9 @@ def _quadratic_interval(qa, qb, qc):
 
 def _last_row_lines(prefix, budget, limit, bound=None):
     """The one last-row solver of SL(n): the rows x with det(prefix
-    stacked over x) = 1, |x|^2 <= budget and, with a ``bound`` (the max
-    norm), every entry at most bound, for an (N, k, n) batch of prefixes
-    (the first k = n-1 rows), as lines with exact intervals.
+    stacked over x) = 1, |x|^2 <= budget and |x_i| <= bound (max norm),
+    for an (N, k, n) batch of prefixes (the first k = n-1 rows), as lines
+    with exact intervals.
 
     Returns (keep, m, ws, x0) and (rep, ys, tlo, thi).  A prefix keeps
     when its cofactor vector m has gcd 1 and its budget is at least 1;
@@ -985,27 +961,25 @@ def _last_row_lines(prefix, budget, limit, bound=None):
     and d = det H the projection has center -(A h)_0 / d and half-width
     sqrt(q A_00) / d, q = h A h - c d, and q = d budget - 1 for the whole
     ellipsoid (the plane m . x = 1 lies at distance 1/|m| from 0).  The
-    last coordinate takes its exact interval, on the ellipsoid
-    (_quadratic_interval) or, with a bound, on the cube inside the sphere
-    of budget n bound^2 (_box_interval), so counting sums the lengths and
-    enumeration builds no rejected row under either norm.
+    last coordinate takes its exact interval (_quadratic_interval, or
+    _box_interval with a bound), so counting sums the lengths and
+    enumeration builds no rejected row.
 
     Headroom: with W the largest |ws_i|^2, B the largest budget and R a
     bound on |x0 + sum y_j ws_j| over the coordinates fixed so far, every
     integer formed is at most (r^2 + 1)(R^2 + B) W^r, r the coordinates
-    still free; CapacityError unless that is below 2^58.  For the last
-    one it bounds qb^2 and qa qc; qb^2 - qa qc itself is qa (budget -
-    min |x|^2 on the line) <= W B: below 22,801^2 for n = 3 at the limit
-    T = 150 (67,500^2 under the max norm's sphere n B^2, B = 150), below
-    256^2 for n = 4, T = 15 (900^2).  The box interval forms at most
-    bound + |base|, base = x0 + sum y_j ws_j the line's point, so below
-    2 sqrt(R^2 + B) as bound^2 <= B: inside the same checked bound.  On
-    random and nearly parallel prefixes at those limits the checked bound
-    reached 2^46 (n = 3) and 2^34 (n = 4), 2^51 and 2^43 under the max
-    norm.  The float ends come from exact integers with at most five
-    roundings, each end off by at most 5 2^-53 (|center| + half) < 6e-10
-    while |center| + half < 2^20 (checked), far inside the margin.  More than ``limit`` lines on one
-    level raise CapacityError before they are laid out."""
+    still free; CapacityError unless that is below 2^58.  For the last one
+    it bounds qb^2 and qa qc; qb^2 - qa qc itself is qa (budget - min
+    |x|^2 on the line) <= W B: below 22,801^2 for n = 3 at the limit T =
+    150 (67,500^2 under the max norm's sphere n B^2, B = 150), below 256^2
+    for n = 4, T = 15 (900^2).  _box_interval forms at most bound + |x0 +
+    sum y_j ws_j| < 2 sqrt(R^2 + B), as bound^2 <= B.  On random and
+    nearly parallel prefixes at those limits the checked bound reached
+    2^46 (n = 3) and 2^34 (n = 4), 2^51 and 2^43 under the max norm.  The
+    float ends come from exact integers with at most five roundings, each
+    end off by at most 5 2^-53 (|center| + half) < 6e-10 while |center| +
+    half < 2^20 (checked), far inside the margin.  More than ``limit``
+    lines on one level raise CapacityError before they are laid out."""
     m = _cofactor_vector(prefix)
     keep = (np.gcd.reduce(np.abs(m), axis=1) == 1) & (budget >= 1)
     m, budget = m[keep], budget[keep]
@@ -1059,8 +1033,7 @@ def _last_row_lines(prefix, budget, limit, bound=None):
         rep = src
     if bound is None:
         tlo, thi = _quadratic_interval(gram[-1][-1][rep], h[0], c)
-    else:
-        # the lines' points and steps one coordinate at a time
+    else:  # the lines' points and steps, one coordinate at a time
         cols = range(ws.shape[2])
         base = (x0[rep, i] + sum(y * ws[rep, j, i] for j, y in enumerate(ys))
                 for i in cols)
@@ -1068,27 +1041,13 @@ def _last_row_lines(prefix, budget, limit, bound=None):
     return (keep, m, ws, x0), (rep, ys, tlo, thi)
 
 
-def _count_last_row(prefix, budget, bound, weight, meter):
-    """Exact count of the last rows of the prefixes (``budget`` and
-    ``bound`` as in _last_row_lines), each prefix's rows counting
-    ``weight`` times (the orbit size of its first row): the summed
-    lengths of the solver's lines, no matrix built.  The meter sees the
-    weighted total."""
-    (keep, _, _, _), (rep, _, tlo, thi) = _last_row_lines(
-        prefix, budget, 8 * meter.limit, bound)
-    total = int(((thi - tlo + 1) * weight[keep][rep]).sum())
-    meter.add(total)
-    return total
-
-
 def _complete_last_row(prefix, budget, bound, meter):
     """All matrices (prefix rows stacked over x) of det 1 in the ball,
     built from the solver's lines in sub-batches of about _CHUNK_PAIRS
-    rows, split by the exact line lengths.  ``budget`` bounds |x|^2 and
-    ``bound``, under the max norm (None under the Frobenius norm), every
-    entry of x, as in _last_row_lines.  The lines hold exactly the ball's
-    rows under either norm: the meter is charged with their total before
-    any is built, and every row is checked (in the ball, det 1)."""
+    rows, split by the exact line lengths.  The lines (budget and bound
+    as in _last_row_lines) hold exactly the ball's rows: the meter is
+    charged with their total before any is built, and every row is
+    checked (in the ball, det 1)."""
     (keep, m, ws, x0), (rep, ys, tlo, thi) = _last_row_lines(
         prefix, budget, 8 * meter.limit, bound)
     prefix, budget = prefix[keep], budget[keep]
@@ -1126,12 +1085,9 @@ class _SlnzPlan:
     Frobenius norm and the largest entry, so it maps the ball onto itself
     under either norm and first row r to rP, and every row of an orbit
     has the same number of completions.  Rows 2..n-1 always range over
-    the full norm-sorted table, so its radius limit holds for both.
-    Blocks hold at most _CHUNK_PAIRS prefixes (rows 1..n-1), or a single
-    first row, by each first row's exact prefix count, and each block's
-    prefixes go to the one last-row solver, _last_row_lines, with the
-    entry bound ``box`` under the max norm (None under the Frobenius
-    norm)."""
+    the full norm-sorted table, so its radius limit holds for both.  A
+    block holds at most _CHUNK_PAIRS prefixes (rows 1..n-1) or one first
+    row; its prefixes go to _last_row_lines, bounded by ``box`` (max)."""
 
     def __init__(self, spec: BallSpec, reduced: bool = False):
         n, cut = spec.n, norm_sq_cut(spec._exact_t_inf())
@@ -1158,8 +1114,7 @@ class _SlnzPlan:
         if n == 2 or self.sq is None:
             per_row = np.full(len(self.rows1), len(self.rows_ns) ** (n - 2))
         else:
-            # ways[s]: tuples of n - 2 later rows of total norm <= s, the
-            # (n-3)-fold convolution of the norm histogram with its sum
+            # ways[s]: tuples of n - 2 later rows of total norm <= s
             hist = np.bincount(self.norms_ns, minlength=self.sq)
             ways = np.cumsum(hist)
             for _ in range(n - 3):
@@ -1175,10 +1130,9 @@ class _SlnzPlan:
     def prefixes(self, span):
         """(prefix rows, budget of |x|^2 for the last row x, index of each
         prefix's first row in ``rows1``) for a block: each later row runs
-        over the norm-sorted table, under the Frobenius norm up to what
-        leaves every row after it a norm of at least 1, and the budget is
-        what the cut leaves (Frobenius) or the sphere n B^2 around the
-        cube (max)."""
+        over the norm-sorted table, up to what leaves every row after it
+        a norm of at least 1 (Frobenius), and so does the budget (or the
+        sphere n B^2 around the max norm's cube)."""
         n, sq = self.n, self.sq
         first = np.arange(*span)
         rows, used = [self.rows1[first]], self.norms1[first]
@@ -1189,8 +1143,7 @@ class _SlnzPlan:
             rep, off = _ragged_arange(more)
             rows = [r[rep] for r in rows] + [self.rows_ns[off]]
             used, first = used[rep] + self.norms_ns[off], first[rep]
-        budget = np.full(len(first), n * self.bound**2) if sq is None \
-            else sq - used
+        budget = sq - used if sq else np.full(len(first), n * self.bound**2)
         return np.stack(rows, axis=1), budget, first
 
 
@@ -1243,8 +1196,8 @@ def ball_count(spec: BallSpec, workers=None) -> int:
     count runs.  SL(3,Z) and SL(4,Z) visit only the first rows of the
     signed-permutation fundamental domain, each weighted by its orbit
     size (see ``_SlnzPlan``), and sum the lengths of the last-row
-    solver's exact intervals (_count_last_row); capacity applies to the
-    weighted totals block by block."""
+    solver's exact intervals; capacity applies to the weighted totals
+    block by block."""
     if spec.n == 2:
         cuts = _level_cuts(spec._exact_t_inf(), spec.p, spec._exact_t_p())
         return sl2_ladder_totals(spec, [cuts], workers)[0]
@@ -1255,8 +1208,11 @@ def ball_count(spec: BallSpec, workers=None) -> int:
 
     def run(span):
         prefix, budget, first = plan.prefixes(span)
-        return _count_last_row(prefix, budget, plan.box, plan.orbit[first],
-                               meter)
+        (keep, _, _, _), (rep, _, tlo, thi) = _last_row_lines(
+            prefix, budget, 8 * meter.limit, plan.box)
+        total = int(((thi - tlo + 1) * plan.orbit[first][keep][rep]).sum())
+        meter.add(total)
+        return total
 
     return sum(_pool_map(run, plan.blocks, resolve_workers(workers)))
 
