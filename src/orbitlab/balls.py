@@ -579,7 +579,7 @@ def _r2_range(lo, hi):
     return out
 
 
-def _det_norm_counts(det, cuts, meter=None):
+def _det_norm_counts(det, cuts, meter):
     """For each X in ``cuts``, the number of integer 2x2 M with det M =
     det >= 1 and norm_sq(M) <= X.
 
@@ -610,8 +610,7 @@ def _det_norm_counts(det, cuts, meter=None):
         for i, e in enumerate(ends):
             if q0 <= e < q1:
                 out[i] = int(cum[e - q0])
-        if meter is not None:
-            meter.add(int(cum[-1]) - running)
+        meter.add(int(cum[-1]) - running)
         running = int(cum[-1])
     return out
 
