@@ -230,7 +230,8 @@ def test_slnz_against_box_scan_random_radii(n, tmax, norm):
 
 @pytest.mark.parametrize("route,t,norm,count", [
     ("count", 2.5, "frobenius", 50880), ("enum", 2.5, "frobenius", 50880),
-    ("count", 3, "frobenius", 2109120), ("count", 1, "max", 5170368)])
+    ("count", 3, "frobenius", 2109120), ("count", 1, "max", 5170368),
+    ("count", 3.3, "frobenius", 3989184), ("count", 4, "frobenius", 101626560)])
 def test_sl4_counts_pinned(route, t, norm, count):
     # too large for the box scan: the counts of an earlier, independent
     # enumeration (float bounding boxes around the whole ellipsoid and an
@@ -277,12 +278,21 @@ def test_slnz_blocks_hold_at_most_chunk_prefixes(t, norm, reduced, chunk,
     ("sl2zp", dict(p=2, t_inf=20, t_p=8), 500300),
     ("sl2zp", dict(p=3, t_inf=30, t_p=27), 9594596),
     ("sl2zp", dict(p=5, t_inf=12, t_p=25), 1088500),
-    ("slnz", dict(n=3, t_inf=2), 67704), ("slnz", dict(n=3, t_inf=4), 2597208)])
+    ("slnz", dict(n=3, t_inf=2), 67704), ("slnz", dict(n=3, t_inf=4), 2597208),
+    ("slnz", dict(n=3, t_inf=5), 10426488), ("slnz", dict(n=3, t_inf=6), 23527320)])
 def test_max_norm_counts_pinned(group, kw, count):
     # too large for the box scans: the counts of the earlier max-norm
     # ball_count, which built, checked and counted every element through
     # the chunk stream; a capacity equal to the count passes
     spec = BallSpec(group, norm="max", capacity=count, **kw)
+    assert ball_count(spec, workers=2) == count
+
+
+@pytest.mark.parametrize("t,count", [("9.84", 14551512), ("13.92", 119434200)])
+def test_sl3_counts_pinned(t, count):
+    # the counts of the earlier count path, which solved every ordering
+    # of the later rows; a capacity equal to the count passes
+    spec = BallSpec("slnz", n=3, t_inf=Fraction(t), capacity=count)
     assert ball_count(spec, workers=2) == count
 
 
