@@ -216,18 +216,26 @@ def _isqrt_array(x):
     return s
 
 
+def _dot(a, b):
+    """Row-wise dot products of two (N, n) arrays, one coordinate at a
+    time: numpy's sum over a short last axis is several times slower."""
+    return sum(a[:, i] * b[:, i] for i in range(a.shape[1]))
+
+
 def _box_interval(base, step, bound):
     """Exact ends tlo, thi (thi = tlo - 1 where empty) of the t in Z with
     |base + t step| <= bound in every coordinate, base and step yielding
-    the k coordinates of N vectors (int64 arrays; no step vector zero):
-    the max-norm interval of the SL(2) engine and the last-row solver."""
+    the k coordinates of N vectors (int64 arrays; no step vector zero),
+    bound one or one per vector: the max-norm interval of the SL(2)
+    engine and the last-row solver."""
     huge = 1 << 60
     tlo, thi = -huge, huge
     for b, s in zip(base, step):
         move = np.flatnonzero(s)
         sm, bm = np.abs(s[move]), np.where(s[move] < 0, -b[move], b[move])
         lo, hi = np.full(len(b), -huge), np.full(len(b), huge)
-        lo[move], hi[move] = -((bound + bm) // sm), (bound - bm) // sm
+        bd = bound[move] if np.ndim(bound) else bound
+        lo[move], hi[move] = -((bd + bm) // sm), (bd - bm) // sm
         out = np.flatnonzero((s == 0) & (np.abs(b) > bound))
         lo[out], hi[out] = huge, -huge
         tlo, thi = np.maximum(tlo, lo, out=lo), np.minimum(thi, hi, out=hi)
@@ -805,19 +813,19 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
 # SL(n,Z): enumerate the first n-1 rows, solve the last by cofactors
 
 def _row_table(n, bound, sq_int, norm):
-    """All candidate rows, lex sorted, plus a stable norm-sorted view."""
+    """All candidate rows, lex sorted, a stable size-sorted view, sizes."""
     if (2 * bound + 1) ** n > _ROW_BUDGET:
         raise CapacityError("slnz row table out of the supported range")
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
     grids = np.meshgrid(*([rng] * n), indexing="ij")
     rows = np.stack([g.ravel() for g in grids], axis=1)
-    norms = (rows * rows).sum(axis=1)
-    keep = norms > 0
+    keys = norm_sq(rows[:, None], norm)
+    keep = keys > 0
     if norm == "frobenius":
-        keep &= norms <= sq_int - (n - 1)
-    rows, norms = rows[keep], norms[keep]
-    order = np.argsort(norms, kind="stable")
-    return rows, rows[order], norms[order]
+        keep &= keys <= sq_int - (n - 1)
+    rows, keys = rows[keep], keys[keep]
+    order = np.argsort(keys, kind="stable")
+    return rows, rows[order], keys[order]
 
 
 def _orbit_rows(n, limit, cap):
@@ -837,13 +845,18 @@ def _orbit_rows(n, limit, cap):
         rem = rem[rep] - val * val
         prev = val
     rows = rows[rows[:, 0] > 0]
-    run = np.ones(len(rows), dtype=np.int64)
-    stabilizer = np.ones(len(rows), dtype=np.int64)
-    for j in range(1, n):
-        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
-        stabilizer *= run
-    sizes = (math.factorial(n) << (rows > 0).sum(axis=1)) // stabilizer
+    sizes = (math.factorial(n) << (rows > 0).sum(axis=1)) // _runs(rows.T)[0]
     return rows, sizes
+
+
+def _runs(cols):
+    """(product of run factorials, last run) along ``cols``, per row."""
+    run = np.ones(len(cols[0]), dtype=np.int64)
+    stabilizer = run.copy()
+    for prev, cur in zip(cols, cols[1:]):
+        run = np.where(cur == prev, run + 1, 1)
+        stabilizer *= run
+    return stabilizer, run
 
 
 def _pack_rows(rows):
@@ -909,9 +922,8 @@ def _size_reduce_basis(ws):
             for j in range(k):
                 if i == j:
                     continue
-                ni = (ws[:, i] * ws[:, i]).sum(axis=1)
-                mu = np.rint((ws[:, j] * ws[:, i]).sum(axis=1)
-                             / ni).astype(np.int64)
+                mu = np.rint(_dot(ws[:, j], ws[:, i])
+                             / _dot(ws[:, i], ws[:, i])).astype(np.int64)
                 if mu.any():
                     ws[:, j] -= mu[:, None] * ws[:, i]
                     changed = True
@@ -937,13 +949,15 @@ def _quadratic_interval(qa, qb, qc):
     return tlo, thi
 
 
-def _last_row_lines(prefix, budget, limit, bound=None):
+def _last_row_lines(prefix, budget, limit, bound=None, slack=None):
     """The one last-row solver of SL(n): the rows x with det(prefix
-    stacked over x) = 1, |x|^2 <= budget and |x_i| <= bound (max norm),
-    for an (N, k, n) batch of prefixes (the first k = n-1 rows), as lines
-    with exact intervals.
+    stacked over x) = 1, |x|^2 <= budget and |x_i| <= bound (max norm;
+    one bound or one per prefix), for an (N, k, n) batch of prefixes (the
+    first k = n-1 rows), as lines with exact intervals.
 
-    Returns (keep, m, ws, x0) and (rep, ys, tlo, thi).  A prefix keeps
+    Returns (keep, m, ws, x0), (rep, ys, tlo, thi) and a list that, given
+    a ``slack`` per prefix, holds the ends of a second interval on the
+    same lines: budget, or bound, less the slack.  A prefix keeps
     when its cofactor vector m has gcd 1 and its budget is at least 1;
     its rows, m . x = 1, are x0 + y . ws, y in Z^k, ws the size-reduced
     prefix (it spans the kernel lattice: its Gram determinant is |m|^2)
@@ -985,18 +999,17 @@ def _last_row_lines(prefix, budget, limit, bound=None):
     ws = _size_reduce_basis(prefix[keep])
     x0 = _particular_solution(m)
     k = ws.shape[1]
-    gram = [[(ws[:, i] * ws[:, j]).sum(axis=1) for j in range(k)]
-            for i in range(k)]
+    gram = [[_dot(ws[:, i], ws[:, j]) for j in range(k)] for i in range(k)]
     adj, d = _adjugate(gram), _det(gram)
-    h = [(x0 * ws[:, i].astype(np.float64)).sum(axis=1) for i in range(k)]
+    h = [_dot(x0, ws[:, i].astype(np.float64)) for i in range(k)]
     for a in range(k):
         mu = np.rint(sum(adj[a][b] * h[b] for b in range(k)) / d)
         x0 = x0 - mu.astype(np.int64)[:, None] * ws[:, a]
-    h = [(x0 * ws[:, i]).sum(axis=1) for i in range(k)]
-    c = (x0 * x0).sum(axis=1) - budget
+    h = [_dot(x0, ws[:, i]) for i in range(k)]
+    c = _dot(x0, x0) - budget
+    radius = math.sqrt(int((c + budget).max(initial=0)))
     rep, ys = np.arange(len(x0)), []
     wmax = max(float(gram[i][i].max(initial=0)) for i in range(k))
-    radius = math.sqrt(int((x0 * x0).sum(axis=1).max(initial=0)))
     big_b = int(budget.max(initial=0))
     for j in range(k):
         r = k - j
@@ -1030,14 +1043,18 @@ def _last_row_lines(prefix, budget, limit, bound=None):
         h = [h[a][sel] + v * gram[j + a][j][src] for a in range(1, r)]
         ys = [y[sel] for y in ys] + [v]
         rep = src
+    less = [0] if slack is None else [0, slack[keep][rep]]
     if bound is None:
-        tlo, thi = _quadratic_interval(gram[-1][-1][rep], h[0], c)
+        ends = [_quadratic_interval(gram[-1][-1][rep], h[0], c + s)
+                for s in less]
     else:  # the lines' points and steps, one coordinate at a time
         cols = range(ws.shape[2])
-        base = (x0[rep, i] + sum(y * ws[rep, j, i] for j, y in enumerate(ys))
-                for i in cols)
-        tlo, thi = _box_interval(base, (ws[rep, -1, i] for i in cols), bound)
-    return (keep, m, ws, x0), (rep, ys, tlo, thi)
+        bound = bound[keep][rep] if np.ndim(bound) else bound
+        ends = [_box_interval((x0[rep, i] + sum(y * ws[rep, j, i] for j, y
+                                                in enumerate(ys)) for i in cols),
+                              (ws[rep, -1, i] for i in cols), bound - s)
+                for s in less]
+    return (keep, m, ws, x0), (rep, ys, *ends[0]), ends[1:]
 
 
 def _complete_last_row(prefix, budget, bound, meter):
@@ -1047,7 +1064,7 @@ def _complete_last_row(prefix, budget, bound, meter):
     as in _last_row_lines) hold exactly the ball's rows: the meter is
     charged with their total before any is built, and every row is
     checked (in the ball, det 1)."""
-    (keep, m, ws, x0), (rep, ys, tlo, thi) = _last_row_lines(
+    (keep, m, ws, x0), (rep, ys, tlo, thi), _ = _last_row_lines(
         prefix, budget, 8 * meter.limit, bound)
     prefix, budget = prefix[keep], budget[keep]
     lengths = thi - tlo + 1
@@ -1063,11 +1080,11 @@ def _complete_last_row(prefix, budget, bound, meter):
         line = sel[line]
         x = base[line] + (tlo[line] + off)[:, None] * step[line]
         own = rep[line]
-        outside = ((x * x).sum(axis=1) > budget[own] if bound is None
+        outside = (_dot(x, x) > budget[own] if bound is None
                    else np.abs(x) > bound)
         if np.any(outside):
             raise InvariantError("completed last row lies outside the ball")
-        if not np.all((m[own] * x).sum(axis=1) == 1):
+        if not np.all(_dot(m[own], x) == 1):
             raise InvariantError("completed last row gives det != 1")
         outs.append(np.concatenate([prefix[own], x[:, None, :]], axis=1))
     return np.concatenate(outs)
@@ -1076,32 +1093,32 @@ def _complete_last_row(prefix, budget, bound, meter):
 class _SlnzPlan:
     """First rows, later-row tables and prefix block layout of slnz.
 
-    Enumeration takes every first row of the lex sorted row table.  The
-    count for n >= 3 (``reduced``) takes only the first rows of the
-    signed permutation fundamental domain, each standing for its whole
-    orbit (``orbit``, the orbit sizes): for a signed permutation matrix P
-    and D = diag(1, det P, 1, ..., 1), gamma -> D gamma P keeps det, the
-    Frobenius norm and the largest entry, so it maps the ball onto itself
-    under either norm and first row r to rP, and every row of an orbit
-    has the same number of completions.  Rows 2..n-1 always range over
-    the full norm-sorted table, so its radius limit holds for both.  A
-    block holds at most _CHUNK_PAIRS prefixes (rows 1..n-1) or one first
-    row; its prefixes go to _last_row_lines, bounded by ``box`` (max)."""
+    A row's size is its norm_sq as a 1 x n matrix: |r|^2 or max |r_i|^2.
+    Enumeration takes every first row of the lex sorted row table and
+    every ordering of the later rows.  The count for n >= 3 (``reduced``)
+    uses two symmetries that keep det, both norms and every row size, so
+    they commute.  Right: for a signed permutation matrix P and D =
+    diag(1, det P, 1, ..., 1), gamma -> D gamma P maps first row r to rP,
+    so only the first rows of the signed permutation fundamental domain
+    are taken, each standing for its orbit (``orbit``, the orbit sizes).
+    Left: permuting the rows, one row's sign flipped for odd
+    permutations, gives each matrix n! distinct images (the rows of an
+    invertible matrix are pairwise independent), so only prefixes whose
+    row sizes do not increase are taken.  Rows 2..n-1 range over the
+    size-sorted table, up to the size of the row before them (reduced)
+    and, under Frobenius, to what leaves each row after them a size of at
+    least 1.  A block holds at most _CHUNK_PAIRS prefixes (rows 1..n-1),
+    counted per first row without building them, or one first row."""
 
     def __init__(self, spec: BallSpec, reduced: bool = False):
         n, cut = spec.n, norm_sq_cut(spec._exact_t_inf())
-        self.n, self.spec = n, spec
+        self.n, self.reduced = n, reduced
         self.bound = math.isqrt(cut)
         if self.bound > _SLNZ_RADIUS_LIMITS[n]:
             raise CapacityError(
                 f"slnz n={n} supports radii up to {_SLNZ_RADIUS_LIMITS[n]}")
-        self.empty = self.bound < 1
-        if self.empty:
-            return
         self.sq = cut if spec.norm == "frobenius" else None
-        self.box = self.bound if self.sq is None else None
-        self.orbit = None
-        self.rows1, self.rows_ns, self.norms_ns = _row_table(
+        self.rows1, self.rows_ns, self.keys_ns = _row_table(
             n, self.bound, self.sq, spec.norm)
         if reduced:
             limit = n * self.bound**2 if self.sq is None else self.sq - n + 1
@@ -1109,16 +1126,21 @@ class _SlnzPlan:
         self.empty = len(self.rows1) == 0
         if self.empty:
             return
-        self.norms1 = (self.rows1 * self.rows1).sum(axis=1)
-        if n == 2 or self.sq is None:
-            per_row = np.full(len(self.rows1), len(self.rows_ns) ** (n - 2))
-        else:
-            # ways[s]: tuples of n - 2 later rows of total norm <= s
-            hist = np.bincount(self.norms_ns, minlength=self.sq)
-            ways = np.cumsum(hist)
-            for _ in range(n - 3):
-                ways = np.convolve(hist, ways)[:self.sq]
-            per_row = ways[self.sq - 1 - self.norms1]
+        self.keys1 = norm_sq(self.rows1[:, None], spec.norm)
+        hist = np.bincount(self.keys_ns, minlength=self.sq or self.bound**2 + 1)
+        cum = np.cumsum(hist)
+
+        def tails(prev, used, m):  # choices of m later rows after prev
+            cap = self._cap(prev, used, m)
+            if m == 1:
+                return cum[np.maximum(cap, 0)]
+            v = np.arange(len(hist))
+            more = tails(v, used[..., None] + v, m - 1)
+            return ((v <= cap[..., None]) * hist * more).sum(axis=-1)
+
+        keys, inverse = np.unique(self.keys1, return_inverse=True)
+        per_row = (tails(keys, keys, n - 2)[inverse] if n > 2
+                   else np.ones_like(self.keys1))
         cum = np.concatenate([[0], np.cumsum(per_row)])
         self.blocks, start = [], 0
         while start < len(self.rows1):
@@ -1126,24 +1148,33 @@ class _SlnzPlan:
             self.blocks.append((start, max(int(stop), start + 1)))
             start = self.blocks[-1][1]
 
+    def _cap(self, prev, used, left):
+        """Largest size of a later row after one of size ``prev``, with
+        ``used`` spent and ``left`` rows to come."""
+        cap = prev if self.reduced else np.full_like(used, self.keys_ns[-1])
+        return cap if self.sq is None else np.minimum(cap, self.sq - used - left)
+
     def prefixes(self, span):
-        """(prefix rows, budget of |x|^2 for the last row x, index of each
-        prefix's first row in ``rows1``) for a block: each later row runs
-        over the norm-sorted table, up to what leaves every row after it
-        a norm of at least 1 (Frobenius), and so does the budget (or the
-        sphere n B^2 around the max norm's cube)."""
+        """(prefix rows, budget of |x|^2 and bound of |x_i| (max norm) for
+        the last row x, each prefix's first row in ``rows1``, the prefix
+        rows' sizes) for a block: x is capped by the ball (the sphere n B^2
+        around the max norm's cube) and, if reduced, the last row's size."""
         n, sq = self.n, self.sq
         first = np.arange(*span)
-        rows, used = [self.rows1[first]], self.norms1[first]
+        rows, keys = [self.rows1[first]], [self.keys1[first]]
+        used = keys[0]
         for i in range(n - 2):
-            more = (np.full(len(first), len(self.rows_ns)) if sq is None else
-                    np.searchsorted(self.norms_ns, sq - n + 2 + i - used,
-                                    side="right"))
-            rep, off = _ragged_arange(more)
+            rep, off = _ragged_arange(np.searchsorted(
+                self.keys_ns, self._cap(keys[-1], used, n - 2 - i), "right"))
             rows = [r[rep] for r in rows] + [self.rows_ns[off]]
-            used, first = used[rep] + self.norms_ns[off], first[rep]
-        budget = sq - used if sq else np.full(len(first), n * self.bound**2)
-        return np.stack(rows, axis=1), budget, first
+            keys = [k[rep] for k in keys] + [self.keys_ns[off]]
+            used, first = used[rep] + keys[-1], first[rep]
+        top = (keys[-1] if self.reduced
+               else np.full(len(first), sq or self.bound**2))
+        budget = np.minimum(sq - used, top) if sq else n * top
+        bound = (None if sq else _isqrt_array(top) if self.reduced
+                 else self.bound)
+        return np.stack(rows, axis=1), budget, bound, first, keys
 
 
 def iter_slnz_chunks(spec: BallSpec, workers=None):
@@ -1154,8 +1185,8 @@ def iter_slnz_chunks(spec: BallSpec, workers=None):
     meter = _CapacityMeter(spec.capacity)
 
     def run(span):
-        prefix, budget, _ = plan.prefixes(span)
-        mats = _complete_last_row(prefix, budget, plan.box, meter)
+        prefix, budget, bound, _, _ = plan.prefixes(span)
+        mats = _complete_last_row(prefix, budget, bound, meter)
         keys = [_pack_rows(mats[:, i]) for i in range(spec.n)]
         return mats[np.lexsort(keys[::-1])]
 
@@ -1194,9 +1225,14 @@ def ball_count(spec: BallSpec, workers=None) -> int:
     Their int64 headroom is checked before counting, and capacity as the
     count runs.  SL(3,Z) and SL(4,Z) visit only the first rows of the
     signed-permutation fundamental domain, each weighted by its orbit
-    size (see ``_SlnzPlan``), and sum the lengths of the last-row
-    solver's exact intervals; capacity applies to the weighted totals
-    block by block."""
+    size, and the prefixes whose row sizes do not increase (``_SlnzPlan``).
+    Such a prefix stands for W = n!/prod(run!) orderings, over its runs of
+    equal sizes; a last row x as large as its last row joins that run, of
+    length k, and stands for W/(k + 1), a multinomial.  So each line of
+    the last-row solver adds (W - W/(k + 1)) #(x smaller) + W/(k + 1) #(x
+    at most as large), the first from the interval of slack 1 (where the
+    budget reaches the size: always under the max norm's sphere);
+    capacity applies to the weighted totals block by block."""
     if spec.n == 2:
         cuts = _level_cuts(spec._exact_t_inf(), spec.p, spec._exact_t_p())
         return sl2_ladder_totals(spec, [cuts], workers)[0]
@@ -1206,10 +1242,14 @@ def ball_count(spec: BallSpec, workers=None) -> int:
     meter = _CapacityMeter(spec.capacity)
 
     def run(span):
-        prefix, budget, first = plan.prefixes(span)
-        (keep, _, _, _), (rep, _, tlo, thi) = _last_row_lines(
-            prefix, budget, 8 * meter.limit, plan.box)
-        total = int(((thi - tlo + 1) * plan.orbit[first][keep][rep]).sum())
+        prefix, budget, bound, first, keys = plan.prefixes(span)
+        (keep, *_), (rep, _, tlo, thi), [(lo, hi)] = _last_row_lines(
+            prefix, budget, 8 * meter.limit, bound, budget >= keys[-1])
+        stabilizer, last_run = _runs(keys)
+        whole = math.factorial(spec.n) // stabilizer * plan.orbit[first]
+        tie = whole // (last_run + 1)
+        total = int((tie[keep][rep] * (thi - tlo + 1)
+                     + (whole - tie)[keep][rep] * (hi - lo + 1)).sum())
         meter.add(total)
         return total
 

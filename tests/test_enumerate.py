@@ -245,23 +245,27 @@ def test_sl4_counts_pinned(route, t, norm, count):
 
 @pytest.mark.parametrize("t,norm,reduced,chunk", [
     (2, "max", True, None), (3, "frobenius", False, None),
-    (3, "frobenius", False, 1 << 14)])
+    (3, "frobenius", False, 1 << 14), (4, "frobenius", True, None),
+    (4, "frobenius", True, 1 << 10), (2, "max", True, 1 << 14)])
 def test_slnz_blocks_hold_at_most_chunk_prefixes(t, norm, reduced, chunk,
                                                  monkeypatch):
     # the prefixes (rows 1..3) of each first row of SL(4), counted here
-    # without building them: every block holds at most _CHUNK_PAIRS of
-    # them or a single first row, and the blocks cover the first rows in
-    # order; with small blocks the built prefixes match the counts
+    # from every pair of table rows without building them: every block
+    # holds at most _CHUNK_PAIRS of them or a single first row, and the
+    # blocks cover the first rows in order; with small blocks the built
+    # prefixes match the counts (and are sorted by row size if reduced)
     if chunk:
         monkeypatch.setattr(balls, "_CHUNK_PAIRS", chunk)
     plan = balls._SlnzPlan(BallSpec("slnz", n=4, t_inf=t, norm=norm), reduced)
-    later = plan.norms_ns
-    if norm == "max":
-        per_row = np.full(len(plan.rows1), len(later) ** 2)
-    else:
-        # rows 2 and 3 leave the last row a norm of at least 1
-        pairs = np.sort(np.add.outer(later, later).ravel())
-        per_row = np.searchsorted(pairs, plan.sq - 1 - plan.norms1, "right")
+    k2, k3 = (k.ravel() for k in np.meshgrid(plan.keys_ns, plan.keys_ns,
+                                             indexing="ij"))
+    per_key = {}
+    for k1 in np.unique(plan.keys1).tolist():
+        fits = (k1 >= k2) & (k2 >= k3) if reduced else np.ones(len(k2), bool)
+        if norm == "frobenius":  # the last row keeps a size of at least 1
+            fits &= k1 + k2 + k3 <= plan.sq - 1
+        per_key[k1] = int(fits.sum())
+    per_row = np.array([per_key[k] for k in plan.keys1.tolist()])
     starts, stops = zip(*plan.blocks)
     assert starts[0] == 0 and stops[-1] == len(plan.rows1)
     assert starts[1:] == stops[:-1]
@@ -269,8 +273,12 @@ def test_slnz_blocks_hold_at_most_chunk_prefixes(t, norm, reduced, chunk,
     assert all(size <= balls._CHUNK_PAIRS or b - a == 1
                for size, (a, b) in zip(sizes, plan.blocks))
     if chunk:
-        assert len(plan.blocks) > 20
-        assert [len(plan.prefixes(span)[0]) for span in plan.blocks] == sizes
+        assert len(plan.blocks) > 5
+        built = [plan.prefixes(span) for span in plan.blocks]
+        assert [len(prefix) for prefix, *_ in built] == sizes
+        if reduced:
+            for *_, keys in built:
+                assert np.all(keys[0] >= keys[1]) and np.all(keys[1] >= keys[2])
 
 
 @pytest.mark.parametrize("group,kw,count", [
@@ -371,23 +379,57 @@ def test_last_row_headroom_guard(monkeypatch):
         ball_count(BallSpec("slnz", n=3, t_inf=6), workers=1)
 
 
-@pytest.mark.parametrize("n,t", [(3, 2.2), (3, 3.5), (2, 6.25)])
-def test_count_only_route_matches_enumeration(n, t):
-    # the count path never materializes matrices; it must agree with
-    # the enumeration it replaces at every scale
-    spec = BallSpec("slnz", n=n, t_inf=t)
+_ROUTE_CASES = [(3, 2.2, "frobenius"), (3, 3.5, "frobenius"),
+                (2, 6.25, "frobenius"), (4, 2, "frobenius"),
+                (4, 2.5, "frobenius"), (4, 3, "frobenius"), (3, 1, "max"),
+                (3, 2, "max"), (3, 3, "max"), (4, 1, "max")]
+
+
+@pytest.mark.parametrize("n,t,norm", _ROUTE_CASES, ids=[
+    f"{n}-{t}" + ("-max" if norm == "max" else "") for n, t, norm in _ROUTE_CASES])
+def test_count_only_route_matches_enumeration(n, t, norm):
+    # the count path never materializes matrices and solves only the
+    # row-sorted prefixes; it must agree with the enumeration, which
+    # solves every ordering of the rows, at every scale
+    spec = BallSpec("slnz", n=n, t_inf=t, norm=norm)
     assert ball_count(spec) == len(enum_slnz(spec, workers=1))
 
 
-@pytest.mark.parametrize("n,tmax", [(2, 9.0), (3, 4.2)])
-def test_reduced_count_random_radii(n, tmax):
+@pytest.mark.parametrize("n,tmax,norm", [(2, 9.0, "frobenius"),
+                                         (3, 4.2, "frobenius"),
+                                         (4, 2.6, "frobenius"),
+                                         (3, 3.4, "max")],
+                         ids=["2-9.0", "3-4.2", "4-2.6", "3-3.4-max"])
+def test_reduced_count_random_radii(n, tmax, norm):
     # the count-only route (two squares for n = 2, symmetry-reduced for
-    # n = 3) against the materialized ball
+    # n >= 3) against the materialized ball
     rng = random.Random(20 + n)
     for _ in range(12):
         t = Fraction(rng.randint(100, int(tmax * 100)), 100)
-        spec = BallSpec("slnz", n=n, t_inf=t)
+        spec = BallSpec("slnz", n=n, t_inf=t, norm=norm)
         assert ball_count(spec, workers=1) == len(enum_slnz(spec, workers=1)), t
+
+
+@pytest.mark.parametrize("norm", ["frobenius", "max"])
+def test_sorted_prefix_weights_cover_the_ball(norm):
+    # each matrix has n! images under row permutations (one row's sign
+    # flipped for odd ones); the matrices whose row sizes do not increase,
+    # each weighted as the count weights its last row, sum to the ball:
+    # n!/prod(run!) over the runs of the prefix's sizes, divided by one
+    # more than the last run where the last row ties with it
+    mats = enum_slnz(BallSpec("slnz", n=3, t_inf=3, norm=norm), workers=1)
+    keys = [norm_sq(mats[:, i:i + 1], norm) for i in range(3)]
+    keep = (keys[0] >= keys[1]) & (keys[1] >= keys[2])
+    keys = [k[keep] for k in keys]
+    stabilizer, last_run = balls._runs(keys[:2])
+    whole = 6 // stabilizer
+    weight = np.where(keys[2] == keys[1], whole // (last_run + 1), whole)
+    assert 0 < keep.sum() < len(mats) and int(weight.sum()) == len(mats)
+    # the number of distinct orderings of the three sizes
+    orderings = {k: len(set(itertools.permutations(k)))
+                 for k in set(zip(*(k.tolist() for k in keys)))}
+    assert weight.tolist() == [orderings[k]
+                               for k in zip(*(k.tolist() for k in keys))]
 
 
 def test_reduced_count_sl2z_matches_column_engine():
