@@ -273,7 +273,7 @@ def test_slnz_blocks_hold_at_most_chunk_prefixes(t, norm, reduced, chunk,
     assert all(size <= balls._CHUNK_PAIRS or b - a == 1
                for size, (a, b) in zip(sizes, plan.blocks))
     if chunk:
-        assert len(plan.blocks) > 5
+        assert len(plan.blocks) > (10 if reduced else 20)
         built = [plan.prefixes(span) for span in plan.blocks]
         assert [len(prefix) for prefix, *_ in built] == sizes
         if reduced:
