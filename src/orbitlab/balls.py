@@ -31,6 +31,7 @@ Element orders are deterministic and documented per group:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -63,6 +64,8 @@ _INT_HEADROOM = 1 << 62
 # and the bound on its integers (a sixteenth of the int64 range)
 _LINE_MARGIN = 1e-6
 _LINE_HEADROOM = 1 << 58
+# matrices per pass of the max-norm norm_sq: their entries stay in cache
+_NORM_ROWS = 1 << 13
 
 
 def exact_radius(t) -> Fraction:
@@ -73,10 +76,16 @@ def exact_radius(t) -> Fraction:
 def norm_sq(mats, norm: str) -> np.ndarray:
     """|M|^2 of each matrix of an (N, n, n) integer stack, exact in int64:
     the sum of squared entries (Frobenius) or the squared largest entry
-    modulus (max)."""
+    modulus (max).  The largest modulus is an elementwise maximum over
+    the entries, _NORM_ROWS matrices at a time: numpy's reduction over a
+    short axis is several times slower."""
     if norm == "frobenius":
         return np.einsum("nij,nij->n", mats, mats)
-    top = np.abs(mats).max(axis=(1, 2))
+    flat = mats.reshape(-1, math.prod(mats.shape[1:]))
+    top = np.empty(len(flat), dtype=flat.dtype)
+    for i in range(0, len(flat), _NORM_ROWS):
+        top[i:i + _NORM_ROWS] = functools.reduce(
+            np.maximum, np.abs(flat[i:i + _NORM_ROWS]).T)
     return top * top
 
 
@@ -557,7 +566,9 @@ def _concat_chunks(chunks, n):
 # Frobenius SL(2): rung totals from sums of two squares, and test strips
 
 # Q values per block of the two-squares sum; bounds its temporaries
-_R2_BLOCK = 1 << 17
+_R2_BLOCK = 1 << 16
+# first-column pairs per block of the max-norm count
+_MAX_COL_BLOCK = 1 << 17
 
 
 def _r2_range(lo, hi):
@@ -565,61 +576,70 @@ def _r2_range(lo, hi):
 
     The eight signed swaps act on Z^2 - 0 with one point u > w >= 1 in
     each free orbit; the orbits of (u, 0) and (u, u) have four points.
-    The points u > w >= 1 of the annulus lo <= n < hi are laid out row
-    by row between two integer square roots and counted by one bincount;
-    r2(0) = 1."""
-    out = np.zeros(hi - lo, dtype=np.int64)
+    The points u > w >= 1 of the annulus lo <= n < hi lie row by row
+    between two integer square roots.  The rows are laid out as one
+    rectangle as wide as the widest row, whose cells past a row's end
+    fall in one extra bin, and counted by one bincount; r2(0) = 1."""
     if hi <= lo:
-        return out
+        return np.zeros(0, dtype=np.int64)
+    w = np.arange(1, math.isqrt(max(hi - 1, 0) // 2) + 1, dtype=np.int64)
+    w2 = w * w
+    ulo = np.maximum(w + 1, _isqrt_array(np.maximum(lo - 1 - w2, 0)) + 1)
+    uhi = _isqrt_array(hi - 1 - w2)
+    u = ulo[:, None] + np.arange(int((uhi - ulo).max(initial=-1)) + 1)
+    n = u * u + (w2 - lo)[:, None]
+    n[u > uhi[:, None]] = hi - lo
+    out = 8 * np.bincount(n.ravel(), minlength=hi - lo + 1)[:-1]
     if lo == 0:
         out[0] = 1
     for mult in (1, 2):  # the axis points u^2, then the diagonal 2 u^2
         u = np.arange(math.isqrt(max(lo - 1, 0) // mult) + 1,
                       math.isqrt((hi - 1) // mult) + 1, dtype=np.int64)
         out[mult * u * u - lo] += 4
-    w = np.arange(1, math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
-    w2 = w * w
-    ulo = np.maximum(w + 1, _isqrt_array(np.maximum(lo - 1 - w2, 0)) + 1)
-    uhi = _isqrt_array(hi - 1 - w2)
-    rep, off = _ragged_arange(np.maximum(uhi - ulo + 1, 0))
-    u = ulo[rep] + off
-    out += 8 * np.bincount(w2[rep] + u * u - lo, minlength=hi - lo)
     return out
 
 
-def _det_norm_counts(det, cuts, meter):
-    """For each X in ``cuts``, the number of integer 2x2 M with det M =
-    det >= 1 and norm_sq(M) <= X.
+def _det_norm_counts(dets, cutsets, meters):
+    """For each level k and each X of the ascending ``cutsets[k]``, the
+    number of integer 2x2 M with det M = dets[k] >= 1 and norm_sq(M) <= X.
 
     With u = a+d, v = a-d, w = b-c, z = b+c, P = u^2 + w^2 and Q = v^2 +
     z^2, 4 det M = P - Q and 2 norm_sq(M) = P + Q, and (u, v, w, z) comes
     from an integral M exactly when u = v and w = z (mod 2).  For even Q those parities
     follow from P = Q (mod 4); for odd Q half of the pairs keep them.  So
-    the count is the sum over 0 <= Q <= X - 2 det of r2(Q + 4 det) r2(Q),
-    halved for odd Q (Jacobi's two-square theorem gives r2), one
-    cumulative sum for every X.  Q runs in blocks of _R2_BLOCK, so the
-    memory used does not grow with X.  ``meter`` is charged with the
-    running sum, a lower bound on the count of the largest X, block by
-    block."""
-    shift = 4 * det
-    ends = [x - 2 * det for x in cuts]
-    out = [0] * len(ends)
-    qmax = max(ends, default=-1)
-    running = 0
-    for q0 in range(0, qmax + 1, _R2_BLOCK):
-        q1 = min(q0 + _R2_BLOCK, qmax + 1)
-        if shift <= _R2_BLOCK:
-            r2 = _r2_range(q0, q1 + shift)
-            term = r2[:q1 - q0] * r2[shift:]
-        else:
-            term = _r2_range(q0, q1) * _r2_range(q0 + shift, q1 + shift)
-        term[(q0 + 1) % 2::2] //= 2
-        cum = np.cumsum(term) + running
-        for i, e in enumerate(ends):
-            if q0 <= e < q1:
-                out[i] = int(cum[e - q0])
-        meter.add(int(cum[-1]) - running)
-        running = int(cum[-1])
+    the count is the sum over 0 <= Q <= X - 2 det of r2(Q) r2(Q + 4 det),
+    halved for odd Q (Jacobi's two-square theorem gives r2).
+
+    One pass over Q, in blocks of _R2_BLOCK so that memory does not grow
+    with X, serves every level: a block builds r2 once, up to the largest
+    shift 4 det that fits in a block, and each level reads its two slices
+    from it (a level of a larger shift builds its shifted slice apart).
+    The segments between consecutive cuts are summed by two dot products,
+    over even and over odd Q; each odd term is a multiple of 16 (4 | r2(n)
+    for n >= 1), so halving is exact, and a segment's sum is at most the
+    level's count, far below 2^63 under the headroom guard
+    (_check_sl2_headroom).  ``meters[k]`` is charged with level k's
+    running sum, a lower bound on its largest X's count, block by block."""
+    shifts = [4 * det for det in dets]
+    ends = [[x - 2 * det for x in cuts] for det, cuts in zip(dets, cutsets)]
+    tops = [max(e, default=-1) for e in ends]
+    out = [[0] * sum(e < 0 for e in es) for es in ends]
+    running = [0] * len(dets)
+    reach = max([s for s in shifts if s <= _R2_BLOCK], default=0)
+    for q0 in range(0, max(tops, default=-1) + 1, _R2_BLOCK):
+        q1 = min(q0 + _R2_BLOCK, max(tops) + 1)
+        r2 = _r2_range(q0, q1 + reach)
+        for k in [k for k, top in enumerate(tops) if top >= q0]:
+            n, s, lo, before = min(q1, tops[k] + 1) - q0, shifts[k], 0, running[k]
+            far = r2[s:] if s <= _R2_BLOCK else _r2_range(q0 + s, q0 + n + s)
+            for hi in [e - q0 + 1 for e in ends[k] if q0 <= e < q0 + n] + [n]:
+                ev, od = lo + (q0 + lo) % 2, lo + (q0 + lo + 1) % 2
+                running[k] += int(np.dot(r2[ev:hi:2], far[ev:hi:2])) + int(
+                    np.dot(r2[od:hi:2], far[od:hi:2])) // 2
+                out[k].append(running[k])
+                lo = hi
+            out[k].pop()  # the sum at the block's end, not at a cut
+            meters[k].add(running[k] - before)
     return out
 
 
@@ -633,7 +653,7 @@ def _det_max_counts(det, cuts, meter, workers):
     ``workers`` threads, charging ``meter`` with the largest X's count."""
     bounds = [math.isqrt(x) for x in cuts]
     top = max(bounds, default=0)
-    width = max(1, _R2_BLOCK // (top + 1))
+    width = max(1, _MAX_COL_BLOCK // (top + 1))
 
     def run(a0):
         a, c = _ragged_arange(np.arange(a0, min(a0 + width, top + 1)) + 1)
@@ -662,30 +682,28 @@ def sl2_ladder_totals(spec: BallSpec, cuts, workers=None) -> list:
     (-1 where the level is excluded).  Level m holds the M of det p^(2m)
     less those that vanish mod p, p times the matrices of det p^(2m-2) and
     norm_sq at most floor(cut / p^2) under either norm; level m - 1 counts
-    those in the same pass as its own.  The spec's int64 headroom is
-    checked first, and a top rung over its capacity raises CapacityError,
-    as the stream would: early, as soon as the level-0 count of its cut
-    passes the capacity (the top rung holds every other rung, so no
-    level-0 cut is larger), else once the totals are known."""
+    those too, and one pass over Q counts every level (Frobenius,
+    _det_norm_counts).  The spec's int64 headroom is checked first, and a
+    top rung over its capacity raises CapacityError, as the stream would:
+    early, as soon as the level-0 count of its cut passes the capacity
+    (the top rung holds every other rung, so no level-0 cut is larger),
+    else once the totals are known."""
     _sl2_levels(spec)
     p = spec.p or 1
     cuts = np.asarray(cuts, dtype=np.int64).tolist()
-    totals = [0] * len(cuts)
-    below = {}
-    for m in range(len(cuts[0]) if cuts else 0):
-        xs = {row[m] for row in cuts if row[m] >= 0}
-        xs |= {row[m + 1] // (p * p) for row in cuts
-               if m + 1 < len(row) and row[m + 1] >= 0}
-        xs = sorted(xs)
-        meter = _CapacityMeter(math.inf if m else spec.capacity)
-        here = dict(zip(xs, _det_norm_counts(p ** (2 * m), xs, meter)
-                        if spec.norm == "frobenius" else _det_max_counts(
-                            p ** (2 * m), xs, meter, resolve_workers(workers))))
-        for i, row in enumerate(cuts):
-            if row[m] >= 0:
-                vanish = below[row[m] // (p * p)] if m else 0
-                totals[i] += here[row[m]] - vanish
-        below = here
+    levels = range(len(cuts[0]) if cuts else 0)
+    xss = [sorted({row[m] for row in cuts if row[m] >= 0}
+                  | {row[m + 1] // (p * p) for row in cuts
+                     if m + 1 < len(row) and row[m + 1] >= 0})
+           for m in levels]
+    dets = [p ** (2 * m) for m in levels]
+    meters = [_CapacityMeter(math.inf if m else spec.capacity) for m in levels]
+    counts = (_det_norm_counts(dets, xss, meters) if spec.norm == "frobenius"
+              else [_det_max_counts(*args, resolve_workers(workers))
+                    for args in zip(dets, xss, meters)])
+    here = [dict(zip(xs, got)) for xs, got in zip(xss, counts)]
+    totals = [sum(here[m][x] - (here[m - 1][x // (p * p)] if m else 0)
+                  for m, x in enumerate(row) if x >= 0) for row in cuts]
     if totals:
         _CapacityMeter(spec.capacity).add(totals[-1])
     return totals

@@ -25,7 +25,8 @@ def as_matrix(rows) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    if len(a[0]) != k:
+        raise ValueError(f"cannot multiply {len(a[0])} columns by {k} rows")
     return tuple(
         tuple(sum(a[i][l] * b[l][j] for l in range(k)) for j in range(m))
         for i in range(n)

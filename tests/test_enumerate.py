@@ -480,6 +480,21 @@ def test_two_squares_count_matches_oracles(monkeypatch):
                 assert got == 0
 
 
+def test_r2_range_against_lattice_points():
+    # windows at 0, straddling squares and far out, where rows of the
+    # annulus u > w >= 1 are one or two points wide
+    u = np.arange(-80, 81)
+    size = (u[:, None] ** 2 + u[None, :] ** 2).ravel()
+    want = np.bincount(size[size < 6400], minlength=6400)
+    rng = random.Random(37)
+    windows = [(0, 1), (0, 2), (1, 2), (0, 65), (24, 26), (5, 5), (6000, 6400)]
+    windows += [(lo, lo + rng.randint(1, 400))
+                for lo in (rng.randint(0, 6000) for _ in range(40))]
+    for lo, hi in windows:
+        assert balls._r2_range(lo, hi).tolist() == want[lo:hi].tolist(), \
+            (lo, hi)
+
+
 @pytest.mark.parametrize("group", ["sl2z", "slnz"])
 def test_two_squares_count_checks_headroom_first(group, monkeypatch):
     # the int64 headroom of the SL(2) engine ends at T = 65536 (see

@@ -834,6 +834,79 @@ def test_ladder_totals_memory_stays_bounded():
     assert peak < 64 * 2**20
 
 
+def _rung_cuts(p, rungs):
+    """Ladder cuts of the balls (t_inf, t_p) of ``rungs``, -1 past each
+    rung's levels (the layout of equidist._ladder_cuts)."""
+    rows = [balls._level_cuts(Fraction(t_inf), p, Fraction(t_p))
+            for t_inf, t_p in rungs]
+    width = max(map(len, rows))
+    return [row + [-1] * (width - len(row)) for row in rows]
+
+
+def test_two_squares_pass_against_brute_force(monkeypatch):
+    # blocks of 64 values of Q: many blocks, cuts on both sides of block
+    # edges, levels that end in different blocks and shifts 4 det past
+    # the block (det 25 and 49); every 2x2 matrix of norm_sq <= 256 has
+    # entries in [-16, 16]
+    monkeypatch.setattr(balls, "_R2_BLOCK", 1 << 6)
+    e = np.arange(-16, 17)
+    a, b, c, d = (x.ravel() for x in np.meshgrid(e, e, e, e, indexing="ij"))
+    det_all, size_all = a * d - b * c, a * a + b * b + c * c + d * d
+    rng = random.Random(29)
+    dets = [1, 4, 9, 25, 49]
+    cutsets = []
+    for det in dets:
+        xs = {2 * det + 64 * j + s for j in range(4) for s in (-1, 0, 1)}
+        xs |= {rng.randint(0, 256) for _ in range(4)} | {2 * det - 1}
+        cutsets.append(sorted(x for x in xs if x <= 256))
+    meters = [balls._CapacityMeter(math.inf) for _ in dets]
+    got = balls._det_norm_counts(dets, cutsets, meters)
+    for det, xs, counts, meter in zip(dets, cutsets, got, meters):
+        size = size_all[det_all == det]
+        assert counts == [int((size <= x).sum()) for x in xs], det
+        assert meter.count == max(counts)
+
+
+@pytest.mark.parametrize("p,rungs", [
+    (2, [(Fraction(3, 2), 1), (Fraction(5, 2), 2),
+         (Fraction(23, 10), Fraction(9, 2)), (3, 8)]),  # level 3: shift 256
+    (3, [(2, 2), (Fraction(5, 2), 3), (Fraction(5, 2), 9)]),  # shift 324
+    (5, [(Fraction(3, 2), 1), (Fraction(7, 2), Fraction(26, 5)), (4, 5)]),
+], ids=["p2", "p3", "p5"])
+def test_ladder_totals_small_blocks_against_brute_force(p, rungs, monkeypatch):
+    # the one pass over Q for every level, at blocks of 64 values of Q
+    # (the top levels span 6 or 7), against the brute-force ball of each
+    # rung
+    monkeypatch.setattr(balls, "_R2_BLOCK", 1 << 6)
+    top = BallSpec("sl2zp", p=p, t_inf=max(t for t, _ in rungs),
+                   t_p=max(t for _, t in rungs), capacity=10**9)
+    totals = balls.sl2_ladder_totals(top, _rung_cuts(p, rungs))
+    assert totals == [len(brute_sl2zp(p, t_inf, t_p)) for t_inf, t_p in rungs]
+
+
+def test_ladder_totals_build_r2_once_per_block(monkeypatch):
+    # every level of the a22 ladder T <= 32 reads its slices from the one
+    # r2 array of each block of Q: no p = 2 shift 4^(m+1) there exceeds
+    # the block, so there is one _r2_range call per block of the top level
+    calls = []
+    real_r2 = balls._r2_range
+
+    def counted(lo, hi):
+        calls.append(lo)
+        return real_r2(lo, hi)
+
+    monkeypatch.setattr(balls, "_r2_range", counted)
+    cuts = _rung_cuts(2, [(t, t) for t in (4, 8, 16, 32)])
+    spec = BallSpec("sl2zp", p=2, t_inf=32, t_p=32)
+    assert balls.sl2_ladder_totals(spec, cuts) == [2484, 46916, 775988,
+                                                   12548820]
+    top = len(cuts[-1]) - 1
+    assert 4 * 4**top <= balls._R2_BLOCK
+    end = cuts[-1][top] - 2 * 4**top  # the last Q of the top level
+    assert len(calls) == -(-(end + 1) // balls._R2_BLOCK) > 1
+    assert calls == sorted(set(calls))
+
+
 def _count_routes(monkeypatch):
     calls = {"stream": 0, "strip": 0}
     stream, strip = equidist.iter_ball_chunks, equidist.iter_sl2_strip_chunks

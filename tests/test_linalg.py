@@ -40,6 +40,18 @@ def test_det_multiplicative():
         assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
 
 
+def test_mat_mul_rejects_mismatched_shapes():
+    # a typed error, not an assert: under python -O the extra column of
+    # the left factor would be dropped from the sum
+    a = as_matrix([[1, 2, 3], [4, 5, 6]])
+    b = as_matrix([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="3 columns by 2 rows"):
+        mat_mul(a, b)
+    with pytest.raises(ValueError, match="2 columns by 3 rows"):
+        mat_mul(b, b + ((1, 1),))
+    assert mat_mul(b, a) == a
+
+
 def test_wedge_action_is_minor_matrix():
     rng = random.Random(14)
     for n, k in [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2)]:
