@@ -582,7 +582,7 @@ def _r2_range(lo, hi):
     fall in one extra bin, and counted by one bincount; r2(0) = 1."""
     if hi <= lo:
         return np.zeros(0, dtype=np.int64)
-    w = np.arange(1, math.isqrt(max(hi - 1, 0) // 2) + 1, dtype=np.int64)
+    w = np.arange(1, math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
     w2 = w * w
     ulo = np.maximum(w + 1, _isqrt_array(np.maximum(lo - 1 - w2, 0)) + 1)
     uhi = _isqrt_array(hi - 1 - w2)
@@ -630,14 +630,14 @@ def _det_norm_counts(dets, cutsets, meters):
         q1 = min(q0 + _R2_BLOCK, max(tops) + 1)
         r2 = _r2_range(q0, q1 + reach)
         for k in [k for k, top in enumerate(tops) if top >= q0]:
-            n, s, lo, before = min(q1, tops[k] + 1) - q0, shifts[k], 0, running[k]
+            n, s, before = min(q1, tops[k] + 1) - q0, shifts[k], running[k]
             far = r2[s:] if s <= _R2_BLOCK else _r2_range(q0 + s, q0 + n + s)
-            for hi in [e - q0 + 1 for e in ends[k] if q0 <= e < q0 + n] + [n]:
+            his = [e - q0 + 1 for e in ends[k] if q0 <= e < q0 + n]
+            for lo, hi in zip([0] + his, his + [n]):
                 ev, od = lo + (q0 + lo) % 2, lo + (q0 + lo + 1) % 2
                 running[k] += int(np.dot(r2[ev:hi:2], far[ev:hi:2])) + int(
                     np.dot(r2[od:hi:2], far[od:hi:2])) // 2
                 out[k].append(running[k])
-                lo = hi
             out[k].pop()  # the sum at the block's end, not at a cut
             meters[k].add(running[k] - before)
     return out
