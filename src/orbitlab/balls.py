@@ -464,7 +464,9 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
     of the N whose columns x have |x . vec| <= width and x . nums = 0
     (mod p^k): the minor coordinate is the one of the larger |vec_j|, and
     each row and each t-interval is cut to its widened float strip
-    interval and its congruence progression (_strip_ts)."""
+    interval and its congruence progression (_strip_ts).  All of these
+    are invariant under N -> -N, so the strip keeps only the N whose first
+    column lies in the half-plane major > 0, or major = 0 < minor."""
     j = 1  # the minor coordinate of the first column
     if sq_int is None:
         side = 2 * bound + 1
@@ -473,7 +475,8 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
         return
     else:
         amax = math.isqrt(sq_int - 1)
-        major = np.arange(-amax, amax + 1, dtype=np.int64)
+        major = np.arange(-amax if strip is None else 0, amax + 1,
+                          dtype=np.int64)
         half = _isqrt_array(sq_int - 1 - major * major)
         first, count = -half, 2 * half + 1
         if strip is not None:
@@ -482,6 +485,7 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
             lo, hi = _widened_interval((-width - major * vec[1 - j]) / vec[j],
                                        (width - major * vec[1 - j]) / vec[j],
                                        -half, half)
+            lo[0] = max(lo[0], 1)
             ok, r, step = _linear_classes(np.full(len(major), nums[j]),
                                           -(major % p**k) * nums[1 - j], p, k)
             first, count = _progression_starts(lo, hi, ok, r, step)
@@ -497,7 +501,7 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
             y -= bound
         else:
             row = np.searchsorted(row_end, idx, side="right")
-            x = row - amax
+            x = major[row]
             y = idx - row_start[row]
             if strip is not None:
                 y *= step[row]
@@ -579,14 +583,23 @@ def _r2_range(lo, hi):
     The points u > w >= 1 of the annulus lo <= n < hi lie row by row
     between two integer square roots.  The rows are laid out as one
     rectangle as wide as the widest row, whose cells past a row's end
-    fall in one extra bin, and counted by one bincount; r2(0) = 1."""
+    fall in one extra bin, and counted by one bincount; r2(0) = 1.  Where
+    that rectangle would hold over 3/2 the points (the disk lo = 0, whose
+    rows shrink from sqrt(hi) to 0, holds 1.8x), each row is cut into
+    pieces a quarter of the widest row wide, which leaves about 1.2x."""
     if hi <= lo:
         return np.zeros(0, dtype=np.int64)
     w = np.arange(1, math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
     w2 = w * w
     ulo = np.maximum(w + 1, _isqrt_array(np.maximum(lo - 1 - w2, 0)) + 1)
     uhi = _isqrt_array(hi - 1 - w2)
-    u = ulo[:, None] + np.arange(int((uhi - ulo).max(initial=-1)) + 1)
+    lengths = uhi - ulo + 1  # >= 0: uhi >= w as 2 w^2 <= hi - 1
+    width = int(lengths.max(initial=0))
+    if 2 * len(w) * width > 3 * int(lengths.sum()):
+        width = -(-width // 4)
+        rep, off = _ragged_arange(-(-lengths // width))
+        ulo, uhi, w2 = ulo[rep] + off * width, uhi[rep], w2[rep]
+    u = ulo[:, None] + np.arange(width)
     n = u * u + (w2 - lo)[:, None]
     n[u > uhi[:, None]] = hi - lo
     out = 8 * np.bincount(n.ravel(), minlength=hi - lo + 1)[:-1]
@@ -782,8 +795,9 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
                           workers=None):
     """Yield (levels, mats) chunks of the elements gamma = p^-m M of a
     Frobenius SL(2) ball whose orbit point gamma.vec may lie in the disk
-    of ``radius``: a superset of those whose vectorized float |gamma vec|
-    is at most ``radius``, each element once.
+    of ``radius``, one of each pair +-gamma (the strip and congruence are
+    invariant under negation): with their negatives, a superset of those
+    whose vectorized float |gamma vec| is at most ``radius``.
 
     Both rows of M then satisfy |row . vec| <= p^m R', R' being
     ``radius`` widened by a relative and an absolute margin far above

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,11 +126,16 @@ class RealAnnulusSector:
             raise ConfigError("annulus sectors live on R^2")
         r = np.hypot(w[:, 0], w[:, 1])
         ok = (r >= self.r1) & (r <= self.r2)
-        span = self.theta2 - self.theta1
-        if span < TWO_PI:
+        if not self.negation_invariant:
+            span = self.theta2 - self.theta1
             rel = np.mod(np.arctan2(w[:, 1], w[:, 0]) - self.theta1, TWO_PI)
             ok &= rel <= span
         return ok
+
+    @property
+    def negation_invariant(self) -> bool:
+        """contains(-w) == contains(w): at a full turn it reads only hypot."""
+        return self.theta2 - self.theta1 >= TWO_PI
 
     def predicted(self) -> float:
         """Mass under dw/|w|: polar form gives (theta span)(r span)."""
@@ -178,6 +184,13 @@ class PadicShellBox:
         if self.m == 0:
             return f"shell[{self.s}]"
         return f"shell[{self.s}]mod{self.p}^{self.m}x{len(self.units)}"
+
+    @property
+    def negation_invariant(self) -> bool:
+        """-w lies in the box exactly when w does: the listed unit classes
+        are closed under u -> -u mod p^m (m = 0 lists none)."""
+        mod = self.p**self.m
+        return {(-a % mod, -b % mod) for a, b in self.units} == set(self.units)
 
     def unit_class_fraction(self) -> Fraction:
         if self.m == 0:
@@ -241,6 +254,10 @@ class ProductTest:
     @property
     def label(self) -> str:
         return f"{self.real.label}*{self.padic.label}"
+
+    @property
+    def negation_invariant(self) -> bool:
+        return self.real.negation_invariant and self.padic.negation_invariant
 
     def predicted_parts(self) -> tuple:
         return self.real.predicted(), self.padic.predicted()
@@ -592,11 +609,15 @@ class _ChunkEvaluator:
                 f"finite-place action overflows int64: matrix entries up to "
                 f"{bound} times v_fin numerators up to {top}")
 
-    def masks(self, level: int, mats: np.ndarray):
-        """One boolean mask per test for the chunk's elements.
+    def masks(self, level: int, mats: np.ndarray, signs: bool = False):
+        """One boolean mask per test for the chunk's elements M; with
+        ``signs``, per test the pair (mask of M, mask of -M), one array
+        when the test is negation_invariant.
 
-        Each distinct real or p-adic set is evaluated once per chunk, so
-        tests that repeat one share its mask."""
+        Each distinct test and real or p-adic set is evaluated once per
+        chunk and sign, so tests that repeat one share its mask.  -w and
+        -shifted are exact for -M: negation commutes with the float
+        products, sums and hypot, and shifted is an exact quotient."""
         if mats.shape[1] != len(self.vec):
             raise ConfigError("vector and matrix dimensions disagree")
         if self.need_real:
@@ -619,14 +640,18 @@ class _ChunkEvaluator:
             shifted = nums >> k if p == 2 else nums // p**k
         seen = {}
 
-        def hit(part):
-            if part not in seen:
-                seen[part] = (
-                    _padic_mask(minv, shifted, level, self.fin, part)
-                    if isinstance(part, PadicShellBox) else part.contains(w))
-            return seen[part]
+        def hit(f, neg=False):
+            if (f, neg) not in seen:
+                if isinstance(f, ProductTest):
+                    seen[f, neg] = hit(f.real, neg) & hit(f.padic, neg)
+                elif isinstance(f, PadicShellBox):
+                    seen[f, neg] = _padic_mask(
+                        minv, -shifted if neg else shifted, level, self.fin, f)
+                else:
+                    seen[f, neg] = f.contains(-w if neg else w)
+            return seen[f, neg]
 
-        return [hit(f.real) & hit(f.padic) if isinstance(f, ProductTest)
+        return [(hit(f), hit(f, not f.negation_invariant)) if signs
                 else hit(f) for f in self.tests]
 
 
@@ -698,12 +723,12 @@ def calibrate_orientation(v=(1.0, 1.7320508075688772), samples: int = 6,
     comes from the volume ladder, not the closed form, so the check
     stays a two-route comparison.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     ball = StabilizerBall(tuple(float(e) for e in v))
     vx, vy = (float(e) for e in v)
     fwd, inv = [], []
     for _ in range(samples):
-        a, b, c = rng.uniform(-2.0, 2.0, size=3)
+        a, b, c = (rng.uniform(-2.0, 2.0) for _ in range(3))
         if abs(a) < 0.3:  # keep the completion d = (1+bc)/a tame
             a = math.copysign(0.5, a or 1.0)
         d = (1.0 + b * c) / a
@@ -868,9 +893,11 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     without building an element, and the tests run only over
     iter_sl2_strip_chunks, the elements whose rows satisfy |row . v| <=
     p^m R (and, when every test is a product with a shell, the row
-    congruence those shells force).  The max norm, congruence windows, a
-    bare shell test and wedge tests stream the whole ball through
-    iter_ball_chunks and count its totals as they go.
+    congruence those shells force), one of each pair +-gamma: the hits
+    of -gamma are binned from its own masks, or as those of gamma when
+    the test is invariant under negation.  The max norm, congruence
+    windows, a bare shell test and wedge tests stream the whole ball
+    through iter_ball_chunks and count its totals as they go.
 
     Deterministic for a fixed config: every accumulator is an integer
     count, which does not depend on chunk order.  The seed only feeds
@@ -921,11 +948,18 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
         first = np.searchsorted(cuts[live, level], key)
         if config.window is not None:
             first[~filter_window(mats, config.window, levels=levels)] = len(live)
-        tmasks = ev.masks(level, mats) if ntests else []
+        tmasks = (ev.masks(level, mats, signs=first_col == 1) if ntests
+                  else [])
         for j, mask in enumerate(([None] + tmasks)[first_col:], first_col):
-            hits = first if mask is None else first[mask]
-            acc[live, j] += np.cumsum(
-                np.bincount(hits, minlength=len(live) + 1)[:-1])
+            plus, minus = mask if first_col else (mask, None)
+            hist = np.bincount(first if plus is None else first[plus],
+                               minlength=len(live) + 1)
+            if first_col:
+                # the strip holds one of each +-gamma: -gamma binned from
+                # its own mask, or as gamma when the test is invariant
+                hist = 2 * hist if minus is plus else hist + np.bincount(
+                    first[minus], minlength=len(live) + 1)
+            acc[live, j] += np.cumsum(hist[:-1])
     totals = acc[:, 0].tolist()
     counts = acc[:, 1:].tolist()
 

@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import orbitlab
 from orbitlab.balls import BallSpec, enum_sl2_zinvp, enum_sl2z
 from orbitlab.cli import emit_report, main, parse_config
 from orbitlab.errors import ConfigError
@@ -398,6 +403,24 @@ def test_orbit_a22_json_golden_bytes(monkeypatch, tmp_path):
             "ladder = 2,2,3\n" + A22_TESTS)
     assert _orbit_json_sha256(conf, tmp_path, monkeypatch) \
         == GOLDEN_ORBIT_A22_JSON
+
+
+def test_orbit_run_leaves_numpy_random_unimported(tmp_path):
+    # the orientation calibration draws its translators from the stdlib
+    # random; importing numpy.random costs a fresh process 12-17 ms
+    (tmp_path / "run.conf").write_text(
+        "application = a22\nv_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2\n"
+        "ladder = 2,2,2\n" + A22_TESTS
+        + "out_json = o.json\nout_csv = o.csv\n")
+    code = ("import sys\nfrom orbitlab.cli import main\n"
+            "print(main(['orbit', '--config', 'run.conf']), "
+            "'numpy.random' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(orbitlab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ORBIT_JSON))

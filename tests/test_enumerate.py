@@ -550,13 +550,23 @@ def _strip_elements(chunks):
             for levels, mats in chunks for m, mat in zip(levels, mats)]
 
 
+def _with_negatives(got):
+    """The strip's elements and their negatives, after checking that no
+    element comes twice or together with its negative."""
+    neg = {(m, tuple(-e for e in flat)) for m, flat in got}
+    assert len(set(got)) == len(got)
+    assert not neg & set(got)
+    return set(got) | neg
+
+
 @pytest.mark.parametrize("p,t_inf,t_p", [(0, 6.5, None), (2, 2.2, 4),
                                          (3, Fraction(5, 2), 3)])
 def test_strip_chunks_against_box_scan(p, t_inf, t_p, monkeypatch):
     # blocks of 5 first columns split the rows and their progressions;
-    # a strip holds, once each, every ball element whose float |gamma v|
-    # is at most the radius and that meets the shell congruence, and
-    # nothing outside the ball
+    # a strip holds one element of each pair +-gamma, and with their
+    # negatives every ball element whose float |gamma v| is at most the
+    # radius and that meets the shell congruence, and nothing outside
+    # the ball
     monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 5)
     ball = (brute_sl2zp(p, t_inf, t_p) if p
             else [(0, mat) for mat in brute_sl2z(t_inf)])
@@ -575,8 +585,8 @@ def test_strip_chunks_against_box_scan(p, t_inf, t_p, monkeypatch):
             radius = rng.uniform(0.3, 3)
             got = _strip_elements(iter_sl2_strip_chunks(
                 spec, vec, radius, congruence, workers=2))
-            assert len(got) == len(set(got))
-            assert set(got) <= set(ball)
+            both = _with_negatives(got)
+            assert both <= set(ball)
             keep = r <= radius
             if congruence:
                 nums, k0 = congruence
@@ -586,11 +596,13 @@ def test_strip_chunks_against_box_scan(p, t_inf, t_p, monkeypatch):
                     k = max(0, m + k0)
                     assert all((flat[2 * i] * nums[0] + flat[2 * i + 1]
                                 * nums[1]) % p**k == 0 for i in (0, 1))
-            assert {ball[i] for i in np.flatnonzero(keep)} <= set(got)
-        # a radius past every orbit point gives exactly the ball
+            assert {ball[i] for i in np.flatnonzero(keep)} <= both
+        # a radius past every orbit point gives exactly half the ball,
+        # and with the negatives the whole ball
         got = _strip_elements(iter_sl2_strip_chunks(
             spec, vec, float(r.max()) + 1, workers=1))
-        assert sorted(got) == ball
+        assert sorted(_with_negatives(got)) == ball
+        assert 2 * len(got) == len(ball)
 
 
 def test_strip_chunks_need_the_frobenius_norm():

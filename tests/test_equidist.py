@@ -114,6 +114,36 @@ def test_shell_congruence_fraction():
     assert a.predicted() + b.predicted() == union.predicted()
 
 
+def test_negation_invariance_of_test_parts():
+    # a sector ignores the angle, and so the sign of w, only at a full
+    # turn; a box, when its unit classes are closed under u -> -u
+    assert RealAnnulusSector(1, 2).negation_invariant
+    assert RealAnnulusSector(1, 2, 0.0, TWO_PI).negation_invariant
+    assert not RealAnnulusSector(1, 2, 0.0, TWO_PI - 1e-9).negation_invariant
+    assert not RealAnnulusSector(1, 2, 1.0, 1.0 + math.pi).negation_invariant
+    w = np.array([[1.5, 0.2], [-0.3, 1.1]])
+    full, half = RealAnnulusSector(1, 2), RealAnnulusSector(1, 2, 0, math.pi)
+    assert (full.contains(-w) == full.contains(w)).all()
+    assert (half.contains(-w) != half.contains(w)).all()
+    for p in (2, 3, 5):
+        assert PadicShellBox(p, 1).negation_invariant  # m = 0
+    # mod 2 every class is its own negative
+    assert PadicShellBox(2, 0, 1, ((1, 0),)).negation_invariant
+    assert PadicShellBox(2, 0, 1, ((1, 1), (0, 1))).negation_invariant
+    # mod 4: -(1, 0) = (3, 0), while -(2, 1) = (2, 3)
+    assert not PadicShellBox(2, 0, 2, ((1, 0),)).negation_invariant
+    assert PadicShellBox(2, 0, 2, ((1, 0), (3, 0))).negation_invariant
+    assert not PadicShellBox(2, 0, 2, ((2, 1), (3, 0), (1, 0))) \
+        .negation_invariant
+    # odd p: no class is its own negative
+    assert not PadicShellBox(3, 0, 1, ((1, 0),)).negation_invariant
+    assert PadicShellBox(3, 0, 1, ((1, 0), (2, 0))).negation_invariant
+    assert PadicShellBox(3, 0, 2, ((1, 4), (8, 5))).negation_invariant
+    assert not PadicShellBox(3, 0, 2, ((1, 4), (8, 4))).negation_invariant
+    assert PadicShellBox(5, 2, 1, ((0, 1), (0, 4), (2, 3), (3, 2))) \
+        .negation_invariant
+
+
 def test_shell_validation():
     with pytest.raises(ConfigError):
         PadicShellBox(4, 0)
@@ -754,6 +784,35 @@ def test_strip_route_matches_stream_sl2z(monkeypatch):
         assert _cells(strip) == _cells(stream)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_strip_route_counts_negatives_of_non_invariant_tests(p,
+                                                            monkeypatch):
+    # the strip holds one of each +-gamma; tests not invariant under
+    # negation count -gamma from masks of their own: a half turn, a
+    # sector across the branch cut, and boxes mod p and p^2 whose classes
+    # are not closed under u -> -u, next to invariant ones
+    monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 97)
+    closed = {(2, 1): "1:0", (2, 2): "1:0|3:0|1:2",
+              (3, 1): "1:0|2:0", (3, 2): "1:4|8:5"}
+    opened = {(2, 1): None, (2, 2): "1:0|1:2",
+              (3, 1): "1:0|1:1", (3, 2): "1:4|8:4"}
+    reals = ["annulus(0.5,3,0.3,3.4415926535897931)",
+             "annulus(0.5,3,5,7)", "annulus(0.5,3)"]
+    boxes = ["shell(0)", "shell(1)"] + [
+        f"shell({s},{m},{units[p, m]})" for s, m in ((0, 1), (1, 2))
+        for units in (closed, opened) if units[p, m]]
+    tokens = [f"product({real},{box})" for real in reals for box in boxes]
+    v = OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=p)
+    for extra in ([], [reals[0], reals[1]]):
+        cfg = ExperimentConfig(
+            application="a22", v=v, t_ladder=(3, 6),
+            tests=tuple(parse_test(tok, p=p) for tok in tokens + extra),
+            capacity=10**6)
+        strip, stream = _both_routes(cfg, monkeypatch)
+        assert _cells(strip) == _cells(stream), extra
+        assert all(_cells(strip)[1])  # no test is empty
+
+
 @pytest.mark.parametrize("p,v_inf", [(0, ("10/9", "-20/3")),
                                      (3, ("21/5", "-28/5"))])
 def test_strip_route_keeps_elements_on_the_annulus_boundary(p, v_inf,
@@ -955,3 +1014,33 @@ def test_bounded_tests_take_the_strip_route(monkeypatch):
     # without tests only the totals are needed
     run_experiment(led_config(t_ladder=(5, 10), tests=()))
     assert calls == {"stream": 0, "strip": 1}
+
+
+def test_strip_route_evaluates_invariant_sectors_once(monkeypatch):
+    # on the a22 ladder T <= 32 every test is invariant under negation:
+    # -gamma is counted as gamma, with one contains call per distinct
+    # real part and chunk
+    calls, chunks = [], []
+    contains = RealAnnulusSector.contains
+    masks = equidist._ChunkEvaluator.masks
+
+    def counted_contains(self, w):
+        calls.append(self)
+        return contains(self, w)
+
+    def counted_masks(self, level, mats, signs=False):
+        chunks.append(signs)
+        return masks(self, level, mats, signs)
+
+    monkeypatch.setattr(RealAnnulusSector, "contains", counted_contains)
+    monkeypatch.setattr(equidist._ChunkEvaluator, "masks", counted_masks)
+    tests = tuple(parse_test(tok, p=2) for tok in (
+        "product(annulus(1,2),shell(0))", "product(annulus(1,3),shell(0))",
+        "product(annulus(1,2),shell(1))"))
+    rep = run_experiment(ExperimentConfig(
+        application="a22", v=A22_V, t_ladder=(4, 8, 16, 32), tests=tests,
+        capacity=10**9))
+    assert [c for _, c in rep.totals] == [2484, 46916, 775988, 12548820]
+    assert chunks and all(chunks)
+    assert len(calls) == 2 * len(chunks)
+    assert set(calls) == {f.real for f in tests}
