@@ -485,7 +485,7 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
             lo, hi = _widened_interval((-width - major * vec[1 - j]) / vec[j],
                                        (width - major * vec[1 - j]) / vec[j],
                                        -half, half)
-            lo[0] = max(lo[0], 1)
+            lo[0] = max(lo[0], 1)  # row major = 0: minor > 0 only
             ok, r, step = _linear_classes(np.full(len(major), nums[j]),
                                           -(major % p**k) * nums[1 - j], p, k)
             first, count = _progression_starts(lo, hi, ok, r, step)

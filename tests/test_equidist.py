@@ -792,15 +792,19 @@ def test_strip_route_counts_negatives_of_non_invariant_tests(p,
     # sector across the branch cut, and boxes mod p and p^2 whose classes
     # are not closed under u -> -u, next to invariant ones
     monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 97)
-    closed = {(2, 1): "1:0", (2, 2): "1:0|3:0|1:2",
+    closed = {(2, 1): "1:0", (2, 2): "1:0|3:0|1:2|3:2",
               (3, 1): "1:0|2:0", (3, 2): "1:4|8:5"}
     opened = {(2, 1): None, (2, 2): "1:0|1:2",
               (3, 1): "1:0|1:1", (3, 2): "1:4|8:4"}
     reals = ["annulus(0.5,3,0.3,3.4415926535897931)",
              "annulus(0.5,3,5,7)", "annulus(0.5,3)"]
-    boxes = ["shell(0)", "shell(1)"] + [
-        f"shell({s},{m},{units[p, m]})" for s, m in ((0, 1), (1, 2))
-        for units in (closed, opened) if units[p, m]]
+    boxes = ["shell(0)", "shell(1)"]
+    for s, m in ((0, 1), (1, 2)):
+        for units, invariant in ((closed, True), (opened, False)):
+            if units[p, m]:
+                boxes.append(f"shell({s},{m},{units[p, m]})")
+                assert parse_test(boxes[-1], p=p).negation_invariant \
+                    == invariant
     tokens = [f"product({real},{box})" for real in reals for box in boxes]
     v = OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=p)
     for extra in ([], [reals[0], reals[1]]):
