@@ -180,6 +180,8 @@ class CongruenceWindow:
         if not is_prime(self.p) or self.m < 1:
             raise ConfigError("window needs a prime p and m >= 1")
         mod = self.p**self.m
+        if mod**4 >= 1 << 63:  # the keys of filter_window
+            raise ConfigError(f"window mod {mod}: keys overflow int64")
         for r in self.reps:
             if len(r) != 4:
                 raise ConfigError("window reps are flattened 2x2 matrices")
@@ -451,33 +453,35 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
     radius.  ``sq_int``: floor of the squared Frobenius radius (None for
     max norm).  ``prim_p``: leave out matrices that vanish mod p (levels
     >= 1 of SL(2,Z[1/p])).  First columns run over the disk a^2 + c^2 <=
-    sq_int - 1 in rows of the major coordinate, each row a progression
-    (first, count, step) of the minor one, in blocks of _SL2_BLOCK_PAIRS
-    pairs (the max-norm square |a|, |c| <= bound is indexed by divmod).
-    Without a strip a is major and c runs with step 1: the sl2z order.
+    sq_int - 1 or the max-norm square |a|, |c| <= bound in rows of the
+    major coordinate, each a progression (first, count, step) of the minor
+    one, in blocks of _SL2_BLOCK_PAIRS pairs (a square without a strip is
+    indexed by divmod).  Without a strip a is major and c runs with step
+    1: the sl2z order.
     Only the matrices that belong to the ball are built: the exact
     t-intervals of _sl2_columns without their residue class mod p that
     vanishes.  Every row is checked all the same (in the ball, det,
     nonzero mod p), and ``meter`` is charged with the emitted matrices.
 
-    ``strip = (vec, width, nums, p, k)``, Frobenius only, keeps a superset
-    of the N whose columns x have |x . vec| <= width and x . nums = 0
-    (mod p^k): the minor coordinate is the one of the larger |vec_j|, and
-    each row and each t-interval is cut to its widened float strip
-    interval and its congruence progression (_strip_ts).  All of these
-    are invariant under N -> -N, so the strip keeps only the N whose first
-    column lies in the half-plane major > 0, or major = 0 < minor."""
+    ``strip = (vec, width, nums, p, k)`` keeps a superset of the N whose
+    columns x have |x . vec| <= width and x . nums = 0 (mod p^k): the
+    minor coordinate is the one of the larger |vec_j|, and each row and
+    each t-interval is cut to its widened float strip interval and its
+    congruence progression (_strip_ts).  All of these are invariant under
+    N -> -N, so the strip keeps only the N whose first column lies in the
+    half-plane major > 0, or major = 0 < minor."""
     j = 1  # the minor coordinate of the first column
-    if sq_int is None:
+    if sq_int is None and strip is None:
         side = 2 * bound + 1
         npairs = side * side
-    elif sq_int < 1:
+    elif sq_int == 0:
         return
     else:
-        amax = math.isqrt(sq_int - 1)
+        amax = bound if sq_int is None else math.isqrt(sq_int - 1)
         major = np.arange(-amax if strip is None else 0, amax + 1,
                           dtype=np.int64)
-        half = _isqrt_array(sq_int - 1 - major * major)
+        half = (np.full(len(major), bound) if sq_int is None
+                else _isqrt_array(sq_int - 1 - major * major))
         first, count = -half, 2 * half + 1
         if strip is not None:
             vec, width, nums, p, k = strip
@@ -495,7 +499,7 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
 
     def run(lo):
         idx = np.arange(lo, min(lo + _SL2_BLOCK_PAIRS, npairs), dtype=np.int64)
-        if sq_int is None:
+        if sq_int is None and strip is None:
             x, y = np.divmod(idx, side)
             x -= bound
             y -= bound
@@ -567,7 +571,7 @@ def _concat_chunks(chunks, n):
 
 
 # ---------------------------------------------------------------------------
-# Frobenius SL(2): rung totals from sums of two squares, and test strips
+# SL(2) ladders: rung totals without building a matrix, and test strips
 
 # Q values per block of the two-squares sum; bounds its temporaries
 _R2_BLOCK = 1 << 16
@@ -793,11 +797,12 @@ def _strip_ts(strip, b0, d0, step_a, step_c, tlo, thi, skip, prim_p):
 
 def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
                           workers=None):
-    """Yield (levels, mats) chunks of the elements gamma = p^-m M of a
-    Frobenius SL(2) ball whose orbit point gamma.vec may lie in the disk
-    of ``radius``, one of each pair +-gamma (the strip and congruence are
-    invariant under negation): with their negatives, a superset of those
-    whose vectorized float |gamma vec| is at most ``radius``.
+    """Yield (levels, mats) chunks of the elements gamma = p^-m M of an
+    SL(2) ball whose orbit point gamma.vec may lie in the disk of
+    ``radius`` (math.inf: the whole ball), one of each pair +-gamma (the
+    strip and congruence are invariant under negation): with their
+    negatives, a superset of those whose vectorized float |gamma vec| is
+    at most ``radius``.
 
     Both rows of M then satisfy |row . vec| <= p^m R', R' being
     ``radius`` widened by a relative and an absolute margin far above
@@ -809,11 +814,12 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
     ``congruence = (nums, k0)`` also keeps only the M with M nums = 0
     (mod p^k), k = max(0, m + k0), on both rows.  Chunks come level by
     level, in a fixed order that is not the sl2z order.  The int64
-    headroom and the norm (Frobenius only: ConfigError) are checked when
-    called; capacity is not charged (see sl2_ladder_totals)."""
-    if spec.norm != "frobenius":
-        raise ConfigError("test strips need the Frobenius norm")
+    headroom is checked when called, and so are the rows 0 <= a <= bound
+    of a max-norm strip: no more than the 2^16 of the largest Frobenius
+    disk (CapacityError).  Capacity is not charged (see sl2_ladder_totals)."""
     levels = _sl2_levels(spec)
+    if spec.norm == "max" and entry_bound(spec) >= 1 << 16:
+        raise CapacityError("max-norm strip: over 2^16 rows of first columns")
     workers = resolve_workers(workers)
     meter = _CapacityMeter(math.inf)
     vec = np.asarray(vec, dtype=np.float64)
@@ -823,11 +829,12 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
     def stream():
         for m, (det, bound, sq, prim) in enumerate(levels):
             # every row entry, every (b0, d0) with a nonempty t interval
-            # and every t (step_a, step_c) in it is at most 4 sqrt(cut), so
-            # the rounding of the float orbit point and of offset + t slope
-            # stays far below the absolute margin
+            # and every t (step_a, step_c) in it is at most 4 sqrt(cut) (max
+            # norm: cut 2 bound^2), so the rounding of the float orbit point
+            # and of offset + t slope stays far below the absolute margin
+            cut = 2 * bound**2 if sq is None else sq
             width = p**m * float(radius) * (1 + eps) \
-                + eps * (4 * math.sqrt(sq) + 1) * (abs(vec[0]) + abs(vec[1]))
+                + eps * (4 * math.sqrt(cut) + 1) * (abs(vec[0]) + abs(vec[1]))
             k = max(0, m + congruence[1]) if congruence else 0
             while p**k >= 1 << 30:
                 k -= 1

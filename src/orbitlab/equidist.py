@@ -2,12 +2,12 @@
 
 An orbit experiment bins lattice-ball elements (of the ball at the
 largest radius of the ladder) into the whole radius ladder by their
-exact per-place norms, so one pass serves every rung.  Frobenius SL(2)
-balls without a window, under tests that all bound |gamma v| (annulus
-sectors and their products with p-adic shells), count their rung totals
-exactly from sums of two squares and evaluate the tests only on the
-elements whose rows lie in the strips |row . v| <= p^m R; every other
-experiment streams the whole ball.
+exact per-place norms, so one pass serves every rung.  SL(2) balls
+without a window count their rung totals exactly, under either norm,
+and evaluate the tests only on the elements whose rows lie in the
+strips |row . v| <= p^m R (R infinite when a test bounds no |gamma v|)
+and in the row congruence their shells force; windows and SL(n) stream
+the whole ball.
 
 Test functions are indicators of sets whose boundary carries no
 limit mass: annulus sectors in R^2 - {0}, valuation shells with
@@ -162,6 +162,8 @@ class PadicShellBox:
             raise ConfigError(f"{self.p} is not prime")
         if self.m < 0:
             raise ConfigError("congruence depth m must be >= 0")
+        if self.p ** (2 * self.m) > _INT64_MAX:  # keys of the unit classes
+            raise ConfigError(f"shell mod {self.p}^{self.m}: keys overflow int64")
         if self.m == 0:
             if self.units:
                 raise ConfigError("unit classes need a positive depth m")
@@ -216,6 +218,7 @@ class RealWedgeAnnulus:
     r1: float
     r2: float
     dim: int
+    negation_invariant = True  # contains reads only |w|
 
     def __post_init__(self):
         if not 0.0 < self.r1 <= self.r2:
@@ -588,8 +591,7 @@ class _ChunkEvaluator:
     def __init__(self, v: OrbitVector, tests, entry_bound=None):
         self.v = v
         self.tests = tuple(tests)
-        self.need_real = any(isinstance(f, (RealAnnulusSector, RealWedgeAnnulus,
-                                            ProductTest)) for f in self.tests)
+        self.need_real = not all(isinstance(f, PadicShellBox) for f in self.tests)
         self.need_fin = any(isinstance(f, (PadicShellBox, ProductTest))
                             for f in self.tests)
         if self.need_fin:
@@ -846,33 +848,26 @@ def _ladder_cuts(config: ExperimentConfig):
 
 
 def _strip_route(config: ExperimentConfig):
-    """The largest outer radius R of the tests when run_experiment may
-    count from the test strips, else None (stream the ball).
+    """(radius, congruence) for iter_sl2_strip_chunks, or None where
+    run_experiment streams the ball: windows and SL(n).
 
-    That takes a Frobenius SL(2) ball without a window and tests that
-    all bound |gamma v| <= R: annulus sectors, or products of one with a
-    p-adic shell.  Max norm, windows, a bare shell and wedge tests (all
-    of SL(n)) stream."""
-    if config.group == "slnz" or config.norm != "frobenius" \
-            or config.window is not None:
+    The radius is the largest outer radius of the tests' real parts, or
+    math.inf when a test bounds no |gamma v| (a bare shell).  A shell s
+    holds the points whose entries of M nums have valuation exactly m +
+    v_p(den) - s, so when every test of an SL(2,Z[1/p]) run has a shell,
+    both rows need row . nums = 0 mod p^k, k = m + v_p(den) - max s: the
+    congruence is (nums, v_p(den) - max s), else None."""
+    if config.group == "slnz" or config.window is not None:
         return None
-    reals = [f.real if isinstance(f, ProductTest) else f for f in config.tests]
-    if not all(isinstance(f, RealAnnulusSector) for f in reals):
-        return None
-    return max((f.r2 for f in reals), default=0.0)
-
-
-def _strip_congruence(config: ExperimentConfig, fin: _FinAction):
-    """(nums, k0) for iter_sl2_strip_chunks when every test is a product
-    with a shell in SL(2,Z[1/p]), else None.
-
-    A shell s holds the points whose entries of M nums have valuation
-    exactly m + v_p(den) - s, so every test needs both rows with row .
-    nums = 0 mod p^k, k = m + v_p(den) - max s."""
-    if config.group != "sl2zp" \
-            or not all(isinstance(f, ProductTest) for f in config.tests):
-        return None
-    return fin.nums, fin.dv - max(f.padic.s for f in config.tests)
+    parts = [(f.real, f.padic) if isinstance(f, ProductTest) else (f, f)
+             for f in config.tests]
+    radius = max((math.inf if isinstance(f, PadicShellBox) else f.r2
+                  for f, _ in parts), default=0.0)
+    shells = [f.s for _, f in parts if isinstance(f, PadicShellBox)]
+    if config.group != "sl2zp" or not shells or len(shells) < len(parts):
+        return radius, None
+    fin = _FinAction.for_vector(config.v)
+    return radius, (fin.nums, fin.dv - max(shells))
 
 
 def _try_slope(xs, ys, label):
@@ -888,16 +883,16 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     compare them against the predictions.
 
     Two routes give the same integer counts.  The strip route (see
-    _strip_route) takes Frobenius SL(2) balls without a window whose
-    tests all bound |gamma v| <= R: sl2_ladder_totals counts every rung
-    without building an element, and the tests run only over
-    iter_sl2_strip_chunks, the elements whose rows satisfy |row . v| <=
-    p^m R (and, when every test is a product with a shell, the row
+    _strip_route) takes every SL(2) ball without a window, under either
+    norm: sl2_ladder_totals counts every rung without building an
+    element, and the tests run only over iter_sl2_strip_chunks, the
+    elements whose rows satisfy |row . v| <= p^m R (R infinite when a
+    test bounds no |gamma v|; and, when every test has a shell, the row
     congruence those shells force), one of each pair +-gamma: the hits
     of -gamma are binned from its own masks, or as those of gamma when
-    the test is invariant under negation.  The max norm, congruence
-    windows, a bare shell test and wedge tests stream the whole ball
-    through iter_ball_chunks and count its totals as they go.
+    the test is invariant under negation.  Congruence windows and SL(n)
+    (wedge) stream the whole ball through iter_ball_chunks and count its
+    totals as they go.
 
     Deterministic for a fixed config: every accumulator is an integer
     count, which does not depend on chunk order.  The seed only feeds
@@ -924,17 +919,15 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     acc = np.zeros((nrungs, ntests + 1), dtype=np.int64)
     ev = (_ChunkEvaluator(config.v, config.tests, entry_bound(spec))
           if ntests else None)
-    radius = _strip_route(config)
-    if radius is None:
+    route = _strip_route(config)
+    if route is None:
         chunks, first_col = iter_ball_chunks(spec, config.workers), 0
     else:
-        acc[:, 0] = sl2_ladder_totals(spec, cuts)
+        acc[:, 0] = sl2_ladder_totals(spec, cuts, config.workers)
         chunks, first_col = (), 1
         if ntests:
-            chunks = iter_sl2_strip_chunks(
-                spec, config.v.inf_floats(), radius,
-                _strip_congruence(config, ev.fin) if ev.need_fin else None,
-                config.workers)
+            chunks = iter_sl2_strip_chunks(spec, config.v.inf_floats(),
+                                           *route, config.workers)
 
     for levels, mats in chunks:
         if not len(mats):

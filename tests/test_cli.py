@@ -274,6 +274,24 @@ def test_orbit_int64_overflow_exit_code(capsys, tmp_path):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("extra", [
+    "application = a22\nv_fin = 1,3\np = 2\ntests = shell(0);shell(0,40,1:0)\n",
+    "application = a21\ntests = annulus(1,2)\nwindow = win.conf\n"])
+def test_orbit_residue_keys_past_int64_exit_code(extra, capsys, monkeypatch,
+                                                 tmp_path):
+    # unit classes mod p^m pack into keys up to p^(2m), window classes
+    # into keys up to p^(4m): past int64 a configuration error, not an
+    # OverflowError
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "win.conf").write_text("p = 2\nm = 16\nreps = 65535,0,0,65535\n")
+    (tmp_path / "run.conf").write_text(
+        "v_inf = 1,sqrt(2)\nladder = 10,2,2\nout_json = o.json\n"
+        "out_csv = o.csv\n" + extra)
+    assert run("orbit", "--config", "run.conf") == 2
+    assert "int64" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_capacity_exit_code(tmp_path):
     out = tmp_path / "big.csv"
     assert run("enumerate", "--group", "sl2z", "--T-inf", 500,

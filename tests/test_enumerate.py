@@ -563,53 +563,72 @@ def _with_negatives(got):
                                          (3, Fraction(5, 2), 3)])
 def test_strip_chunks_against_box_scan(p, t_inf, t_p, monkeypatch):
     # blocks of 5 first columns split the rows and their progressions;
-    # a strip holds one element of each pair +-gamma, and with their
-    # negatives every ball element whose float |gamma v| is at most the
-    # radius and that meets the shell congruence, and nothing outside
-    # the ball
+    # under either norm a strip holds one element of each pair +-gamma,
+    # and with their negatives every ball element whose float |gamma v|
+    # is at most the radius (math.inf: every one) and that meets the
+    # shell congruence, and nothing outside the ball
     monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 5)
-    ball = (brute_sl2zp(p, t_inf, t_p) if p
-            else [(0, mat) for mat in brute_sl2z(t_inf)])
-    spec = BallSpec("sl2zp" if p else "sl2z", p=p, t_inf=t_inf, t_p=t_p)
-    levels = np.array([m for m, _ in ball])
-    mats = np.array([mat for _, mat in ball]).reshape(-1, 2, 2)
     rng = random.Random(19 + p)
-    vecs = [(1.0, 0.0), (0.0, -2 / 3), (1.0, math.sqrt(2))]
-    vecs += [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)]
-    congruences = [None] + [((rng.randint(1, 9), rng.randint(0, 9)), k0)
-                            for k0 in ((-1, 0, 1) if p else ())]
-    for vec in vecs:
-        w = mats[:, :, 0] * vec[0] + mats[:, :, 1] * vec[1]
-        r = np.hypot(w[:, 0], w[:, 1]) / float(p or 1) ** levels
-        for congruence in congruences:
-            radius = rng.uniform(0.3, 3)
-            got = _strip_elements(iter_sl2_strip_chunks(
-                spec, vec, radius, congruence, workers=2))
-            both = _with_negatives(got)
-            assert both <= set(ball)
-            keep = r <= radius
-            if congruence:
-                nums, k0 = congruence
-                mod = np.power(p, np.maximum(levels + k0, 0))[:, None]
-                keep &= np.all(mats @ np.array(nums) % mod == 0, axis=1)
-                for m, flat in got:
-                    k = max(0, m + k0)
-                    assert all((flat[2 * i] * nums[0] + flat[2 * i + 1]
-                                * nums[1]) % p**k == 0 for i in (0, 1))
-            assert {ball[i] for i in np.flatnonzero(keep)} <= both
-        # a radius past every orbit point gives exactly half the ball,
-        # and with the negatives the whole ball
-        got = _strip_elements(iter_sl2_strip_chunks(
-            spec, vec, float(r.max()) + 1, workers=1))
-        assert sorted(_with_negatives(got)) == ball
-        assert 2 * len(got) == len(ball)
+    for norm in ("frobenius", "max"):
+        ball = (brute_sl2zp(p, t_inf, t_p, norm) if p
+                else [(0, mat) for mat in brute_sl2z(t_inf, norm)])
+        spec = BallSpec("sl2zp" if p else "sl2z", p=p, t_inf=t_inf, t_p=t_p,
+                        norm=norm)
+        levels = np.array([m for m, _ in ball])
+        mats = np.array([mat for _, mat in ball]).reshape(-1, 2, 2)
+        vecs = [(1.0, 0.0), (0.0, -2 / 3), (1.0, math.sqrt(2))]
+        vecs += [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)]
+        congruences = [None] + [((rng.randint(1, 9), rng.randint(0, 9)), k0)
+                                for k0 in ((-1, 0, 1) if p else ())]
+        for vec in vecs:
+            w = mats[:, :, 0] * vec[0] + mats[:, :, 1] * vec[1]
+            r = np.hypot(w[:, 0], w[:, 1]) / float(p or 1) ** levels
+            for congruence in congruences:
+                for radius in (rng.uniform(0.3, 3), math.inf):
+                    got = _strip_elements(iter_sl2_strip_chunks(
+                        spec, vec, radius, congruence, workers=2))
+                    both = _with_negatives(got)
+                    assert both <= set(ball)
+                    keep = r <= radius
+                    if congruence:
+                        nums, k0 = congruence
+                        mod = np.power(p, np.maximum(levels + k0, 0))[:, None]
+                        keep &= np.all(mats @ np.array(nums) % mod == 0,
+                                       axis=1)
+                        for m, flat in got:
+                            k = max(0, m + k0)
+                            assert all((flat[2 * i] * nums[0] + flat[2 * i + 1]
+                                        * nums[1]) % p**k == 0 for i in (0, 1))
+                    assert {ball[i] for i in np.flatnonzero(keep)} <= both
+            # a radius past every orbit point, or math.inf, gives exactly
+            # half the ball, and with the negatives the whole ball
+            for radius in (float(r.max()) + 1, math.inf):
+                got = _strip_elements(iter_sl2_strip_chunks(
+                    spec, vec, radius, workers=1))
+                assert sorted(_with_negatives(got)) == ball
+                assert 2 * len(got) == len(ball)
 
 
-def test_strip_chunks_need_the_frobenius_norm():
-    # checked when called, before the generator runs
-    with pytest.raises(ConfigError, match="Frobenius"):
-        iter_sl2_strip_chunks(BallSpec("sl2z", t_inf=5, norm="max"),
-                              (1.0, 1.4), 2.0)
+def test_max_norm_strip_rows_stay_within_the_frobenius_disk():
+    # a max-norm strip lays out one row per first entry 0 <= a <= bound;
+    # past the 2^16 rows the Frobenius headroom allows a disk, it raises
+    # when called, before laying out a row (at 2^29 they would take GBs)
+    vec = (1.0, math.sqrt(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="rows"):
+            iter_sl2_strip_chunks(BallSpec("sl2z", t_inf=2**29, norm="max"),
+                                  vec, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(CapacityError, match="rows"):
+        iter_sl2_strip_chunks(BallSpec("sl2zp", p=2, t_inf=2**14, t_p=4,
+                                       norm="max"), vec, 2.0)
+    levels, mats = next(iter_sl2_strip_chunks(
+        BallSpec("sl2z", t_inf=2**16 - 1, norm="max"), vec, 2.0, workers=1))
+    assert np.all(np.abs(mats) < 2**16) and np.all(levels == 0)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1038,6 +1057,13 @@ def test_window_filter_and_validation():
         CongruenceWindow(2, 1, ((1, 1, 1, 1),))
     with pytest.raises(ConfigError):
         CongruenceWindow(4, 1, ((1, 0, 0, 1),))
+    # the packed key of a class runs up to p^(4m), which must fit in int64:
+    # the largest entries at m = 15 keep their class, m = 16 is refused
+    top = (2**15 - 1, 0, 0, 2**15 - 1)
+    assert filter_window(np.array(top).reshape(1, 2, 2),
+                         CongruenceWindow(2, 15, (top,)))[0]
+    with pytest.raises(ConfigError, match="int64"):
+        CongruenceWindow(2, 16, ((2**16 - 1, 0, 0, 2**16 - 1),))
     with pytest.raises(ConfigError):
         filter_window(enum_slnz(BallSpec("slnz", n=3, t_inf=2.5)), w_id)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -144,6 +145,19 @@ def test_negation_invariance_of_test_parts():
         .negation_invariant
 
 
+def test_every_test_kind_defines_negation_invariant():
+    # the strip route bins the hits of -gamma through negation_invariant:
+    # one sample per kind of the parse_test grammar, so that a new kind
+    # fails here until it defines one
+    samples = {"annulus": "annulus(1,2,0,1)", "shell": "shell(0,1,1:0)",
+               "wedge": "wedge(1,2,2)",
+               "product": "product(annulus(1,2),shell(1))"}
+    heads = re.findall(r"^\s+(\w+)\(", parse_test.__doc__, re.MULTILINE)
+    assert sorted(heads) == sorted(samples)
+    for head, token in samples.items():
+        assert isinstance(parse_test(token, p=3).negation_invariant, bool), head
+
+
 def test_shell_validation():
     with pytest.raises(ConfigError):
         PadicShellBox(4, 0)
@@ -153,6 +167,10 @@ def test_shell_validation():
         PadicShellBox(2, 0, 1, ((0, 0),))  # not primitive
     with pytest.raises(ConfigError):
         PadicShellBox(2, 0, 0, ((1, 0),))  # classes without a depth
+    # unit classes pack into keys up to p^(2m), which must fit in int64
+    assert PadicShellBox(2, 0, 31, ((1, 0),)).units == ((1, 0),)
+    with pytest.raises(ConfigError, match="int64"):
+        PadicShellBox(2, 0, 32, ((1, 0),))
 
 
 def test_wedge_prediction_matches_annulus_in_dim_2():
@@ -587,7 +605,9 @@ def test_run_experiment_odd_p_matches_pointwise(norm, monkeypatch):
                                      (3, ("sqrt(3)", "1/2"))])
 def test_run_experiment_shared_sets_match_pointwise(p, v_inf, monkeypatch):
     # tests that repeat one real set (with and without a sector) and one
-    # shell share a mask per chunk
+    # shell share a mask per chunk and sign: the bare shell puts the run
+    # on the whole ball's strip, where the full-turn set is evaluated
+    # once per chunk and the sector on gamma and on -gamma
     monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 11)
     monkeypatch.setattr(balls, "_SL2_CHUNK_ELEMS", 29)
     cfg = ExperimentConfig(
@@ -602,13 +622,20 @@ def test_run_experiment_shared_sets_match_pointwise(p, v_inf, monkeypatch):
             "annulus(0.5,4,0,3)",
             "shell(0)")),
         capacity=10**6)
-    calls = []
+    calls, chunks = [], []
     contains = RealAnnulusSector.contains
+    masks = equidist._ChunkEvaluator.masks
     monkeypatch.setattr(RealAnnulusSector, "contains",
                         lambda self, w: calls.append(self) or contains(self, w))
+    monkeypatch.setattr(
+        equidist._ChunkEvaluator, "masks",
+        lambda self, level, mats, signs=False:
+            chunks.append(signs) or masks(self, level, mats, signs))
     rep = run_experiment(cfg)
-    nchunks = len(small_ball(group="sl2zp", p=p, t_inf=5, t_p=5))
-    assert len(calls) == 2 * nchunks  # two distinct real sets
+    assert chunks and all(chunks)
+    full, sector = cfg.tests[2], cfg.tests[4]
+    assert calls.count(full) == len(chunks)
+    assert calls.count(sector) == len(calls) - len(chunks) == 2 * len(chunks)
     monkeypatch.undo()
     ntests = len(cfg.tests)
     for i, t in enumerate(cfg.t_ladder):
@@ -742,13 +769,15 @@ def _random_ladder(rng, top):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_strip_route_matches_stream_sl2zp(p, monkeypatch):
     # random vectors (surds and rationals, negative and zero coordinates),
-    # exact and float radii, shells and unit-class boxes for s in -1..2;
-    # the all-product configs also take the p^k congruence on both rows
+    # exact and float radii, shells and unit-class boxes for s in -1..2,
+    # both norms; the configs whose tests all have a shell also take the
+    # p^k congruence on both rows, and a bare shell or box makes the
+    # strip as wide as the ball
     rng = random.Random(100 + p)
     monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 97)
     monkeypatch.setattr(balls, "_SL2_CHUNK_ELEMS", 113)
     tops = {2: 9, 3: 8.5, 5: Fraction(21, 2)}
-    for case in range(8):
+    for case in range(12):
         fin = (f"{rng.choice(['', '-'])}{rng.randint(1, 7)}/"
                f"{rng.choice([1, p, p * p, 5])}",
                rng.choice(["0", "3", f"1/{p}", f"{p}/7"]))
@@ -757,24 +786,32 @@ def test_strip_route_matches_stream_sl2zp(p, monkeypatch):
                  for _ in range(rng.randint(1, 3))]
         if case % 3 == 2:
             tests.append(_random_annulus(rng))
+        if case % 4 >= 2:
+            tests.append(_random_shell(rng, p))
+        norm = ("frobenius", "max")[case % 2]
+        top = tops[p] if norm == "frobenius" else 0.75 * tops[p]
         cfg = ExperimentConfig(
-            application="a22", v=v, t_ladder=_random_ladder(rng, tops[p]),
-            tests=tuple(parse_test(tok, p=p) for tok in tests),
+            application="a22", v=v, t_ladder=_random_ladder(rng, top),
+            tests=tuple(parse_test(tok, p=p) for tok in tests), norm=norm,
             capacity=10**7)
         strip, stream = _both_routes(cfg, monkeypatch)
-        assert _cells(strip) == _cells(stream), (v, tests)
+        assert _cells(strip) == _cells(stream), (v, tests, norm)
 
 
 def test_strip_route_matches_stream_sl2z(monkeypatch):
+    # both norms, annulus sectors and wedge annuli in dimension 2
     rng = random.Random(7)
     monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 211)
-    for application in ("ledrappier", "a21") * 3:
+    for case, application in enumerate(("ledrappier", "a21") * 4):
+        tests = [_random_annulus(rng) for _ in range(rng.randint(1, 4))]
+        if case % 3 == 1:
+            r1 = rng.uniform(0.05, 2.0)
+            tests.append(f"wedge({r1!r},{r1 + rng.uniform(0.1, 3.5)!r},2)")
         cfg = ExperimentConfig(
             application=application, v=OrbitVector.make(_random_vector(rng)),
             t_ladder=_random_ladder(rng, rng.choice([40, 61.5])),
-            tests=tuple(parse_test(_random_annulus(rng))
-                        for _ in range(rng.randint(1, 4))),
-            capacity=10**7)
+            tests=tuple(parse_test(tok) for tok in tests),
+            norm=("frobenius", "max")[case >= 4], capacity=10**7)
         strip, stream = _both_routes(cfg, monkeypatch)
         assert _cells(strip) == _cells(stream), cfg
     # an axis vector: the strip solves for its nonzero coordinate
@@ -990,16 +1027,18 @@ A22_V = OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=2)
 
 
 @pytest.mark.parametrize("name,cfg", [
-    ("max", ExperimentConfig(
-        application="a22", v=A22_V, t_ladder=(2, 4), norm="max",
-        tests=(parse_test("product(annulus(1,2),shell(0))", p=2),))),
+    # a window streams under either norm and whatever its tests
+    ("max window", led_config(
+        application="a21", t_ladder=(5, 10), norm="max",
+        window=CongruenceWindow(2, 1, reps=((1, 0, 0, 1),)))),
     ("window", led_config(
         application="a21", t_ladder=(5, 10),
         window=CongruenceWindow(2, 1, reps=((1, 0, 0, 1),)))),
-    ("bare shell", ExperimentConfig(
+    ("window bare shell", ExperimentConfig(
         application="a22", v=A22_V, t_ladder=(2, 4),
         tests=(parse_test("product(annulus(1,2),shell(0))", p=2),
-               parse_test("shell(0)", p=2)))),
+               parse_test("shell(0)", p=2)),
+        window=CongruenceWindow(2, 1, reps=((1, 0, 0, 1),)))),
     ("wedge", ExperimentConfig(
         application="wedge", n=3,
         v=OrbitVector.make(("1", "sqrt(2)", "sqrt(3)")), t_ladder=(2, 3),
@@ -1012,12 +1051,40 @@ def test_fallback_configs_stream_the_ball(name, cfg, monkeypatch):
 
 
 def test_bounded_tests_take_the_strip_route(monkeypatch):
+    # every SL(2) run without a window takes the strip, whatever its norm
+    # and its tests
     calls = _count_routes(monkeypatch)
     run_experiment(led_config(t_ladder=(5, 10)))
     assert calls == {"stream": 0, "strip": 1}
     # without tests only the totals are needed
     run_experiment(led_config(t_ladder=(5, 10), tests=()))
     assert calls == {"stream": 0, "strip": 1}
+    product = parse_test("product(annulus(1,2),shell(0))", p=2)
+    for strips, cfg in enumerate([
+            ExperimentConfig(application="a22", v=A22_V, t_ladder=(2, 4),
+                             norm="max", tests=(product,)),
+            # a bare shell bounds no |gamma v|: a strip of infinite width
+            ExperimentConfig(application="a22", v=A22_V, t_ladder=(2, 4),
+                             tests=(product, parse_test("shell(0)", p=2))),
+            led_config(t_ladder=(5, 10), norm="max",
+                       tests=(parse_test("wedge(1,2,2)"),))], 2):
+        run_experiment(cfg)
+        assert calls == {"stream": 0, "strip": strips}, cfg
+
+
+def test_run_experiment_passes_its_workers_to_the_totals(monkeypatch):
+    # the max-norm totals run their column blocks on the configured
+    # workers, not on every core
+    got = []
+    totals = equidist.sl2_ladder_totals
+    monkeypatch.setattr(
+        equidist, "sl2_ladder_totals",
+        lambda spec, cuts, workers=None: got.append(workers)
+        or totals(spec, cuts, workers))
+    for workers in (1, 2, None):
+        run_experiment(led_config(t_ladder=(5, 10), norm="max",
+                                  workers=workers))
+    assert got == [1, 2, None]
 
 
 def test_strip_route_evaluates_invariant_sectors_once(monkeypatch):
