@@ -276,7 +276,8 @@ def test_orbit_int64_overflow_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize("extra", [
     "application = a22\nv_fin = 1,3\np = 2\ntests = shell(0);shell(0,40,1:0)\n",
-    "application = a21\ntests = annulus(1,2)\nwindow = win.conf\n"])
+    "application = a21\ntests = annulus(1,2)\nwindow = win.conf\n"],
+    ids=["shell", "window"])
 def test_orbit_residue_keys_past_int64_exit_code(extra, capsys, monkeypatch,
                                                  tmp_path):
     # unit classes mod p^m pack into keys up to p^(2m), window classes
