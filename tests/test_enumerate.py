@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -718,12 +719,16 @@ def _column_order(entries):
 
 def _count_built(monkeypatch):
     """Counter of the matrices the SL(2) engine lays out (one
-    _ragged_arange call per block)."""
+    _ragged_arange call per block).  The worker threads add to it under a
+    lock: a bare += may lose the count of a block."""
     built = [0]
     real = balls._ragged_arange
+    lock = threading.Lock()
 
     def counting(lengths):
-        built[0] += int(np.sum(lengths))
+        n = int(np.sum(lengths))
+        with lock:
+            built[0] += n
         return real(lengths)
 
     monkeypatch.setattr(balls, "_ragged_arange", counting)

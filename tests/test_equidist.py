@@ -1027,14 +1027,16 @@ A22_V = OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=2)
 
 
 @pytest.mark.parametrize("name,cfg", [
-    # a window streams under either norm and whatever its tests
-    ("max window", led_config(
+    # a window streams under either norm and whatever its tests: the
+    # max-norm and bare-shell runs that stream are the windowed ones
+    # (without a window they take the strip, see below)
+    ("max", led_config(
         application="a21", t_ladder=(5, 10), norm="max",
         window=CongruenceWindow(2, 1, reps=((1, 0, 0, 1),)))),
     ("window", led_config(
         application="a21", t_ladder=(5, 10),
         window=CongruenceWindow(2, 1, reps=((1, 0, 0, 1),)))),
-    ("window bare shell", ExperimentConfig(
+    ("bare shell", ExperimentConfig(
         application="a22", v=A22_V, t_ladder=(2, 4),
         tests=(parse_test("product(annulus(1,2),shell(0))", p=2),
                parse_test("shell(0)", p=2)),
