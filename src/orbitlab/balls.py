@@ -31,6 +31,7 @@ Element orders are deterministic and documented per group:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -1096,19 +1097,18 @@ def _last_row_lines(prefix, budget, limit, bound=None, slack=None):
     return (keep, m, ws, x0), (rep, ys, *ends[0]), ends[1:]
 
 
-def _complete_last_row(prefix, budget, bound, meter):
+def _complete_last_row(prefix, budget, bound, limit):
     """All matrices (prefix rows stacked over x) of det 1 in the ball,
-    built from the solver's lines in sub-batches of about _CHUNK_PAIRS
-    rows, split by the exact line lengths.  The lines (budget and bound
-    as in _last_row_lines) hold exactly the ball's rows: the meter is
-    charged with their total before any is built, and every row is
-    checked (in the ball, det 1)."""
+    built from the solver's lines (at most ``limit`` per level) in
+    sub-batches of about _CHUNK_PAIRS rows, split by the exact line
+    lengths.  The lines (budget and bound as in _last_row_lines) hold
+    exactly the ball's rows, and every row is checked (in the ball, det
+    1)."""
     (keep, m, ws, x0), (rep, ys, tlo, thi), _ = _last_row_lines(
-        prefix, budget, 8 * meter.limit, bound)
+        prefix, budget, limit, bound)
     prefix, budget = prefix[keep], budget[keep]
     lengths = thi - tlo + 1
     total = int(lengths.sum())
-    meter.add(total)
     base = x0[rep] + sum(y[:, None] * ws[rep, j] for j, y in enumerate(ys))
     step = ws[rep, -1]
     splits = np.searchsorted(np.cumsum(lengths), np.arange(
@@ -1217,19 +1217,23 @@ class _SlnzPlan:
 
 
 def iter_slnz_chunks(spec: BallSpec, workers=None):
-    """Yield (levels, mats) chunks of the SL(n,Z) ball, rows lex order."""
+    """Yield (levels, mats) chunks of the SL(n,Z) ball, rows lex order.
+
+    The exact count of the ball (ball_count) is checked against the
+    capacity before the first block is built."""
     plan = _SlnzPlan(spec)
     if plan.empty:
         return
-    meter = _CapacityMeter(spec.capacity)
+    workers = resolve_workers(workers)
+    ball_count(spec, workers)
 
     def run(span):
         prefix, budget, bound, _, _ = plan.prefixes(span)
-        mats = _complete_last_row(prefix, budget, bound, meter)
+        mats = _complete_last_row(prefix, budget, bound, 8 * spec.capacity)
         keys = [_pack_rows(mats[:, i]) for i in range(spec.n)]
         return mats[np.lexsort(keys[::-1])]
 
-    for block in _pool_map(run, plan.blocks, resolve_workers(workers)):
+    for block in _pool_map(run, plan.blocks, workers):
         if len(block):
             yield np.zeros(len(block), dtype=np.int64), block
 
@@ -1247,11 +1251,24 @@ def entry_bound(spec: BallSpec) -> int:
     return math.isqrt(cuts[-1]) if cuts else 0
 
 
-def iter_ball_chunks(spec: BallSpec, workers=None):
-    """Uniform chunk stream (levels, mats) for any supported group."""
+def iter_ball_chunks(spec: BallSpec, workers=None, window=None):
+    """Uniform chunk stream (levels, mats) for any supported group; with a
+    congruence ``window``, only the elements in its classes.  Those all
+    have level 0 (filter_window), so only the level-0 ball is built and
+    charged to the capacity."""
+    if window is not None:
+        spec = dataclasses.replace(spec, t_p=min(spec._exact_t_p(), 1))
+        return _window_chunks(iter_ball_chunks(spec, workers), window)
     if spec.group == "slnz":
         return iter_slnz_chunks(spec, workers)
     return iter_sl2_zinvp_chunks(spec, workers)
+
+
+def _window_chunks(chunks, window):
+    for levels, mats in chunks:
+        keep = filter_window(mats, window)
+        if keep.any():
+            yield levels[keep], mats[keep]
 
 
 def ball_count(spec: BallSpec, workers=None) -> int:

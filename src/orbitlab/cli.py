@@ -33,7 +33,6 @@ from fractions import Fraction
 from .balls import (
     BallSpec,
     CongruenceWindow,
-    filter_window,
     iter_ball_chunks,
     norm_sq,
 )
@@ -322,6 +321,9 @@ def _cross_checks(subcommand: str, settings: dict) -> list:
                 _parse_number("t_p", settings["t_p"])
             except ConfigError as exc:
                 problems.extend(exc.problems)
+    if subcommand == "orbit" and settings["k"] != "1":
+        problems.append(f"k: orbit runs count vector orbits, wedge degree 1 "
+                        f"only; got {settings['k']}")
     if "ladder" in settings:
         try:
             _parse_ladder(settings["ladder"])
@@ -490,10 +492,7 @@ def _cmd_enumerate(config: RunConfig) -> None:
     header += [f"e{i + 1}{j + 1}" for i in range(dim) for j in range(dim)]
     header += ["norm_inf_sq", "norm_p"]
     rows = []
-    for levels, mats in iter_ball_chunks(spec, workers):
-        if window is not None:
-            mask = filter_window(mats, window, levels=levels)
-            levels, mats = levels[mask], mats[mask]
+    for levels, mats in iter_ball_chunks(spec, workers, window):
         keys = norm_sq(mats, spec.norm).tolist()
         for m, entries, key in zip(levels.tolist(),
                                    mats.reshape(len(mats), -1).tolist(), keys):
@@ -664,7 +663,6 @@ def _cmd_orbit(config: RunConfig) -> None:
             n=config.integer("n"),
             norm=s["norm"],
             window=window,
-            k=config.integer("k"),
             capacity=config.integer("capacity"),
             workers=config.integer("workers") or None,
         )

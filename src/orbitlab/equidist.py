@@ -6,8 +6,8 @@ exact per-place norms, so one pass serves every rung.  SL(2) balls
 without a window count their rung totals exactly, under either norm,
 and evaluate the tests only on the elements whose rows lie in the
 strips |row . v| <= p^m R (R infinite when a test bounds no |gamma v|)
-and in the row congruence their shells force; windows and SL(n) stream
-the whole ball.
+and in the row congruence their shells force.  Windows stream the
+level-0 ball, the only level they keep, and SL(n) the whole ball.
 
 Test functions are indicators of sets whose boundary carries no
 limit mass: annulus sectors in R^2 - {0}, valuation shells with
@@ -49,7 +49,6 @@ from .balls import (
     sl2_ladder_totals,
 )
 from .errors import ConfigError, DegenerateSpanError
-from .linalg import mat_vec, wedge_point
 from .places import (
     as_rational,
     continued_fraction,
@@ -75,7 +74,6 @@ __all__ = [
     "predicted_limit",
     "PredictionRecord",
     "orbit_sum",
-    "wedge_orbit_sum",
     "check_density_hypothesis",
     "calibrate_orientation",
     "sl2_congruence_order",
@@ -477,7 +475,7 @@ class PredictionRecord:
     normalizer_label: str
     test_ids: tuple
     predicted: tuple          # window-scaled density masses
-    ratio_targets: tuple      # predicted[j] / predicted[0]
+    ratio_targets: tuple      # predicted[j] / predicted[0]; None if 0/0
     window_scale: Fraction
     flags: tuple
 
@@ -507,7 +505,7 @@ def predicted_limit(application: str, tests=(), *, p: int = 0, n: int = 2,
     if preds and preds[0] > 0.0:
         ratios = tuple(v / preds[0] for v in preds)
     else:
-        ratios = tuple(math.nan for _ in preds)
+        ratios = tuple(None for _ in preds)
         if preds:
             flags.append("reference test has zero mass; ratios undefined")
     return PredictionRecord(
@@ -688,23 +686,6 @@ def orbit_sum(chunks, v: OrbitVector, f, normalizer: float, *,
     return total / normalizer
 
 
-def wedge_orbit_sum(mats, rows, f: RealWedgeAnnulus, normalizer: float) -> float:
-    """Orbit sum in wedge degree k >= 2, exact Plucker points.
-
-    ``rows`` spans the k-plane; each gamma maps it to the wedge point
-    of (gamma u_1, ..., gamma u_k).  Python-loop scale only.
-    """
-    if normalizer <= 0:
-        raise ConfigError("normalizer must be positive")
-    base = [tuple(as_rational(e) for e in u) for u in rows]
-    total = 0
-    for gamma in mats:
-        g = [[as_rational(int(e)) for e in row] for row in gamma]
-        pt = wedge_point([mat_vec(g, u) for u in base])
-        total += bool(f.contains(np.asarray([[float(c) for c in pt]]))[0])
-    return total / normalizer
-
-
 # ---------------------------------------------------------------------------
 # orientation calibration
 
@@ -756,7 +737,6 @@ class ExperimentConfig:
     n: int = 2
     norm: str = "frobenius"
     window: CongruenceWindow | None = None
-    k: int = 1
     capacity: int = 10**8
     workers: int | None = None
 
@@ -772,9 +752,6 @@ class ExperimentConfig:
             raise ConfigError("ladder radii must be strictly increasing")
         if self.application == "a22" and self.v.fin is None:
             raise ConfigError("a22 needs a finite-place vector")
-        if self.k != 1:
-            raise ConfigError("run_experiment handles vector orbits; "
-                              "higher wedge degrees go through wedge_orbit_sum")
         if self.window is not None and self.group == "slnz":
             raise ConfigError("congruence windows apply to SL(2) groups only")
 
@@ -799,10 +776,12 @@ class ReportRow:
     count: int
     empirical: float        # count / normalizer(t)
     predicted: float        # window-scaled density mass, constant-free
-    ratio_target: float     # predicted / predicted(first test)
-    ratio_empirical: float
-    rel_error: float        # |ratio_empirical/ratio_target - 1|
-    constant: float         # empirical / predicted
+    # None where undefined: ratios when the first test has no mass or no
+    # hit, the constant when this test has no mass
+    ratio_target: float | None     # predicted / predicted(first test)
+    ratio_empirical: float | None  # count / count(first test)
+    rel_error: float        # |ratio_empirical/ratio_target - 1|, 0 if undefined
+    constant: float | None  # empirical / predicted
 
 
 @dataclass(frozen=True)
@@ -822,7 +801,7 @@ class DistributionReport:
     rows: tuple
     slope_total: SlopeRecord | None
     slope_first_test: SlopeRecord | None
-    constant_cv: tuple            # (t, coefficient of variation) pairs
+    constant_cv: tuple            # (t, coefficient of variation or None)
     max_rel_error: tuple          # (t, max over non-reference tests) pairs
 
     def __post_init__(self):
@@ -890,9 +869,9 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     test bounds no |gamma v|; and, when every test has a shell, the row
     congruence those shells force), one of each pair +-gamma: the hits
     of -gamma are binned from its own masks, or as those of gamma when
-    the test is invariant under negation.  Congruence windows and SL(n)
-    (wedge) stream the whole ball through iter_ball_chunks and count its
-    totals as they go.
+    the test is invariant under negation.  Congruence windows (level 0
+    only) and SL(n) (wedge) stream the ball through iter_ball_chunks and
+    count its totals as they go.
 
     Deterministic for a fixed config: every accumulator is an integer
     count, which does not depend on chunk order.  The seed only feeds
@@ -900,7 +879,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     """
     flags = list(check_density_hypothesis(config.v, config.application))
     rec = predicted_limit(config.application, config.tests, p=config.p,
-                          n=config.n, k=config.k, window=config.window)
+                          n=config.n, window=config.window)
     flags.extend(rec.flags)
     orientation = calibrate_orientation(seed=seed)
 
@@ -921,7 +900,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
           if ntests else None)
     route = _strip_route(config)
     if route is None:
-        chunks, first_col = iter_ball_chunks(spec, config.workers), 0
+        chunks = iter_ball_chunks(spec, config.workers, config.window)
+        first_col = 0
     else:
         acc[:, 0] = sl2_ladder_totals(spec, cuts, config.workers)
         chunks, first_col = (), 1
@@ -939,8 +919,6 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
         # accumulate; index len(live) collects the elements in none
         live = np.flatnonzero(cuts[:, level] >= 0)
         first = np.searchsorted(cuts[live, level], key)
-        if config.window is not None:
-            first[~filter_window(mats, config.window, levels=levels)] = len(live)
         tmasks = (ev.masks(level, mats, signs=first_col == 1) if ntests
                   else [])
         for j, mask in enumerate(([None] + tmasks)[first_col:], first_col):
@@ -956,8 +934,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     totals = acc[:, 0].tolist()
     counts = acc[:, 1:].tolist()
 
-    norms = [normalizer_value(config.application, t, config.p, config.n,
-                              config.k) for t in config.t_ladder]
+    norms = [normalizer_value(config.application, t, config.p, config.n)
+             for t in config.t_ladder]
     rows, cv_rows, err_rows = [], [], []
     for i, t in enumerate(config.t_ladder):
         consts, errs = [], []
@@ -965,23 +943,22 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
             emp = counts[i][j] / norms[i]
             pred = rec.predicted[j]
             target = rec.ratio_targets[j]
-            ratio = (counts[i][j] / counts[i][0]
-                     if counts[i][0] > 0 else math.nan)
+            ratio = counts[i][j] / counts[i][0] if counts[i][0] > 0 else None
             rel = (abs(ratio / target - 1.0)
-                   if j and target and not math.isnan(ratio) else 0.0)
-            const = emp / pred if pred > 0 else math.nan
+                   if j and target and ratio is not None else 0.0)
+            const = emp / pred if pred > 0 else None
             rows.append(ReportRow(
                 t=float(t), test_id=rec.test_ids[j], count=counts[i][j],
                 empirical=emp, predicted=pred, ratio_target=target,
                 ratio_empirical=ratio, rel_error=rel, constant=const))
-            if not math.isnan(const):
+            if const is not None:
                 consts.append(const)
             if j:
                 errs.append(rel)
         if consts:
             mean = sum(consts) / len(consts)
             var = sum((c - mean) ** 2 for c in consts) / len(consts)
-            cv_rows.append((float(t), math.sqrt(var) / mean if mean else math.nan))
+            cv_rows.append((float(t), math.sqrt(var) / mean if mean else None))
         if errs:
             err_rows.append((float(t), max(errs)))
 

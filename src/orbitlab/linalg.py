@@ -1,8 +1,8 @@
 """Small exact matrices and wedge powers.
 
 Matrices are row-major tuples of tuples of Fraction; everything here is
-exact, except wedge points of float vectors.  The size function D(g)
-and the matrix norms live in :mod:`orbitlab.balls` (``norm_sq``).
+exact.  The size function D(g) and the matrix norms live in
+:mod:`orbitlab.balls` (``norm_sq``).
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(sum(a[i][l] * b[l][j] for l in range(k)) for j in range(m))
         for i in range(n)
     )
-
-
-def mat_vec(a: Matrix, v) -> tuple:
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
 
 
 def mat_det(a: Matrix) -> Fraction:
@@ -77,40 +73,3 @@ def wedge_action(a: Matrix, k: int) -> Matrix:
         raise ValueError(f"wedge degree {k} out of range for n={n}")
     idx = list(combinations(range(n), k))
     return tuple(tuple(_minor(a, rows, cols) for cols in idx) for rows in idx)
-
-
-def wedge_point(vectors) -> tuple:
-    """Coordinates of v_1 ^ ... ^ v_k in the lex minor basis."""
-    vs = tuple(tuple(as_rational(e) if not isinstance(e, float) else e for e in v)
-               for v in vectors)
-    k = len(vs)
-    n = len(vs[0])
-    if not 1 <= k <= n:
-        raise ValueError("bad wedge shape")
-    out = []
-    for cols in combinations(range(n), k):
-        sub = tuple(tuple(v[c] for c in cols) for v in vs)
-        if any(isinstance(e, float) for v in sub for e in v):
-            out.append(_float_det(sub))
-        else:
-            out.append(mat_det(sub))
-    return tuple(out)
-
-
-def _float_det(a):
-    n = len(a)
-    m = [[float(e) for e in row] for row in a]
-    det = 1.0
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if m[piv][col] == 0.0:
-            return 0.0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det

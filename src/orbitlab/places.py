@@ -14,8 +14,6 @@ from fractions import Fraction
 
 import mpmath
 
-Rational = Fraction
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -61,15 +61,6 @@ def laplace_det(a):
     return total
 
 
-def gram_volume(rows):
-    """sqrt(det(R R^T)) for a stack of rows, via exact Gram entries."""
-    k = len(rows)
-    gram = [[sum(Fraction(x) * Fraction(y) for x, y in zip(r, s)) for s in rows]
-            for r in rows]
-    d = laplace_det(gram)
-    return math.sqrt(float(d))
-
-
 # ---------------------------------------------------------------------------
 # ball enumeration by exhaustive box scan
 

@@ -293,6 +293,37 @@ def test_orbit_residue_keys_past_int64_exit_code(extra, capsys, monkeypatch,
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("conf", [
+    # the reference shell(5) has no hit at either rung
+    "application = a22\nv_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2\n"
+    "ladder = 2,2,2\ntests = shell(5);shell(0)\n",
+    # the degenerate reference annulus has no mass and no hit
+    "application = a21\nv_inf = 1,sqrt(2)\nladder = 4,2,5\n"
+    "tests = annulus(2,2);annulus(1,2)\n"], ids=["no-hit", "no-mass"])
+def test_orbit_undefined_ratios_write_null(conf, monkeypatch, tmp_path):
+    # an undefined ratio is a fact about a valid run, not a divergence:
+    # null in the JSON report, an empty cell in the CSV, exit 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(
+        conf + "out_json = o.json\nout_csv = o.csv\n")
+    assert run("orbit", "--config", "run.conf") == 0
+    rows = json.loads((tmp_path / "o.json").read_text())["rows"]
+    assert all(r["ratio_empirical"] is None for r in rows)
+    assert (tmp_path / "o.csv").exists()
+
+
+def test_orbit_rejects_wedge_degree_above_one(capsys, tmp_path):
+    conf = tmp_path / "orbit.conf"
+    conf.write_text(
+        "application = wedge\nn = 3\nv_inf = 1,sqrt(2),sqrt(3)\n"
+        "ladder = 2,3/2,2\ntests = wedge(1,2,3)\n"
+        f"out_json = {tmp_path / 'o.json'}\nout_csv = {tmp_path / 'o.csv'}\n")
+    assert run("orbit", "--config", conf, "--set", "k=2") == 2
+    assert "k:" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+    assert run("orbit", "--config", conf, "--set", "k=1") == 0
+
+
 def test_capacity_exit_code(tmp_path):
     out = tmp_path / "big.csv"
     assert run("enumerate", "--group", "sl2z", "--T-inf", 500,
@@ -426,20 +457,21 @@ def test_orbit_a22_json_golden_bytes(monkeypatch, tmp_path):
 
 def test_orbit_run_leaves_numpy_random_unimported(tmp_path):
     # the orientation calibration draws its translators from the stdlib
-    # random; importing numpy.random costs a fresh process 12-17 ms
+    # random; importing numpy.random costs a fresh process 12-17 ms.  The
+    # exact matrices of orbitlab.linalg serve no orbit run either.
     (tmp_path / "run.conf").write_text(
         "application = a22\nv_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2\n"
         "ladder = 2,2,2\n" + A22_TESTS
         + "out_json = o.json\nout_csv = o.csv\n")
     code = ("import sys\nfrom orbitlab.cli import main\n"
             "print(main(['orbit', '--config', 'run.conf']), "
-            "'numpy.random' in sys.modules)")
+            "'numpy.random' in sys.modules, 'orbitlab.linalg' in sys.modules)")
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(orbitlab.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "False"]
+    assert out.stdout.split() == ["0", "False", "False"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ORBIT_JSON))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -320,17 +321,21 @@ def test_quadratic_interval_is_exact():
 
 
 def _count_interval_rows(monkeypatch):
-    """Counter of the rows in the exact intervals of the last-row solver,
-    which are all the rows enumeration builds."""
+    """Counter of the rows in the exact intervals of the lines that
+    _complete_last_row lays out, which are all the rows enumeration
+    builds.  The capacity count before them (ball_count, the only caller
+    that asks for a slack interval) solves lines it never builds."""
     built = [0]
-    real = balls._quadratic_interval
+    real = balls._last_row_lines
 
-    def counting(qa, qb, qc):
-        tlo, thi = real(qa, qb, qc)
-        built[0] += int((thi - tlo + 1).sum())
-        return tlo, thi
+    def counting(prefix, budget, limit, bound=None, slack=None):
+        out = real(prefix, budget, limit, bound, slack)
+        if slack is None:
+            _, (_, _, tlo, thi), _ = out
+            built[0] += int((thi - tlo + 1).sum())
+        return out
 
-    monkeypatch.setattr(balls, "_quadratic_interval", counting)
+    monkeypatch.setattr(balls, "_last_row_lines", counting)
     return built
 
 
@@ -369,6 +374,20 @@ def test_slnz_capacity_counts_emitted_elements(n, t, norm):
     assert len(enum_slnz(BallSpec(**spec, capacity=true), workers=1)) == true
     with pytest.raises(CapacityError, match="exceeds capacity"):
         enum_slnz(BallSpec(**spec, capacity=true - 1), workers=1)
+
+
+@pytest.mark.parametrize("n,t,norm", [(2, 300, "max"), (3, 10.125, "frobenius"),
+                                      (4, 1, "max")])
+def test_over_capacity_slnz_builds_no_matrix(n, t, norm, monkeypatch):
+    # the exact count fails the capacity before any block is built: in a
+    # fraction of the stream's time, and without its memory
+    calls = []
+    monkeypatch.setattr(balls, "_complete_last_row",
+                        lambda *args: calls.append(args))
+    spec = BallSpec("slnz", n=n, t_inf=t, norm=norm)
+    with pytest.raises(CapacityError, match="exceeds capacity"):
+        enum_slnz(dataclasses.replace(spec, capacity=ball_count(spec) - 1))
+    assert calls == []
 
 
 def test_last_row_headroom_guard(monkeypatch):

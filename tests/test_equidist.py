@@ -28,7 +28,6 @@ from orbitlab.equidist import (
     run_experiment,
     sl2_congruence_order,
     wedge_normalizer_exponent,
-    wedge_orbit_sum,
     window_scale,
 )
 from orbitlab.errors import CapacityError, ConfigError
@@ -407,18 +406,6 @@ def test_orbit_sum_normalizer_validation():
         orbit_sum(chunks, v, RealAnnulusSector(1, 2), 0.0)
 
 
-def test_wedge_orbit_sum_signed_permutations():
-    # at T = 2.1 the SL(4,Z) ball is the 192 even signed permutations;
-    # they send e1^e2 to coordinate wedge vectors of norm exactly 1
-    chunks = small_ball(group="slnz", n=4, t_inf=2.1)
-    mats = np.concatenate([m for _, m in chunks])
-    assert len(mats) == 192
-    rows = [(1, 0, 0, 0), (0, 1, 0, 0)]
-    hit = wedge_orbit_sum(mats, rows, RealWedgeAnnulus(0.9, 1.1, 6), 1.0)
-    miss = wedge_orbit_sum(mats, rows, RealWedgeAnnulus(1.2, 9.0, 6), 1.0)
-    assert (hit, miss) == (192.0, 0.0)
-
-
 def test_valuation_array_matches_scalar():
     from orbitlab.equidist import _valuations
 
@@ -534,6 +521,61 @@ def test_run_experiment_window_binning():
     unwin = run_experiment(led_config(t_ladder=(10, 20, 40)))
     for rw, ru in zip(rep.rows, unwin.rows):
         assert rw.predicted == pytest.approx(ru.predicted / 6.0)
+
+
+def test_windowed_run_builds_level_zero_only(monkeypatch):
+    # a window keeps level 0 alone, so a windowed SL(2,Z[1/p]) run lays
+    # out the level-0 ball (6,180 matrices at T = 32) and not every level
+    # (12,548,820).  Counted as the SL(2) engine lays them out: one
+    # _ragged_arange per block, on one worker.  Totals and hits are those
+    # of orbit_sum(window=) over the full stream of every level, checked
+    # here up to T = 16; the T = 32 values are those of the full stream
+    # too, pinned because it takes seconds per test.
+    built = [0]
+    ragged = balls._ragged_arange
+
+    def counting(lengths):
+        built[0] += int(np.sum(lengths))
+        return ragged(lengths)
+
+    monkeypatch.setattr(balls, "_ragged_arange", counting)
+    win = CongruenceWindow(2, 1, reps=((1, 0, 0, 1),))
+    tests = tuple(parse_test(tok, p=2) for tok in (
+        "product(annulus(1,2),shell(0))", "product(annulus(1,3),shell(0))",
+        "product(annulus(1,2),shell(1))"))
+    cfg = ExperimentConfig(
+        application="a22",
+        v=OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=2),
+        t_ladder=(4, 8, 16, 32), tests=tests, window=win, workers=1)
+    rep = run_experiment(cfg)
+    laid_out = built[0]
+    assert laid_out == sum(len(m) for _, m in small_ball(
+        group="sl2z", t_inf=32)) == 6180
+    assert [c for _, c in rep.totals] == [10, 50, 234, 986]
+    hits = [[r.count for r in rep.rows[3 * i:3 * i + 3]] for i in range(4)]
+    assert hits[-1] == [24, 50, 0]
+    everything = RealAnnulusSector(1e-9, 1e9)
+    for (t, total), row in zip(rep.totals[:3], hits):
+        chunks = small_ball(group="sl2zp", p=2, t_inf=t, t_p=t)
+        assert total == orbit_sum(chunks, cfg.v, everything, 1.0, window=win)
+        assert row == [orbit_sum(chunks, cfg.v, f, 1.0, window=win)
+                       for f in cfg.tests]
+
+
+def test_over_capacity_wedge_run_builds_no_matrix(monkeypatch):
+    # the exact count of the top rung fails the capacity before the
+    # SL(3) stream completes a single last row
+    calls = []
+    monkeypatch.setattr(balls, "_complete_last_row",
+                        lambda *args: calls.append(args))
+    cfg = ExperimentConfig(
+        application="wedge", n=3,
+        v=OrbitVector.make(("1", "sqrt(2)", "sqrt(3)")),
+        t_ladder=(2, 3, 4.5, 6.75, 10.125), tests=(RealWedgeAnnulus(1, 2, 3),),
+        capacity=10**7)
+    with pytest.raises(CapacityError, match="exceeds capacity"):
+        run_experiment(cfg)
+    assert calls == []
 
 
 def test_run_experiment_sarithmetic_rungs():

@@ -1,5 +1,6 @@
-"""Every export resolves and every demo imports."""
+"""Every export resolves, every demo imports, and src holds no assert."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -31,3 +32,14 @@ def test_demo_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(orbitlab.__file__)
+                                        .parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_source_has_no_assert(path):
+    # invariants raise typed errors: python -O strips assert statements
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert on lines {lines}"

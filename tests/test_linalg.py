@@ -1,6 +1,5 @@
 """Exact matrix ops and wedge powers."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -10,12 +9,10 @@ from orbitlab.linalg import (
     as_matrix,
     mat_det,
     mat_mul,
-    mat_vec,
     wedge_action,
-    wedge_point,
 )
 
-from oracles import gram_volume, laplace_det, minors_matrix
+from oracles import laplace_det, minors_matrix
 
 
 def rand_mat(rng, n, den=6, lo=-9, hi=9):
@@ -78,28 +75,3 @@ def test_wedge_action_degree_one_and_top():
     m = rand_mat(rng, 4)
     assert wedge_action(m, 1) == m
     assert wedge_action(m, 4) == ((mat_det(m),),)
-
-
-def test_wedge_point_matches_action():
-    # wedge_point(M v_1..v_k rows) = wedge_action(M, k) applied to wedge_point(v)
-    rng = random.Random(17)
-    for _ in range(50):
-        n, k = 4, 2
-        m = rand_mat(rng, n, den=2, lo=-3, hi=3)
-        vs = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(k)]
-        lhs = wedge_point([mat_vec(m, v) for v in vs])
-        rhs = mat_vec(wedge_action(m, k), wedge_point(vs))
-        assert lhs == rhs
-
-
-def test_wedge_point_length_matches_gram_oracle():
-    # |v_1 ^ ... ^ v_k| = sqrt(det Gram(v_1, ..., v_k))
-    rng = random.Random(18)
-    for _ in range(60):
-        n = rng.choice([3, 4])
-        k = rng.randint(1, n)
-        m = rand_mat(rng, n, den=4)
-        length = math.sqrt(float(sum(e * e for e in wedge_point(m[:k]))))
-        assert length == pytest.approx(
-            gram_volume([list(r) for r in m[:k]]), rel=1e-12, abs=1e-12
-        )
