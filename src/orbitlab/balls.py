@@ -574,10 +574,33 @@ def _concat_chunks(chunks, n):
 # ---------------------------------------------------------------------------
 # SL(2) ladders: rung totals without building a matrix, and test strips
 
-# Q values per block of the two-squares sum; bounds its temporaries
+# table entries per block of the two-squares passes; bounds their
+# temporaries
 _R2_BLOCK = 1 << 16
 # first-column pairs per block of the max-norm count
 _MAX_COL_BLOCK = 1 << 17
+
+
+def _row_bincount(start, lengths, const, f, size):
+    """Bincount into ``size`` bins of f(x) + const[r] over the integers x
+    in [start[r], start[r] + lengths[r]) of each row r, for an increasing
+    f whose value just past each row is at least size.
+
+    The rows are laid out as one rectangle as wide as the widest row,
+    whose cells past a row's end are clipped into one extra bin.  Where
+    that rectangle would hold over 3/2 the points, each row is cut into
+    pieces as wide as the mean row, which leaves at most twice the points
+    plus one cell per row."""
+    width = int(lengths.max(initial=0))
+    total = int(lengths.sum())
+    if 2 * len(lengths) * width > 3 * total:
+        width = -(-total // len(lengths))
+        rep, off = _ragged_arange(-(-lengths // width))
+        start, const = start[rep] + off * width, const[rep]
+    x = f(start[:, None] + np.arange(width))
+    x += const[:, None]
+    np.minimum(x, size, out=x)
+    return np.bincount(x.ravel(), minlength=size + 1)[:-1]
 
 
 def _r2_range(lo, hi):
@@ -586,28 +609,14 @@ def _r2_range(lo, hi):
     The eight signed swaps act on Z^2 - 0 with one point u > w >= 1 in
     each free orbit; the orbits of (u, 0) and (u, u) have four points.
     The points u > w >= 1 of the annulus lo <= n < hi lie row by row
-    between two integer square roots.  The rows are laid out as one
-    rectangle as wide as the widest row, whose cells past a row's end
-    fall in one extra bin, and counted by one bincount; r2(0) = 1.  Where
-    that rectangle would hold over 3/2 the points (the disk lo = 0, whose
-    rows shrink from sqrt(hi) to 0, holds 1.8x), each row is cut into
-    pieces a quarter of the widest row wide, which leaves about 1.2x."""
+    between two integer square roots (_row_bincount); r2(0) = 1."""
     if hi <= lo:
         return np.zeros(0, dtype=np.int64)
     w = np.arange(1, math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
     w2 = w * w
     ulo = np.maximum(w + 1, _isqrt_array(np.maximum(lo - 1 - w2, 0)) + 1)
-    uhi = _isqrt_array(hi - 1 - w2)
-    lengths = uhi - ulo + 1  # >= 0: uhi >= w as 2 w^2 <= hi - 1
-    width = int(lengths.max(initial=0))
-    if 2 * len(w) * width > 3 * int(lengths.sum()):
-        width = -(-width // 4)
-        rep, off = _ragged_arange(-(-lengths // width))
-        ulo, uhi, w2 = ulo[rep] + off * width, uhi[rep], w2[rep]
-    u = ulo[:, None] + np.arange(width)
-    n = u * u + (w2 - lo)[:, None]
-    n[u > uhi[:, None]] = hi - lo
-    out = 8 * np.bincount(n.ravel(), minlength=hi - lo + 1)[:-1]
+    uhi = _isqrt_array(hi - 1 - w2)  # >= w as 2 w^2 <= hi - 1
+    out = 8 * _row_bincount(ulo, uhi - ulo + 1, w2 - lo, np.square, hi - lo)
     if lo == 0:
         out[0] = 1
     for mult in (1, 2):  # the axis points u^2, then the diagonal 2 u^2
@@ -617,47 +626,117 @@ def _r2_range(lo, hi):
     return out
 
 
+def _pronic_floor(x):
+    """Largest a >= 0 with a (a + 1) <= x, elementwise (x >= 0): 2a + 1
+    <= sqrt(4x + 1)."""
+    return (_isqrt_array(4 * x + 1) - 1) // 2
+
+
+def _r2_1mod4_range(lo, hi):
+    """r2(4i + 1) for lo <= i < hi.
+
+    A point of u^2 + w^2 = 4i + 1 has one odd and one even coordinate,
+    and the swap pairs those with u odd off against those with w odd.
+    The four sign changes act freely on the points u odd >= 1, w even
+    >= 2, so r2(4i + 1) = 8 #{such points} + 4 [4i + 1 is a square].
+    With u = 2a + 1 and w = 2b, 4i + 1 = u^2 + w^2 reads i = a (a + 1)
+    + b^2: the points a >= 0, b >= 1 of lo <= i < hi lie row by row in b
+    between two bounds of a (_row_bincount), half as many per unit of n
+    as the points u > w >= 1 of _r2_range."""
+    if hi <= lo:
+        return np.zeros(0, dtype=np.int64)
+    b = np.arange(1, math.isqrt(hi - 1) + 1, dtype=np.int64)
+    b2 = b * b
+    below = lo - 1 - b2
+    alo = np.where(below >= 0, _pronic_floor(np.maximum(below, 0)) + 1, 0)
+    ahi = _pronic_floor(hi - 1 - b2)
+    out = 8 * _row_bincount(alo, ahi - alo + 1, b2 - lo,
+                            lambda a: a * (a + 1), hi - lo)
+    u = np.arange((math.isqrt(4 * lo) + 1) | 1, math.isqrt(4 * hi - 3) + 1, 2,
+                  dtype=np.int64)
+    out[u * u // 4 - lo] += 4  # the odd squares u^2 = 4i + 1, w = 0
+    return out
+
+
+def _pair_sums(table, terms, meters):
+    """For each term (shift, ends, k, div): the sums over 0 <= i <= end
+    of table(i) table(i + shift) divided by div (which divides each of
+    them), at each end of the ascending ``ends``; 0 at an end below 0.
+
+    One pass over i, in blocks of _R2_BLOCK so that memory does not grow
+    with the ends, serves every term: a block builds the table once, up
+    to the largest shift that fits in a block, and each term reads its
+    two slices from it (a term of a larger shift builds its shifted
+    slice apart).  The segments between consecutive ends are summed by
+    dot products, each at most a level's count, far below 2^63 under the
+    headroom guard (_check_sl2_headroom).  ``meters[k]`` is charged with
+    each of its terms' running sums, block by block."""
+    top = max([ends[-1] for _, ends, *_ in terms if ends], default=-1)
+    reach = max([s for s, *_ in terms if s <= _R2_BLOCK], default=0)
+    out = [[0] * sum(e < 0 for e in ends) for _, ends, *_ in terms]
+    running = [0] * len(terms)
+    for i0 in range(0, top + 1, _R2_BLOCK):
+        i1 = min(i0 + _R2_BLOCK, top + 1)
+        near = table(i0, i1 + reach)
+        for t, (s, ends, k, div) in enumerate(terms):
+            if not ends or ends[-1] < i0:
+                continue
+            n, before = min(i1, ends[-1] + 1) - i0, running[t]
+            far = near[s:] if s <= _R2_BLOCK else table(i0 + s, i0 + n + s)
+            his = [e - i0 + 1 for e in ends if i0 <= e < i0 + n]
+            for lo, hi in zip([0] + his, his + [n]):
+                running[t] += int(np.dot(near[lo:hi], far[lo:hi]))
+                out[t].append(running[t] // div)
+            out[t].pop()  # the sum at the block's end, not at an end
+            meters[k].add((running[t] - before) // div)
+    return out
+
+
 def _det_norm_counts(dets, cutsets, meters):
     """For each level k and each X of the ascending ``cutsets[k]``, the
     number of integer 2x2 M with det M = dets[k] >= 1 and norm_sq(M) <= X.
 
     With u = a+d, v = a-d, w = b-c, z = b+c, P = u^2 + w^2 and Q = v^2 +
     z^2, 4 det M = P - Q and 2 norm_sq(M) = P + Q, and (u, v, w, z) comes
-    from an integral M exactly when u = v and w = z (mod 2).  For even Q those parities
-    follow from P = Q (mod 4); for odd Q half of the pairs keep them.  So
-    the count is the sum over 0 <= Q <= X - 2 det of r2(Q) r2(Q + 4 det),
-    halved for odd Q (Jacobi's two-square theorem gives r2).
+    from an integral M exactly when u = v and w = z (mod 2).  For even Q
+    those parities follow from P = Q (mod 4); for odd Q half of the pairs
+    keep them.  So with D = det and Y = X - 2D the count is the sum over
+    0 <= Q <= Y of r2(Q) r2(Q + 4D), halved for odd Q (Jacobi's
+    two-square theorem gives r2).
 
-    One pass over Q, in blocks of _R2_BLOCK so that memory does not grow
-    with X, serves every level: a block builds r2 once, up to the largest
-    shift 4 det that fits in a block, and each level reads its two slices
-    from it (a level of a larger shift builds its shifted slice apart).
-    The segments between consecutive cuts are summed by two dot products,
-    over even and over odd Q; each odd term is a multiple of 16 (4 | r2(n)
-    for n >= 1), so halving is exact, and a segment's sum is at most the
-    level's count, far below 2^63 under the headroom guard
-    (_check_sl2_headroom).  ``meters[k]`` is charged with level k's
-    running sum, a lower bound on its largest X's count, block by block."""
-    shifts = [4 * det for det in dets]
-    ends = [[x - 2 * det for x in cuts] for det, cuts in zip(dets, cutsets)]
-    tops = [max(e, default=-1) for e in ends]
-    out = [[0] * sum(e < 0 for e in es) for es in ends]
-    running = [0] * len(dets)
-    reach = max([s for s in shifts if s <= _R2_BLOCK], default=0)
-    for q0 in range(0, max(tops, default=-1) + 1, _R2_BLOCK):
-        q1 = min(q0 + _R2_BLOCK, max(tops) + 1)
-        r2 = _r2_range(q0, q1 + reach)
-        for k in [k for k, top in enumerate(tops) if top >= q0]:
-            n, s, before = min(q1, tops[k] + 1) - q0, shifts[k], running[k]
-            far = r2[s:] if s <= _R2_BLOCK else _r2_range(q0 + s, q0 + n + s)
-            his = [e - q0 + 1 for e in ends[k] if q0 <= e < q0 + n]
-            for lo, hi in zip([0] + his, his + [n]):
-                ev, od = lo + (q0 + lo) % 2, lo + (q0 + lo + 1) % 2
-                running[k] += int(np.dot(r2[ev:hi:2], far[ev:hi:2])) + int(
-                    np.dot(r2[od:hi:2], far[od:hi:2])) // 2
-                out[k].append(running[k])
-            out[k].pop()  # the sum at the block's end, not at a cut
-            meters[k].add(running[k] - before)
+    Split that sum by v2(Q), with r2(2n) = r2(n) and r2(n) = 0 for n = 3
+    (mod 4); put 4D = 2^e s, s odd.  The odd Q count only at Q = 1 (mod
+    4), where Q + 4D = 1 (mod 4) too; the even Q = 2Q' give the sum over
+    Q' <= Y/2 of r2(Q') r2(Q' + 4D/2), and so on.  While the shift 4D/2^j
+    is 0 mod 4 its odd Q' again count at 1 (mod 4) only; at j = e - 1,
+    shift 2 mod 4, every odd Q' vanishes; at j = e the shift s is odd and
+    every q counts.  So the count is
+
+        1/2 sum_{Q <= Y, Q = 1 (4)} r2(Q) r2(Q + 4D)
+        + sum_{j=1..e-2} sum_{Q <= Y/2^j, Q = 1 (4)} r2(Q) r2(Q + 4D/2^j)
+        + sum_{q <= Y/2^e} r2(q) r2(q + s).
+
+    With Q = 4i + 1 the first two lines pair entries i and i + D/2^j of
+    the table r2(4i + 1) (_r2_1mod4_range), j = 0..v2(D), over i <=
+    (floor(Y/2^j) - 1)/4; the tail pairs r2 itself (_r2_range) over at
+    most a quarter of the range, e >= 2.  One pass over the table serves
+    every level and every j, and one pass over r2 every level's tail
+    (_pair_sums).  Each j = 0 term is a multiple of 16 (4 | r2(n) for n
+    >= 1), so halving is exact.  ``meters[k]`` is charged with level k's
+    running sums, a lower bound on its largest X's count, block by block
+    and table first."""
+    heads, tails = [], []
+    for k, (det, cuts) in enumerate(zip(dets, cutsets)):
+        ys = [x - 2 * det for x in cuts]
+        v = (det & -det).bit_length() - 1
+        heads += [(det >> j, [((y >> j) - 1) // 4 for y in ys], k,
+                   2 if j == 0 else 1) for j in range(v + 1)]
+        tails.append((det >> v, [y >> v + 2 for y in ys], k, 1))
+    sums = (_pair_sums(_r2_1mod4_range, heads, meters)
+            + _pair_sums(_r2_range, tails, meters))
+    out = [[0] * len(cuts) for cuts in cutsets]
+    for (*_, k, _), got in zip(heads + tails, sums):
+        out[k] = [a + b for a, b in zip(out[k], got)]
     return out
 
 
@@ -700,12 +779,13 @@ def sl2_ladder_totals(spec: BallSpec, cuts, workers=None) -> list:
     (-1 where the level is excluded).  Level m holds the M of det p^(2m)
     less those that vanish mod p, p times the matrices of det p^(2m-2) and
     norm_sq at most floor(cut / p^2) under either norm; level m - 1 counts
-    those too, and one pass over Q counts every level (Frobenius,
-    _det_norm_counts).  The spec's int64 headroom is checked first, and a
-    top rung over its capacity raises CapacityError, as the stream would:
-    early, as soon as the level-0 count of its cut passes the capacity
-    (the top rung holds every other rung, so no level-0 cut is larger),
-    else once the totals are known."""
+    those too.  Under the Frobenius norm one pass over a table of r2 at n
+    = 1 (mod 4) and one over r2 at a quarter of the range or less count
+    every level (_det_norm_counts).  The spec's int64 headroom is checked
+    first, and a top rung over its capacity raises CapacityError, as the
+    stream would: early, as soon as the level-0 count of its cut passes
+    the capacity (the top rung holds every other rung, so no level-0 cut
+    is larger), else once the totals are known."""
     _sl2_levels(spec)
     p = spec.p or 1
     cuts = np.asarray(cuts, dtype=np.int64).tolist()
@@ -1242,11 +1322,21 @@ def enum_slnz(spec: BallSpec, workers=None) -> np.ndarray:
     return _concat_chunks(iter_slnz_chunks(spec, workers), spec.n)[1]
 
 
-def entry_bound(spec: BallSpec) -> int:
-    """Largest |entry| of any integer matrix the spec's chunks can hold.
+def _level_zero(spec: BallSpec) -> BallSpec:
+    """The level-0 ball of the spec: all that a congruence window keeps,
+    as elements of a nonzero level are never p-integral (filter_window)."""
+    return dataclasses.replace(spec, t_p=min(spec._exact_t_p(), 1))
+
+
+def entry_bound(spec: BallSpec, window=None) -> int:
+    """Largest |entry| of any integer matrix the spec's chunks can hold
+    (iter_ball_chunks), with a congruence ``window`` those of its level-0
+    ball.
 
     Under either norm every entry e of M has e^2 <= norm_sq(M), and the
     level-m integer matrix of sl2zp is p^m gamma."""
+    if window is not None:
+        spec = _level_zero(spec)
     cuts = _level_cuts(spec._exact_t_inf(), spec.p, spec._exact_t_p())
     return math.isqrt(cuts[-1]) if cuts else 0
 
@@ -1254,11 +1344,11 @@ def entry_bound(spec: BallSpec) -> int:
 def iter_ball_chunks(spec: BallSpec, workers=None, window=None):
     """Uniform chunk stream (levels, mats) for any supported group; with a
     congruence ``window``, only the elements in its classes.  Those all
-    have level 0 (filter_window), so only the level-0 ball is built and
-    charged to the capacity."""
+    have level 0, so only the level-0 ball is built and charged to the
+    capacity."""
     if window is not None:
-        spec = dataclasses.replace(spec, t_p=min(spec._exact_t_p(), 1))
-        return _window_chunks(iter_ball_chunks(spec, workers), window)
+        return _window_chunks(iter_ball_chunks(_level_zero(spec), workers),
+                              window)
     if spec.group == "slnz":
         return iter_slnz_chunks(spec, workers)
     return iter_sl2_zinvp_chunks(spec, workers)
@@ -1276,8 +1366,10 @@ def ball_count(spec: BallSpec, workers=None) -> int:
     under either norm.
 
     SL(2,Z), slnz n = 2 (the same set) and SL(2,Z[1/p]) are
-    sl2_ladder_totals with the ball as its one rung: sums of two squares
-    under the Frobenius norm, exact column intervals under the max norm.
+    sl2_ladder_totals with the ball as its one rung: sums of products of
+    two-square counts r2 under the Frobenius norm, read from a table at
+    n = 1 (mod 4) plus a tail (_det_norm_counts), and exact column
+    intervals under the max norm.
     Their int64 headroom is checked before counting, and capacity as the
     count runs.  SL(3,Z) and SL(4,Z) visit only the first rows of the
     signed-permutation fundamental domain, each weighted by its orbit

@@ -896,7 +896,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     nrungs, ntests = len(config.t_ladder), len(config.tests)
     # column 0: rung totals; column 1 + j: hits of test j
     acc = np.zeros((nrungs, ntests + 1), dtype=np.int64)
-    ev = (_ChunkEvaluator(config.v, config.tests, entry_bound(spec))
+    ev = (_ChunkEvaluator(config.v, config.tests,
+                          entry_bound(spec, config.window))
           if ntests else None)
     route = _strip_route(config)
     if route is None:

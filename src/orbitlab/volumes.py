@@ -149,8 +149,8 @@ class StabilizerBall:
     def ball_volume(self, t: float) -> float:
         return stab_ball_volume_sl2r(self.v, t)
 
-    def skew_volume(self, g, t: float) -> float:
-        """Mass of {s : |(I + sN) g|_F <= t}: an interval length."""
+    def skew_quadratic(self, g):
+        """(a, b, c) with |(I + sN) g|_F^2 = a s^2 + b s + c."""
         n = self.nilpotent()
         gf = [[float(e) for e in row] for row in g]
         ng = [[sum(n[i][l] * gf[l][j] for l in range(2)) for j in range(2)]
@@ -158,10 +158,11 @@ class StabilizerBall:
         a = sum(e * e for row in ng for e in row)
         b = 2.0 * sum(ng[i][j] * gf[i][j] for i in range(2) for j in range(2))
         c = sum(e * e for row in gf for e in row)
-        disc = b * b - 4.0 * a * (c - t * t)
-        if disc <= 0.0:
-            return 0.0
-        return math.sqrt(disc) / a
+        return a, b, c
+
+    def skew_volume(self, g, t: float) -> float:
+        """Mass of {s : |(I + sN) g|_F <= t}: an interval length."""
+        return _quadratic_interval_length(*self.skew_quadratic(g), t)
 
     def ratio_closed_form(self, g) -> float:
         """lim_t skew/plain = |N|_F / |N g|_F.
@@ -174,6 +175,14 @@ class StabilizerBall:
               for i in range(2)]
         return math.sqrt(sum(e * e for row in n for e in row)
                          / sum(e * e for row in ng for e in row))
+
+
+def _quadratic_interval_length(a, b, c, t: float) -> float:
+    """Length of {s : a s^2 + b s + c <= t^2}, a > 0."""
+    disc = b * b - 4.0 * a * (c - t * t)
+    if disc <= 0.0:
+        return 0.0
+    return math.sqrt(disc) / a
 
 
 def stab_ball_volume_sl2r(v, t: float) -> float:
@@ -336,7 +345,9 @@ def skew_ball_ratio_limit(case, g, t0=4.0, steps=24, tol=1e-4) -> RatioLimitResu
     """
     if isinstance(case, StabilizerBall):
         ts = [t0 * 2.0**k for k in range(steps)]
-        raw = [case.skew_volume(g, t) / case.ball_volume(t) for t in ts]
+        quad = case.skew_quadratic(g)  # once per translator, not per t
+        raw = [_quadratic_interval_length(*quad, t) / case.ball_volume(t)
+               for t in ts]
         acc = [(4.0 * b - a) / 3.0 for a, b in zip(raw, raw[1:])]
         est, converged = _settle(acc, tol)
         return RatioLimitResult(

@@ -154,6 +154,25 @@ def brute_sl2zp(p, t_inf, t_p, norm="frobenius"):
     return sorted(out)
 
 
+def two_squares_det_count(det, x):
+    """#{integer 2x2 M : det M = det, norm_sq(M) <= x}, Frobenius, det >= 1.
+
+    The direct sum over every 0 <= Q <= x - 2 det of r2(Q) r2(Q + 4 det),
+    halved at odd Q (u = a+d, v = a-d, w = b-c, z = b+c give 4 det =
+    (u^2 + w^2) - (v^2 + z^2) and 2 norm_sq = the sum of the two), with
+    r2 counted from a full box of lattice points."""
+    y = x - 2 * det
+    if y < 0:
+        return 0
+    top = y + 4 * det
+    r = math.isqrt(top)
+    u = np.arange(-r, r + 1)
+    size = (u[:, None] ** 2 + u[None, :] ** 2).ravel()
+    r2 = np.bincount(size[size <= top], minlength=top + 1)
+    terms = r2[: y + 1] * r2[4 * det : top + 1]
+    return int(terms[0::2].sum() + terms[1::2].sum() // 2)
+
+
 # ---------------------------------------------------------------------------
 # orbit sums element by element
 

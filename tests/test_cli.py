@@ -274,6 +274,21 @@ def test_orbit_int64_overflow_exit_code(capsys, tmp_path):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_windowed_orbit_checks_headroom_of_level_zero(tmp_path):
+    # a window keeps level 0 only, whose entries reach 128 at T = 128:
+    # 2 x 128 x 10^16 fits in int64, though the top level's 10368 would not
+    (tmp_path / "win.conf").write_text("p = 3\nm = 1\nreps = 1,0,0,1\n")
+    conf = tmp_path / "orbit.conf"
+    conf.write_text(
+        "application = a22\nv_inf = 1,sqrt(2)\nv_fin = 10000000000000000,1\n"
+        f"p = 3\nladder = 64,2,2\nwindow = {tmp_path / 'win.conf'}\n"
+        "tests = product(annulus(1,2),shell(0))\n"
+        f"out_json = {tmp_path / 'o.json'}\nout_csv = {tmp_path / 'o.csv'}\n")
+    assert run("orbit", "--config", conf) == 0
+    report = json.loads((tmp_path / "o.json").read_text())
+    assert len(report["totals"]) == 2 and (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("extra", [
     "application = a22\nv_fin = 1,3\np = 2\ntests = shell(0);shell(0,40,1:0)\n",
     "application = a21\ntests = annulus(1,2)\nwindow = win.conf\n"],

@@ -515,6 +515,22 @@ def test_r2_range_against_lattice_points():
             (lo, hi)
 
 
+def test_r2_1mod4_range_against_lattice_points():
+    # the table r2(4i + 1): windows at 0, on the odd squares 4i + 1 = u^2
+    # (i = 0, 2, 6, 12, ...), and far out
+    u = np.arange(-80, 81)
+    size = (u[:, None] ** 2 + u[None, :] ** 2).ravel()
+    want = np.bincount(size[size < 6400], minlength=6400)[1::4]
+    rng = random.Random(41)
+    windows = [(0, 1), (0, 2), (1, 2), (2, 3), (0, 17), (6, 13), (5, 5),
+               (1500, 1600)]
+    windows += [(lo, lo + rng.randint(1, 100))
+                for lo in (rng.randint(0, 1500) for _ in range(40))]
+    for lo, hi in windows:
+        assert balls._r2_1mod4_range(lo, hi).tolist() \
+            == want[lo:hi].tolist(), (lo, hi)
+
+
 @pytest.mark.parametrize("group", ["sl2z", "slnz"])
 def test_two_squares_count_checks_headroom_first(group, monkeypatch):
     # the int64 headroom of the SL(2) engine ends at T = 65536 (see
@@ -529,16 +545,17 @@ def test_two_squares_count_checks_headroom_first(group, monkeypatch):
 
 def test_two_squares_count_stops_at_capacity(monkeypatch):
     # the level-0 running sum bounds the count from below, so a ball far
-    # over its capacity raises after a few blocks of Q, not after all
-    monkeypatch.setattr(balls, "_R2_BLOCK", 1 << 12)
+    # over its capacity raises after a few blocks of the r2(4i + 1)
+    # table, not after all
+    monkeypatch.setattr(balls, "_R2_BLOCK", 1 << 10)
     calls = []
-    real_r2 = balls._r2_range
+    real_table = balls._r2_1mod4_range
 
     def counted(lo, hi):
         calls.append(lo)
-        return real_r2(lo, hi)
+        return real_table(lo, hi)
 
-    monkeypatch.setattr(balls, "_r2_range", counted)
+    monkeypatch.setattr(balls, "_r2_1mod4_range", counted)
     true = ball_count(BallSpec("sl2z", t_inf=1000))
     full = len(calls)
     assert true == 6000052 and full > 200

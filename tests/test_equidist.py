@@ -33,7 +33,12 @@ from orbitlab.equidist import (
 from orbitlab.errors import CapacityError, ConfigError
 from orbitlab.places import padic_valuation
 
-from oracles import brute_sl2z, brute_sl2zp, orbit_sum_pointwise
+from oracles import (
+    brute_sl2z,
+    brute_sl2zp,
+    orbit_sum_pointwise,
+    two_squares_det_count,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -959,7 +964,7 @@ def test_ladder_totals_capacity_and_headroom():
 
 
 def test_ladder_totals_memory_stays_bounded():
-    # the T = 64 ladder of criterion 8 sums r2 over 2^24 values of Q
+    # the T = 64 ladder of criterion 8 sums over Q up to 2^24, in blocks
     spec = BallSpec("sl2zp", p=2, t_inf=64, t_p=64, capacity=10**9)
     cfg = ExperimentConfig(
         application="a22",
@@ -986,11 +991,12 @@ def _rung_cuts(p, rungs):
 
 
 def test_two_squares_pass_against_brute_force(monkeypatch):
-    # blocks of 64 values of Q: many blocks, cuts on both sides of block
-    # edges, levels that end in different blocks and shifts 4 det past
-    # the block (det 25 and 49); every 2x2 matrix of norm_sq <= 256 has
-    # entries in [-16, 16]
-    monkeypatch.setattr(balls, "_R2_BLOCK", 1 << 6)
+    # blocks of 16 entries r2(4i + 1), 64 values of Q, and of 16 values of
+    # r2 in the tail: many blocks, cuts on both sides of block edges,
+    # levels that end in different blocks and shifts past the block (det
+    # 25 and 49); every 2x2 matrix of norm_sq <= 256 has entries in
+    # [-16, 16]
+    monkeypatch.setattr(balls, "_R2_BLOCK", 1 << 4)
     e = np.arange(-16, 17)
     a, b, c, d = (x.ravel() for x in np.meshgrid(e, e, e, e, indexing="ij"))
     det_all, size_all = a * d - b * c, a * a + b * b + c * c + d * d
@@ -1009,6 +1015,32 @@ def test_two_squares_pass_against_brute_force(monkeypatch):
         assert meter.count == max(counts)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_two_squares_pass_against_oracle(p, monkeypatch):
+    # the table pass and the tail pass against the direct sum over every
+    # Q, at blocks of 64: the levels det p^(2m) reach shifts past the
+    # block (det 256, 81 and 625); cuts sit on both sides of the table's
+    # block edges (Q = 4i + 1 at i = 64j) and of the tail's (q = 64j at
+    # the odd shift), and below 2 det, where the count is 0
+    monkeypatch.setattr(balls, "_R2_BLOCK", 1 << 6)
+    rng = random.Random(p)
+    dets = [p ** (2 * m) for m in range(5 if p == 2 else 3)]
+    cutsets = []
+    for det in dets:
+        tail = 64 << (det & -det).bit_length() + 1  # 64 * 2^(v2(det) + 2)
+        xs = {256 * j + s for j in range(1, 12) for s in (0, 1, 2)}
+        xs |= {tail * j + s for j in (1, 2) for s in (-1, 0)}
+        xs = {2 * det + y for y in xs if y <= 3000}
+        xs |= {0, 2 * det - 1, 2 * det} | {rng.randint(0, 3000)
+                                          for _ in range(4)}
+        cutsets.append(sorted(xs))
+    meters = [balls._CapacityMeter(math.inf) for _ in dets]
+    got = balls._det_norm_counts(dets, cutsets, meters)
+    assert got == [[two_squares_det_count(det, x) for x in xs]
+                   for det, xs in zip(dets, cutsets)]
+    assert [meter.count for meter in meters] == [max(c) for c in got]
+
+
 @pytest.mark.parametrize("p,rungs", [
     (2, [(Fraction(3, 2), 1), (Fraction(5, 2), 2),
          (Fraction(23, 10), Fraction(9, 2)), (3, 8)]),  # level 3: shift 256
@@ -1016,10 +1048,10 @@ def test_two_squares_pass_against_brute_force(monkeypatch):
     (5, [(Fraction(3, 2), 1), (Fraction(7, 2), Fraction(26, 5)), (4, 5)]),
 ], ids=["p2", "p3", "p5"])
 def test_ladder_totals_small_blocks_against_brute_force(p, rungs, monkeypatch):
-    # the one pass over Q for every level, at blocks of 64 values of Q
-    # (the top levels span 6 or 7), against the brute-force ball of each
-    # rung
-    monkeypatch.setattr(balls, "_R2_BLOCK", 1 << 6)
+    # the one pass over the r2(4i + 1) table for every level, at blocks of
+    # 16 entries, 64 values of Q (the top levels span 6 or 7), against the
+    # brute-force ball of each rung
+    monkeypatch.setattr(balls, "_R2_BLOCK", 1 << 4)
     top = BallSpec("sl2zp", p=p, t_inf=max(t for t, _ in rungs),
                    t_p=max(t for _, t in rungs), capacity=10**9)
     totals = balls.sl2_ladder_totals(top, _rung_cuts(p, rungs))
@@ -1027,24 +1059,26 @@ def test_ladder_totals_small_blocks_against_brute_force(p, rungs, monkeypatch):
 
 
 def test_ladder_totals_build_r2_once_per_block(monkeypatch):
-    # every level of the a22 ladder T <= 32 reads its slices from the one
-    # r2 array of each block of Q: no p = 2 shift 4^(m+1) there exceeds
-    # the block, so there is one _r2_range call per block of the top level
+    # every level and every halving j of the a22 ladder T <= 32 reads its
+    # slices from the one r2(4i + 1) table of each block: no p = 2 shift
+    # 4^m / 2^j there exceeds the block, so there is one _r2_1mod4_range
+    # call per block of the top level
     calls = []
-    real_r2 = balls._r2_range
+    real_table = balls._r2_1mod4_range
 
     def counted(lo, hi):
         calls.append(lo)
-        return real_r2(lo, hi)
+        return real_table(lo, hi)
 
-    monkeypatch.setattr(balls, "_r2_range", counted)
+    monkeypatch.setattr(balls, "_r2_1mod4_range", counted)
     cuts = _rung_cuts(2, [(t, t) for t in (4, 8, 16, 32)])
     spec = BallSpec("sl2zp", p=2, t_inf=32, t_p=32)
     assert balls.sl2_ladder_totals(spec, cuts) == [2484, 46916, 775988,
                                                    12548820]
     top = len(cuts[-1]) - 1
-    assert 4 * 4**top <= balls._R2_BLOCK
-    end = cuts[-1][top] - 2 * 4**top  # the last Q of the top level
+    assert 4**top <= balls._R2_BLOCK
+    # the last table entry i of the top level: Q = 4i + 1 <= X - 2 det
+    end = (cuts[-1][top] - 2 * 4**top - 1) // 4
     assert len(calls) == -(-(end + 1) // balls._R2_BLOCK) > 1
     assert calls == sorted(set(calls))
 
