@@ -183,11 +183,15 @@ class CongruenceWindow:
         mod = self.p**self.m
         if mod**4 >= 1 << 63:  # the keys of filter_window
             raise ConfigError(f"window mod {mod}: keys overflow int64")
+        classes = set()
         for r in self.reps:
             if len(r) != 4:
                 raise ConfigError("window reps are flattened 2x2 matrices")
             if (r[0] * r[3] - r[1] * r[2]) % mod != 1:
                 raise ConfigError(f"rep {r} has det != 1 mod {mod}")
+            classes.add(tuple(int(e) % mod for e in r))
+        # one entry per class, so len(reps) counts the classes it keeps
+        object.__setattr__(self, "reps", tuple(sorted(classes)))
 
     @property
     def modulus(self) -> int:
@@ -1417,12 +1421,12 @@ def filter_window(mats, window: CongruenceWindow, levels=None):
     for j in range(flat.shape[1]):
         key = key * mod + flat[:, j]
     want = []
-    for r in window.reps:
+    for r in window.reps:  # distinct residues mod p^m, so distinct keys
         acc = 0
         for entry in r:
-            acc = acc * mod + entry % mod
+            acc = acc * mod + entry
         want.append(acc)
-    mask = np.isin(key, np.array(sorted(set(want)), dtype=np.int64))
+    mask = np.isin(key, np.array(want, dtype=np.int64))
     if levels is not None:
         mask &= np.asarray(levels) == 0
     return mask

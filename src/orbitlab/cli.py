@@ -6,12 +6,18 @@ geometric ladder, ``asymptotics`` fits residue-class growth laws to a
 volume table, ``orbit`` runs a distribution experiment, and ``report``
 merges compatible CSV tables.
 
-Configuration is a flat key-value namespace per subcommand.  Values
-come from a config file (``--config``), generic ``--set key=value``
-pairs, or dedicated flags; any command line value wins over the file
-with a recorded warning, and dedicated flags win over ``--set``.
-Unknown keys are rejected by name, and every violation is reported in
-one pass.
+Configuration is a flat key-value namespace per subcommand, declared
+once in ``_SCHEMAS``.  Values come from a config file (``--config``),
+generic ``--set key=value`` pairs, or dedicated flags; any command line
+value wins over the file with a recorded warning, and dedicated flags
+win over ``--set``.  ``_SUBCOMMANDS`` maps each dedicated flag to its
+schema key, whose choices the flag offers; only the invoked
+subcommand's parser is built.  Unknown keys are rejected by name, and
+every violation is reported in one pass.
+
+The orbit JSON report is its ``DistributionReport`` dataclass as
+written, with ``normalizer_label`` named ``normalizer`` and each row's
+``t`` named ``T``, plus the config echo.
 
 Reports are byte-stable for identical configs: JSON keys are emitted
 sorted, floats carry 12 significant digits, exact values travel as
@@ -27,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .balls import (
@@ -153,12 +159,8 @@ class _Key:
     choices: tuple = ()
 
 
-def _schema(**keys) -> dict:
-    return keys
-
-
 _SCHEMAS = {
-    "enumerate": _schema(
+    "enumerate": dict(
         group=_Key("choice", None, ("sl2z", "sl2zp", "slnz")),
         n=_Key("int", "2"),
         p=_Key("int", "0"),
@@ -170,7 +172,7 @@ _SCHEMAS = {
         capacity=_Key("int", "100000000"),
         workers=_Key("int", "0"),
     ),
-    "volume": _schema(
+    "volume": dict(
         case=_Key("choice", None, ("stab2", "example31", "unipair", "padicball")),
         ladder=_Key("str"),
         out=_Key("path"),
@@ -182,7 +184,7 @@ _SCHEMAS = {
         g_p=_Key("str", ""),
         t_p=_Key("str", ""),
     ),
-    "asymptotics": _schema(
+    "asymptotics": dict(
         input=_Key("path"),
         p=_Key("int"),
         out=_Key("path"),
@@ -190,7 +192,7 @@ _SCHEMAS = {
         tol=_Key("num", "1/1000000"),
         min_per_class=_Key("int", "8"),
     ),
-    "orbit": _schema(
+    "orbit": dict(
         application=_Key("choice", None, ("ledrappier", "a21", "a22", "wedge")),
         v_inf=_Key("str"),
         v_fin=_Key("str", ""),
@@ -208,7 +210,7 @@ _SCHEMAS = {
         out_json=_Key("path"),
         out_csv=_Key("path"),
     ),
-    "report": _schema(
+    "report": dict(
         inputs=_Key("str"),
         out=_Key("path"),
     ),
@@ -633,13 +635,6 @@ def _cmd_asymptotics(config: RunConfig) -> None:
             profile.message or "no candidate modulus fit within tolerance")
 
 
-def _slope_doc(record):
-    if record is None:
-        return None
-    return {"exponent": record.exponent, "stderr": record.stderr,
-            "against": record.against}
-
-
 def _cmd_orbit(config: RunConfig) -> None:
     s = config.settings
     set_real_precision(config.integer("precision"))
@@ -669,32 +664,12 @@ def _cmd_orbit(config: RunConfig) -> None:
         report = run_experiment(experiment, seed=config.integer("seed"))
     finally:
         set_real_precision(0)
-    doc = {
-        "config": config.echo(),
-        "application": report.application,
-        "orientation": report.orientation,
-        "normalizer": report.normalizer_label,
-        "flags": list(report.flags),
-        "totals": [[t, c] for t, c in report.totals],
-        "slope_total": _slope_doc(report.slope_total),
-        "slope_first_test": _slope_doc(report.slope_first_test),
-        "constant_cv": [[t, v] for t, v in report.constant_cv],
-        "max_rel_error": [[t, v] for t, v in report.max_rel_error],
-        "rows": [
-            {
-                "T": r.t,
-                "test_id": r.test_id,
-                "count": r.count,
-                "empirical": r.empirical,
-                "predicted": r.predicted,
-                "ratio_target": r.ratio_target,
-                "ratio_empirical": r.ratio_empirical,
-                "rel_error": r.rel_error,
-                "constant": r.constant,
-            }
-            for r in report.rows
-        ],
-    }
+    # a field renamed in the report dataclasses renames its JSON key
+    doc = asdict(report)
+    doc["normalizer"] = doc.pop("normalizer_label")
+    for row in doc["rows"]:
+        row["T"] = row.pop("t")
+    doc["config"] = config.echo()
     csv_rows = [
         [r.t, r.test_id, r.empirical, r.ratio_target, r.rel_error]
         for r in report.rows
@@ -751,68 +726,47 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_FLAG_KEYS = {
-    "enumerate": ("group", "n", "p", "t_inf", "t_p", "norm", "window",
-                  "out", "capacity", "workers"),
-    "volume": ("case", "ladder", "out", "p"),
-    "asymptotics": ("input", "p", "out", "moduli", "tol", "min_per_class"),
-    "orbit": (),
-    "report": (),
+# subcommand -> (help line, {dedicated flag: schema key}); each flag
+# takes its key's choices from the schema
+_SUBCOMMANDS = {
+    "enumerate": ("stream a lattice ball to CSV", {
+        "--group": "group", "--n": "n", "--p": "p", "--T-inf": "t_inf",
+        "--T-p": "t_p", "--norm": "norm", "--window": "window",
+        "--out": "out", "--capacity": "capacity", "--workers": "workers"}),
+    "volume": ("tabulate ball and skew-ball volumes", {
+        "--case": "case", "--ladder": "ladder", "--p": "p", "--out": "out"}),
+    "asymptotics": ("fit residue-class growth laws to a volume CSV", {
+        "--in": "input", "--p": "p", "--out": "out", "--moduli": "moduli",
+        "--tol": "tol", "--min-per-class": "min_per_class"}),
+    "orbit": ("run a distribution experiment", {}),
+    "report": ("merge compatible CSV tables", {"--out": "out"}),
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv=()) -> _Parser:
+    """The parser for ``argv``: only the subcommand that ``argv[0]``
+    names, or all of them, so that ``--help`` and a missing or unknown
+    subcommand list every one."""
     parser = _Parser(prog="orbitlab",
                      description="S-arithmetic ball volumes and orbit counts")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        help_line, flags = _SUBCOMMANDS[name]
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--config", dest="_config", metavar="FILE",
                         help="flat key=value config file")
         sp.add_argument("--set", dest="_set", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config key")
-
-    sp = sub.add_parser("enumerate", help="stream a lattice ball to CSV")
-    common(sp)
-    sp.add_argument("--group", choices=("sl2z", "sl2zp", "slnz"))
-    sp.add_argument("--n", dest="n")
-    sp.add_argument("--p", dest="p")
-    sp.add_argument("--T-inf", dest="t_inf")
-    sp.add_argument("--T-p", dest="t_p")
-    sp.add_argument("--norm", choices=("frobenius", "max"))
-    sp.add_argument("--window", metavar="FILE")
-    sp.add_argument("--out", metavar="FILE")
-    sp.add_argument("--capacity", dest="capacity")
-    sp.add_argument("--workers", dest="workers")
-
-    sp = sub.add_parser("volume", help="tabulate ball and skew-ball volumes")
-    common(sp)
-    sp.add_argument("--case",
-                    choices=("stab2", "example31", "unipair", "padicball"))
-    sp.add_argument("--params", dest="_params", nargs="*", default=[],
-                    metavar="KEY=VALUE", help="case parameters")
-    sp.add_argument("--ladder", metavar="T0,FACTOR,STEPS")
-    sp.add_argument("--p", dest="p")
-    sp.add_argument("--out", metavar="FILE")
-
-    sp = sub.add_parser("asymptotics",
-                        help="fit residue-class growth laws to a volume CSV")
-    common(sp)
-    sp.add_argument("--in", dest="input", metavar="FILE")
-    sp.add_argument("--p", dest="p")
-    sp.add_argument("--out", metavar="FILE")
-    sp.add_argument("--moduli")
-    sp.add_argument("--tol")
-    sp.add_argument("--min-per-class", dest="min_per_class")
-
-    sp = sub.add_parser("orbit", help="run a distribution experiment")
-    common(sp)
-
-    sp = sub.add_parser("report", help="merge compatible CSV tables")
-    common(sp)
-    sp.add_argument("--out", dest="_out", metavar="FILE")
-    sp.add_argument("inputs", nargs="*", metavar="CSV")
-
+        for flag, key in flags.items():
+            spec = _SCHEMAS[name][key]
+            sp.add_argument(flag, dest=key, choices=spec.choices or None,
+                            metavar="FILE" if spec.kind == "path" else None)
+        if name == "volume":
+            sp.add_argument("--params", dest="_params", nargs="*", default=[],
+                            metavar="KEY=VALUE", help="case parameters")
+        if name == "report":
+            sp.add_argument("inputs", nargs="*", metavar="CSV")
     return parser
 
 
@@ -823,15 +777,12 @@ def _collect_flags(ns) -> dict:
         if not eq or not key.strip():
             raise ConfigError(f"expected KEY=VALUE, got {pair!r}")
         flags[key.strip()] = value.strip()
-    for key in _FLAG_KEYS[ns.subcommand]:
-        value = getattr(ns, key, None)
+    for key in _SUBCOMMANDS[ns.subcommand][1].values():
+        value = getattr(ns, key)
         if value is not None:
             flags[key] = value
-    if ns.subcommand == "report":
-        if getattr(ns, "inputs", None):
-            flags["inputs"] = ";".join(ns.inputs)
-        if getattr(ns, "_out", None) is not None:
-            flags["out"] = ns._out
+    if getattr(ns, "inputs", None):
+        flags["inputs"] = ";".join(ns.inputs)
     return flags
 
 
@@ -840,8 +791,10 @@ def main(argv=None) -> int:
 
     0 success, 2 configuration error, 3 capacity exceeded, 4 numeric
     divergence, 5 internal invariant broken (a package defect)."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser(argv).parse_args(argv)
         config = parse_config(ns.subcommand, _collect_flags(ns),
                               getattr(ns, "_config", None))
         for warning in config.warnings:

@@ -440,12 +440,12 @@ def wedge_normalizer_exponent(n: int, k: int) -> int:
     return n * n + k * k - n * k - n
 
 
-def normalizer_value(application: str, t, p: int = 0, n: int = 2,
-                     k: int = 1) -> float:
+def normalizer_value(application: str, t, p: int = 0, n: int = 2) -> float:
     """The structural normalizer at radius t.
 
     T for real orbits; T p^E(ln_p T) when a finite place participates;
-    the same base raised to n^2+k^2-nk-n for wedge orbits.
+    the same base raised to wedge_normalizer_exponent(n, 1) = (n-1)^2 for
+    wedge orbits of vectors (wedge degree 1).
     """
     tf = float(t)
     if tf <= 0:
@@ -456,14 +456,14 @@ def normalizer_value(application: str, t, p: int = 0, n: int = 2,
     if application in ("ledrappier", "a21", "a22"):
         return base
     if application == "wedge":
-        return base ** wedge_normalizer_exponent(n, k)
+        return base ** wedge_normalizer_exponent(n, 1)
     raise ConfigError(f"unknown application {application!r}")
 
 
-def _normalizer_label(application: str, p: int, n: int, k: int) -> str:
+def _normalizer_label(application: str, p: int, n: int) -> str:
     base = f"T*{p}^E(ln_{p} T)" if p else "T"
     if application == "wedge":
-        return f"({base})^{wedge_normalizer_exponent(n, k)}"
+        return f"({base})^{wedge_normalizer_exponent(n, 1)}"
     return base
 
 
@@ -481,8 +481,7 @@ class PredictionRecord:
 
 
 def predicted_limit(application: str, tests=(), *, p: int = 0, n: int = 2,
-                    k: int = 1, window: CongruenceWindow | None = None
-                    ) -> PredictionRecord:
+                    window: CongruenceWindow | None = None) -> PredictionRecord:
     """Predicted densities and ratio targets for a test-function list.
 
     Absolute masses are density integrals only, up to one global
@@ -510,7 +509,7 @@ def predicted_limit(application: str, tests=(), *, p: int = 0, n: int = 2,
             flags.append("reference test has zero mass; ratios undefined")
     return PredictionRecord(
         application=application,
-        normalizer_label=_normalizer_label(application, p, n, k),
+        normalizer_label=_normalizer_label(application, p, n),
         test_ids=tuple(f.label for f in tests),
         predicted=tuple(preds),
         ratio_targets=ratios,
@@ -754,6 +753,18 @@ class ExperimentConfig:
             raise ConfigError("a22 needs a finite-place vector")
         if self.window is not None and self.group == "slnz":
             raise ConfigError("congruence windows apply to SL(2) groups only")
+        dim = self.dim
+        vectors = (("v_inf", self.v.inf), ("v_fin", self.v.fin))
+        problems = [f"{name}: expected {dim} entries, got {len(vec)}"
+                    for name, vec in vectors
+                    if vec is not None and len(vec) != dim]
+        for f in self.tests:
+            f_dim = getattr(f, "dim", 2)  # annulus, shell, product: the plane
+            if f_dim != dim:
+                problems.append(f"test {f.label}: dimension {f_dim}, "
+                                f"expected {dim}")
+        if problems:
+            raise ConfigError(problems)
 
     @property
     def group(self) -> str:

@@ -170,11 +170,8 @@ class StabilizerBall:
         For det g = 1 this equals |v| / |g^-1 v|, the duality form.
         """
         n = self.nilpotent()
-        gf = [[float(e) for e in row] for row in g]
-        ng = [[sum(n[i][l] * gf[l][j] for l in range(2)) for j in range(2)]
-              for i in range(2)]
         return math.sqrt(sum(e * e for row in n for e in row)
-                         / sum(e * e for row in ng for e in row))
+                         / self.skew_quadratic(g)[0])
 
 
 def _quadratic_interval_length(a, b, c, t: float) -> float:

@@ -283,6 +283,20 @@ def test_window_scale():
     assert window_scale(None) == 1
 
 
+def test_repeated_window_class_counts_once():
+    # (3,0,0,3) is (1,0,0,1) mod 2: the second window lists one class twice
+    once = CongruenceWindow(2, 1, reps=((1, 0, 0, 1),))
+    twice = CongruenceWindow(2, 1, reps=((3, 0, 0, 3), (1, 0, 0, 1)))
+    assert twice.reps == once.reps == ((1, 0, 0, 1),)
+    assert window_scale(twice) == window_scale(once) == Fraction(1, 6)
+    v = OrbitVector.make(("1", "sqrt(2)"))
+    once_run, twice_run = (run_experiment(ExperimentConfig(
+        application="a21", v=v, t_ladder=(20, 40),
+        tests=(RealAnnulusSector(1, 2), RealAnnulusSector(1, 4)), window=w))
+        for w in (once, twice))
+    assert twice_run.rows == once_run.rows
+
+
 def test_wedge_normalizer_exponent_table():
     assert wedge_normalizer_exponent(2, 1) == 1
     assert wedge_normalizer_exponent(3, 1) == 4
@@ -296,7 +310,7 @@ def test_normalizer_values():
     assert normalizer_value("ledrappier", 250) == 250.0
     assert normalizer_value("a22", 48, p=2) == 48.0 * 32.0
     assert normalizer_value("a22", 64, p=2) == 64.0 * 64.0
-    assert normalizer_value("wedge", 10, n=3, k=1) == pytest.approx(10.0**4)
+    assert normalizer_value("wedge", 10, n=3) == pytest.approx(10.0**4)
     with pytest.raises(ConfigError):
         normalizer_value("ledrappier", 0)
 
