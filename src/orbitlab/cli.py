@@ -50,7 +50,7 @@ from .errors import (
     DivergenceError,
     InvariantError,
 )
-from .places import evaluate_symbolic, floor_log, set_real_precision
+from .places import evaluate_symbolic, floor_log, is_prime, set_real_precision
 from .volumes import (
     SqrtPower,
     StabilizerBall,
@@ -403,9 +403,10 @@ def _split_entries(name: str, text: str, count: int) -> list:
 
 def _symbolic_pair(name: str, text: str) -> tuple:
     try:
-        return tuple(evaluate_symbolic(e) for e in _split_entries(name, text, 2))
+        vec = tuple(map(evaluate_symbolic, _split_entries(name, text, 2)))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{name}: {exc}")
+    return _nonzero(name, vec)
 
 
 def _rational_entries(name: str, text: str, count: int):
@@ -413,6 +414,13 @@ def _rational_entries(name: str, text: str, count: int):
         return tuple(Fraction(e) for e in _split_entries(name, text, count))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{name}: {exc}")
+
+
+def _nonzero(name: str, vec: tuple) -> tuple:
+    """``vec``, a stabilizer vector; zero has no stabilizer ball."""
+    if not any(vec):
+        raise ConfigError(f"{name}: must be a nonzero vector")
+    return vec
 
 
 def _matrix2(name: str, text: str) -> tuple:
@@ -536,12 +544,14 @@ def _volume_rows_unipair(config: RunConfig, ladder):
     p = _require_prime(config)
     ball = UnipotentPairBall(
         _symbolic_pair("v", s["v"] or "1,sqrt(2)"),
-        _rational_entries("v_fin", s["v_fin"] or "1,3", 2),
+        _nonzero("v_fin", _rational_entries("v_fin", s["v_fin"] or "1,3", 2)),
         p,
     )
     g_inf = _matrix2("g_inf", s["g_inf"] or "1,0,0,1")
     g_p = _matrix2("g_p", s["g_p"] or "1,0,0,1")
     t_p_fixed = _parse_number("t_p", s["t_p"]) if s["t_p"] else None
+    if t_p_fixed is not None and t_p_fixed <= 0:
+        raise ConfigError(f"t_p: must be positive, got {t_p_fixed}")
     rows = []
     for t in ladder:
         t_p = t_p_fixed if t_p_fixed is not None else t
@@ -568,8 +578,8 @@ def _volume_rows_padicball(config: RunConfig, ladder):
 
 def _require_prime(config: RunConfig) -> int:
     p = config.integer("p")
-    if p < 2:
-        raise ConfigError("p: a prime is required for this case")
+    if not is_prime(p):
+        raise ConfigError(f"p: a prime is required, got {p}")
     return p
 
 
@@ -588,6 +598,7 @@ def _cmd_volume(config: RunConfig) -> None:
 
 def _cmd_asymptotics(config: RunConfig) -> None:
     s = config.settings
+    p = _require_prime(config)
     try:
         with open(s["input"], newline="") as fh:
             table = list(csv.reader(fh))
@@ -602,7 +613,10 @@ def _cmd_asymptotics(config: RunConfig) -> None:
         raise ConfigError(
             f"{s['input']}: need 't' and 'volume' columns, got {header}")
     ts, vols = [], []
-    for row in table[1:]:
+    for lineno, row in enumerate(table[1:], 2):
+        if len(row) < len(header):
+            raise ConfigError(f"{s['input']}:{lineno}: {len(row)} cells, "
+                              f"the header has {len(header)}")
         ts.append(_parse_number("t", row[it]))
         vols.append(float(_parse_exact_value(row[iv])))
     try:
@@ -611,7 +625,7 @@ def _cmd_asymptotics(config: RunConfig) -> None:
         raise ConfigError(f"moduli: expected integers, got {s['moduli']!r}")
     try:
         profile = fit_asymptotics(
-            ts, vols, config.integer("p"), moduli=moduli,
+            ts, vols, p, moduli=moduli,
             tol=float(config.number("tol")),
             min_per_class=config.integer("min_per_class"),
         )

@@ -51,12 +51,13 @@ from .balls import (
 from .errors import ConfigError, DegenerateSpanError
 from .places import (
     as_rational,
-    continued_fraction,
     evaluate_symbolic,
+    exact_sqrt,
     floor_log,
     is_prime,
-    looks_rational,
     padic_valuation,
+    parse_surd,
+    surd_value,
 )
 from .volumes import StabilizerBall, skew_ball_ratio_limit, slope_fit
 
@@ -294,35 +295,40 @@ def parse_test(text: str, p: int = 0):
     if cur or body:
         args.append("".join(cur))
     head = head.strip().lower()
-    if head == "annulus":
-        vals = [float(evaluate_symbolic(a)) for a in args]
-        if len(vals) == 2:
-            return RealAnnulusSector(vals[0], vals[1])
-        if len(vals) == 4:
-            return RealAnnulusSector(*vals)
-        raise ConfigError(f"annulus takes 2 or 4 arguments, got {len(vals)}")
-    if head == "shell":
-        if not p:
-            raise ConfigError("shell tests need a prime p in the config")
-        if len(args) == 1:
-            return PadicShellBox(p, int(args[0]))
-        if len(args) == 3:
-            units = tuple(tuple(int(c) for c in piece.split(":"))
-                          for piece in args[2].split("|"))
-            return PadicShellBox(p, int(args[0]), int(args[1]), units)
-        raise ConfigError(f"shell takes 1 or 3 arguments, got {len(args)}")
-    if head == "wedge":
-        if len(args) != 3:
-            raise ConfigError("wedge takes 3 arguments")
-        return RealWedgeAnnulus(float(evaluate_symbolic(args[0])),
-                                float(evaluate_symbolic(args[1])), int(args[2]))
-    if head == "product":
-        if len(args) != 2:
-            raise ConfigError("product takes 2 arguments")
-        re, qp = parse_test(args[0], p), parse_test(args[1], p)
-        if not isinstance(re, RealAnnulusSector) or not isinstance(qp, PadicShellBox):
-            raise ConfigError("product wants annulus(...) then shell(...)")
-        return ProductTest(re, qp)
+    try:
+        if head == "annulus":
+            vals = [float(evaluate_symbolic(a)) for a in args]
+            if len(vals) == 2:
+                return RealAnnulusSector(vals[0], vals[1])
+            if len(vals) == 4:
+                return RealAnnulusSector(*vals)
+            raise ConfigError(f"annulus takes 2 or 4 arguments, got {len(vals)}")
+        if head == "shell":
+            if not p:
+                raise ConfigError("shell tests need a prime p in the config")
+            if len(args) == 1:
+                return PadicShellBox(p, int(args[0]))
+            if len(args) == 3:
+                units = tuple(tuple(int(c) for c in piece.split(":"))
+                              for piece in args[2].split("|"))
+                return PadicShellBox(p, int(args[0]), int(args[1]), units)
+            raise ConfigError(f"shell takes 1 or 3 arguments, got {len(args)}")
+        if head == "wedge":
+            if len(args) != 3:
+                raise ConfigError("wedge takes 3 arguments")
+            return RealWedgeAnnulus(float(evaluate_symbolic(args[0])),
+                                    float(evaluate_symbolic(args[1])),
+                                    int(args[2]))
+        if head == "product":
+            if len(args) != 2:
+                raise ConfigError("product takes 2 arguments")
+            re, qp = parse_test(args[0], p), parse_test(args[1], p)
+            if not (isinstance(re, RealAnnulusSector)
+                    and isinstance(qp, PadicShellBox)):
+                raise ConfigError("product wants annulus(...) then shell(...)")
+            return ProductTest(re, qp)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed test {text!r}: {exc}") from None
     raise ConfigError(f"unknown test kind {head!r}")
 
 
@@ -333,9 +339,10 @@ def parse_test(text: str, p: int = 0):
 class OrbitVector:
     """Initial vector per place.
 
-    ``inf`` holds evaluated archimedean entries (Fraction when the
-    literal was rational, float for surds); ``fin`` holds exact
-    rationals at the finite place when one is present.
+    ``inf`` holds the archimedean entries exactly, as parse_surd pairs
+    (coef, rad) for coef*sqrt(rad), evaluated only by inf_floats();
+    ``fin`` holds exact rationals at the finite place when one is
+    present.
     """
 
     inf: tuple
@@ -343,7 +350,7 @@ class OrbitVector:
     p: int = 0
 
     def __post_init__(self):
-        if not self.inf or all(float(e) == 0.0 for e in self.inf):
+        if all(coef == 0 or rad == 0 for coef, rad in self.inf):
             raise ConfigError("v_inf must be nonzero")
         if self.fin is not None:
             if not is_prime(self.p):
@@ -353,55 +360,44 @@ class OrbitVector:
 
     @classmethod
     def make(cls, inf, fin=None, p: int = 0) -> "OrbitVector":
-        """Evaluate literals: strings like "sqrt(2)" or "3/4" accepted."""
-        inf_vals = tuple(evaluate_symbolic(e) for e in inf)
-        fin_vals = None if fin is None else tuple(as_rational(e) for e in fin)
+        """Parse literals: strings like "sqrt(2)" or "3/4", numbers, and
+        floats at their exact binary value."""
+        try:
+            inf_vals = tuple(map(parse_surd, inf))
+            fin_vals = None if fin is None else tuple(map(as_rational, fin))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"vector entry: {exc}") from None
         return cls(inf=inf_vals, fin=fin_vals, p=p)
 
     def inf_floats(self) -> np.ndarray:
-        return np.asarray([float(e) for e in self.inf], dtype=np.float64)
+        return np.asarray([float(surd_value(e)) for e in self.inf],
+                          dtype=np.float64)
 
 
-def _cf_value(terms) -> Fraction:
-    val = Fraction(terms[-1])
-    for a in reversed(terms[:-1]):
-        val = a + (1 / val if val else Fraction(0))
-    return val
+def _rational_direction(entries):
+    """Projective direction of a nonzero vector of surds coef*sqrt(rad)
+    as a tuple of Fractions, the first nonzero entry 1 and a zero entry
+    0; None when some ratio is irrational.
 
-
-def _rational_direction(entries, depth: int = 48):
-    """Projective direction as a tuple of Fractions, or None.
-
-    Exact rational entries give an exact direction.  Float entries go
-    through the continued-fraction heuristic: if every ratio against
-    the first nonzero coordinate reads as a small rational, the
-    reconstructed direction is returned, otherwise None.
+    Against the first nonzero entry b, e/b = (c_e/c_b) sqrt(r_e r_b)/r_b
+    is rational exactly when r_e r_b is a rational square.
     """
-    idx = next((i for i, e in enumerate(entries) if float(e) != 0.0), None)
-    if idx is None:
+    cb, rb = next((c, r) for c, r in entries if c and r)  # v is nonzero
+    roots = [exact_sqrt(r * rb) if c else 0 for c, r in entries]
+    if None in roots:
         return None
-    base = entries[idx]
-    ratios = []
-    for e in entries:
-        if isinstance(e, Fraction) and isinstance(base, Fraction):
-            ratios.append(e / base)
-            continue
-        x = float(e) / float(base)
-        if not looks_rational(x):
-            return None
-        ratios.append(_cf_value(continued_fraction(x, depth=depth)))
-    lead = next(r for r in ratios if r != 0)
-    return tuple(r / lead for r in ratios)
+    return tuple(c * root / (cb * rb) for (c, _), root in zip(entries, roots))
 
 
 def check_density_hypothesis(v: OrbitVector, application: str) -> tuple:
     """Flags (possibly empty) for the application's density hypothesis.
 
-    Ledrappier-type real orbits need v_inf with coordinates
-    Q-independent (irrational direction).  The S-arithmetic product
-    case is violated exactly when both components are rational
-    multiples of one rational vector, i.e. the directions exist and
-    agree.
+    Ledrappier-type real orbits need v_inf in no rational direction:
+    the hypothesis is violated when v_inf is a real multiple of a
+    rational vector.  The S-arithmetic product case is violated exactly
+    when both components are multiples of one rational vector, i.e.
+    the directions exist and agree.  Both are decided exactly on the
+    parsed literals.
     """
     d_inf = _rational_direction(v.inf)
     if application in ("ledrappier", "a21", "wedge"):
@@ -409,8 +405,9 @@ def check_density_hypothesis(v: OrbitVector, application: str) -> tuple:
     if application == "a22":
         if v.fin is None:
             raise ConfigError("a22 needs a finite-place vector")
-        d_fin = _rational_direction(v.fin)
-        if d_inf is not None and d_fin is not None and d_inf == d_fin:
+        # a rational v_fin always has a rational direction
+        if d_inf is not None and d_inf == _rational_direction(
+                [(e, 1) for e in v.fin]):
             return ("density hypothesis violated",)
         return ()
     raise ConfigError(f"unknown application {application!r}")
@@ -751,6 +748,9 @@ class ExperimentConfig:
             raise ConfigError("ladder radii must be strictly increasing")
         if self.application == "a22" and self.v.fin is None:
             raise ConfigError("a22 needs a finite-place vector")
+        if self.group != "slnz" and self.n != 2:
+            raise ConfigError(f"n: {self.application} orbits live in SL(2), "
+                              f"n must be 2, got {self.n}")
         if self.window is not None and self.group == "slnz":
             raise ConfigError("congruence windows apply to SL(2) groups only")
         dim = self.dim

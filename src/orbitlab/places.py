@@ -94,6 +94,8 @@ def floor_log(x, p: int) -> int:
     x = Fraction(x) if isinstance(x, float) else as_rational(x)
     if x <= 0:
         raise ValueError("floor_log needs x > 0")
+    if p < 2:
+        raise ValueError(f"floor_log needs a base p >= 2, got {p}")
     j = 0
     if x >= 1:
         while Fraction(p) ** (j + 1) <= x:
@@ -122,18 +124,17 @@ def set_real_precision(dps: int) -> None:
     _REAL_DPS = dps
 
 
-def evaluate_symbolic(text):
-    """Evaluate a vector-entry literal.
+def parse_surd(text) -> tuple:
+    """Exact parts (coef, rad) of a vector-entry literal coef*sqrt(rad).
 
-    Accepted forms: "a/b", "sqrt(a/b)", and "a/b*sqrt(c/d)".  Pure
-    rationals come back as Fraction; anything with a surd comes back as
-    float (or mpmath.mpf under extended precision).
+    Accepted forms: "a/b", "sqrt(a/b)", and "a/b*sqrt(c/d)"; a rational
+    has rad = 1, and an int, Fraction or float stands for itself, a
+    float at its exact binary value.  A malformed literal raises
+    ValueError (ZeroDivisionError for a zero denominator).
     """
-    if isinstance(text, (int, Fraction)):
-        return as_rational(text)
-    if isinstance(text, float):
-        return text
-    s = str(text).strip().replace(" ", "")
+    if not isinstance(text, str):
+        return Fraction(text), Fraction(1)
+    s = text.strip().replace(" ", "")
     coef = Fraction(1)
     if "*" in s:
         left, s = s.split("*", 1)
@@ -142,50 +143,34 @@ def evaluate_symbolic(text):
         rad = as_rational(s[5:-1])
         if rad < 0:
             raise ValueError(f"negative radicand in {text!r}")
-        root = _exact_sqrt(rad)
-        if root is not None:
-            return coef * root
-        if _REAL_DPS > 0:
-            with mpmath.workdps(_REAL_DPS):
-                return mpmath.mpf(coef.numerator) / coef.denominator * mpmath.sqrt(
-                    mpmath.mpf(rad.numerator) / rad.denominator
-                )
-        return float(coef) * math.sqrt(rad)
-    return coef * as_rational(s)
+        return coef, rad
+    return coef * as_rational(s), Fraction(1)
 
 
-def _exact_sqrt(q: Fraction):
+def surd_value(surd):
+    """coef*sqrt(rad) of a parse_surd pair: a Fraction when rad is a
+    rational square, else a float (mpmath.mpf under extended precision)."""
+    coef, rad = surd
+    root = exact_sqrt(rad)
+    if root is not None:
+        return coef * root
+    if _REAL_DPS > 0:
+        with mpmath.workdps(_REAL_DPS):
+            return mpmath.mpf(coef.numerator) / coef.denominator * mpmath.sqrt(
+                mpmath.mpf(rad.numerator) / rad.denominator
+            )
+    return float(coef) * math.sqrt(rad)
+
+
+def evaluate_symbolic(text):
+    """The value of a vector-entry literal (see parse_surd, surd_value)."""
+    return surd_value(parse_surd(text))
+
+
+def exact_sqrt(q: Fraction):
+    """sqrt(q) as a Fraction when q is a rational square, else None."""
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def continued_fraction(x, depth: int = 48, big: int = 10**9):
-    """Partial quotients of x until they blow up or depth is reached.
-
-    A float that came from a small rational ends in a huge quotient
-    almost immediately; genuine irrationals keep producing moderate
-    quotients.  Used only as a heuristic.
-    """
-    quotients = []
-    x = mpmath.mpf(x) if _REAL_DPS > 0 else float(x)
-    for _ in range(depth):
-        a = math.floor(x)
-        quotients.append(int(a))
-        frac = x - a
-        if frac == 0:
-            break
-        x = 1 / frac
-        if x > big:
-            break
-    return quotients
-
-
-def looks_rational(x, depth: int = 48, big: int = 10**9) -> bool:
-    """CF-depth heuristic: does x behave like a small rational?"""
-    if isinstance(x, (int, Fraction)):
-        return True
-    q = continued_fraction(x, depth=depth, big=big)
-    return len(q) < depth

@@ -23,7 +23,7 @@ estimate (with closed forms where available).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -328,7 +328,6 @@ class RatioLimitResult:
     estimates: dict
     converged: bool
     closed_form: float | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def skew_ball_ratio_limit(case, g, t0=4.0, steps=24, tol=1e-4) -> RatioLimitResult:
@@ -352,7 +351,6 @@ def skew_ball_ratio_limit(case, g, t0=4.0, steps=24, tol=1e-4) -> RatioLimitResu
             estimates={0: est},
             converged=converged,
             closed_form=case.ratio_closed_form(g),
-            diagnostics={"raw_tail": raw[-3:], "ladder": "doubling"},
         )
     if isinstance(case, SymSquareUnipotentBall):
         seq = [float(r) for r in case.ratio_sequence(range(1, steps + 1),
@@ -386,7 +384,6 @@ def _settle(values, tol):
 def _classify_sequence(seq, tol, offset=0):
     """Split a sequence over residue classes of its index until each
     class settles; modulus grows 1 -> 2 -> 4 before giving up."""
-    seq = [s for s in seq]
     for modulus in (1, 2, 4):
         classes, ok = {}, True
         for r in range(modulus):
@@ -400,10 +397,8 @@ def _classify_sequence(seq, tol, offset=0):
             ok = ok and conv
         if ok:
             return RatioLimitResult(modulus=modulus, estimates=classes,
-                                    converged=True,
-                                    diagnostics={"tail": seq[-4:]})
-    return RatioLimitResult(modulus=0, estimates=classes, converged=False,
-                            diagnostics={"tail": seq[-4:], "note": "diverged"})
+                                    converged=True)
+    return RatioLimitResult(modulus=0, estimates=classes, converged=False)
 
 
 # ---------------------------------------------------------------------------

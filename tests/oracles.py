@@ -200,11 +200,12 @@ def orbit_sum_pointwise(elements, v, f, normalizer):
     (the vectorized route's arithmetic); at p the point is exact.
     """
     real, padic = (f.real, f.padic) if isinstance(f, ProductTest) else (f, f)
+    v_inf = v.inf_floats().tolist()
     total = 0
     for level, rows in elements:
         hit = True
         if not isinstance(real, PadicShellBox):
-            w = [sum(float(e) * float(x) for e, x in zip(row, v.inf))
+            w = [sum(float(e) * x for e, x in zip(row, v_inf))
                  for row in rows]
             if level:
                 w = [c / float(v.p) ** level for c in w]

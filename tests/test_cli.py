@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -15,7 +16,12 @@ import orbitlab
 from orbitlab.balls import BallSpec, enum_sl2_zinvp, enum_sl2z
 from orbitlab.cli import emit_report, main, parse_config
 from orbitlab.errors import ConfigError
-from orbitlab.volumes import SqrtPower, padic_sl2_ball_volume
+from orbitlab.volumes import (
+    SqrtPower,
+    StabilizerBall,
+    UnipotentPairBall,
+    padic_sl2_ball_volume,
+)
 
 
 def run(*argv):
@@ -218,6 +224,81 @@ def test_volume_example31_and_asymptotics_pipeline(tmp_path):
     assert doc["classes"]["0"]["c"] != doc["classes"]["1"]["c"]
 
 
+def _csv_body(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _cell(x):
+    return format(x, ".12g")
+
+
+def test_volume_stab2_table_matches_library(tmp_path):
+    out = tmp_path / "stab2.csv"
+    assert run("volume", "--case", "stab2", "--ladder", "4,2,8",
+               "--params", "v=1,sqrt(2)", "g=2,1,1,1", "--out", out) == 0
+    ball = StabilizerBall((1, math.sqrt(2)))
+    g = ((2, 1), (1, 1))
+    body = _csv_body(out)
+    assert [r[0] for r in body] == [str(4 * 2**k) for k in range(8)]
+    for t, cls, volume, ratio in body:
+        skew, plain = ball.skew_volume(g, float(t)), ball.ball_volume(float(t))
+        assert (cls, volume, ratio) == ("0", _cell(skew), _cell(skew / plain))
+
+
+def test_volume_unipair_table_matches_library(tmp_path):
+    out = tmp_path / "unipair.csv"
+    assert run("volume", "--case", "unipair", "--p", 2, "--ladder", "4,2,6",
+               "--params", "g_p=1,2,0,1", "--out", out) == 0
+    ball = UnipotentPairBall((1, math.sqrt(2)), (1, 3), 2)
+    g_inf, g_p = ((1, 0), (0, 1)), ((1, 2), (0, 1))
+    body = _csv_body(out)
+    assert [r[0] for r in body] == [str(4 * 2**k) for k in range(6)]
+    for k, (t, cls, volume, ratio) in enumerate(body):
+        t = int(t)
+        skew = ball.skew_volume(g_inf, g_p, float(t), t)
+        plain = ball.ball_volume(float(t), t)
+        assert (cls, volume) == (str(k % 2), _cell(skew))
+        # g_inf = I, and g_p lies in SL(2, Z_2), the stabilizer of the ball
+        assert skew == pytest.approx(plain) and ratio == _cell(skew / plain)
+        assert float(ratio) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["volume", "--case", "stab2", "--ladder", "4,2,2", "--params", "v=0,0"],
+     "v: must be a nonzero vector"),
+    (["volume", "--case", "unipair", "--p", 2, "--ladder", "4,2,2",
+      "--params", "v=0,0"], "v: must be a nonzero vector"),
+    (["volume", "--case", "unipair", "--p", 2, "--ladder", "4,2,2",
+      "--params", "v_fin=0,0"], "v_fin: must be a nonzero vector"),
+    (["volume", "--case", "unipair", "--p", 2, "--ladder", "4,2,2",
+      "--params", "t_p=0"], "t_p: must be positive"),
+    (["volume", "--case", "unipair", "--p", 2, "--ladder", "4,2,2",
+      "--params", "t_p=-1"], "t_p: must be positive"),
+    (["volume", "--case", "example31", "--p", 4, "--ladder", "4,4,3"],
+     "p: a prime is required"),
+    (["asymptotics", "--in", "short.csv", "--p", 3], "short.csv:3: 2 cells"),
+    (["asymptotics", "--in", "vols.csv", "--p", 1], "p: a prime is required"),
+    (["asymptotics", "--in", "vols.csv", "--p", 0], "p: a prime is required"),
+    (["asymptotics", "--in", "vols.csv", "--p", 9], "p: a prime is required"),
+], ids=["stab2-v-zero", "unipair-v-zero", "unipair-v_fin-zero",
+        "unipair-t_p-zero", "unipair-t_p-negative", "example31-p-composite",
+        "asymptotics-short-row", "asymptotics-p-1", "asymptotics-p-0",
+        "asymptotics-p-composite"])
+def test_degenerate_volume_inputs_exit_code(argv, message, capsys,
+                                            monkeypatch, tmp_path):
+    # each is a configuration error, reported before anything is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "short.csv").write_text(
+        "t,class,volume,ratio\n9,0,27,1\n3,1\n")
+    (tmp_path / "vols.csv").write_text(
+        "t,class,volume,ratio\n" + "".join(f"{3**k},{k % 2},{9**k},1\n"
+                                           for k in range(16)))
+    assert run(*argv, "--out", "x.out") == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
+
+
 def test_asymptotics_divergence_exit_code(tmp_path):
     vols = tmp_path / "vols.csv"
     fit = tmp_path / "fit.json"
@@ -325,6 +406,54 @@ def test_orbit_undefined_ratios_write_null(conf, monkeypatch, tmp_path):
     rows = json.loads((tmp_path / "o.json").read_text())["rows"]
     assert all(r["ratio_empirical"] is None for r in rows)
     assert (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("v_inf", "1,sqrt(2)*3"), ("v_inf", "1,abc"), ("v_inf", "1,1/0"),
+    ("v_inf", "1,sqrt(-2)"), ("v_fin", "1,abc"),
+    ("tests", "annulus(1,abc)"), ("tests", "annulus(1/0,2)"),
+    ("tests", "shell(x)"), ("tests", "wedge(1,2,x)"),
+    ("tests", "shell(0,1,1:x)"),
+    ("n", "3"),  # a22 orbits live in SL(2)
+])
+def test_orbit_bad_value_exit_code(key, value, capsys, monkeypatch, tmp_path):
+    # each pair replaces one key of a valid a22 config
+    monkeypatch.chdir(tmp_path)
+    conf = {"application": "a22", "v_inf": "1,sqrt(2)", "v_fin": "1,3",
+            "p": "2", "ladder": "2,2,2", "tests": "shell(0)",
+            "out_json": "o.json", "out_csv": "o.csv", key: value}
+    (tmp_path / "run.conf").write_text(
+        "".join(f"{k} = {v}\n" for k, v in conf.items()))
+    assert run("orbit", "--config", "run.conf") == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_orbit_flags_rational_direction_exactly(monkeypatch, tmp_path):
+    # v_inf = 12345 sqrt(7) (1, 54321/12345): a float ratio test missed it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(
+        "application = a21\nv_inf = 12345*sqrt(7),54321*sqrt(7)\n"
+        "ladder = 4,2,2\ntests = annulus(1,2)\n"
+        "out_json = o.json\nout_csv = o.csv\n")
+    assert run("orbit", "--config", "run.conf") == 0
+    doc = json.loads((tmp_path / "o.json").read_text())
+    assert doc["flags"] == ["density hypothesis violated"]
+
+
+def test_cli_module_exits_two_without_traceback(tmp_path):
+    # the __main__ guard and main(argv=None), run as a process
+    (tmp_path / "run.conf").write_text(
+        "application = a21\nv_inf = 1,sqrt(2)*3\nladder = 4,2,2\n"
+        "tests = annulus(1,2)\nout_json = o.json\nout_csv = o.csv\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(orbitlab.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "orbitlab.cli", "orbit", "--config", "run.conf"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert "error:" in out.stderr and "Traceback" not in out.stderr
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_orbit_rejects_wedge_degree_above_one(capsys, tmp_path):

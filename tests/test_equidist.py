@@ -258,6 +258,59 @@ def test_density_hypothesis_product_case():
     assert check_density_hypothesis(split, "a22") == ()
 
 
+VIOLATED = ("density hypothesis violated",)
+
+
+@pytest.mark.parametrize("application", ["ledrappier", "a21"])
+@pytest.mark.parametrize("v_inf,flags", [
+    # rational directions whose float ratio looks irrational
+    (("12345*sqrt(7)", "54321*sqrt(7)"), VIOLATED),
+    (("sqrt(2)", "1000003/999983*sqrt(2)"), VIOLATED),
+    (("sqrt(8)", "-3*sqrt(1/2)"), VIOLATED),
+    (("0", "sqrt(3)"), VIOLATED),
+    (("1", "sqrt(2)"), ()),
+    (("sqrt(2)", "sqrt(3)"), ()),
+    (("sqrt(6)", "2*sqrt(3/2)"), VIOLATED),
+])
+def test_density_hypothesis_decided_exactly(application, v_inf, flags):
+    v = OrbitVector.make(v_inf)
+    assert check_density_hypothesis(v, application) == flags
+
+
+def test_density_hypothesis_float_entries_are_dyadic():
+    # a float entry is its binary value, a rational: math.sqrt(2) lies
+    # along a rational direction with 1
+    v = OrbitVector.make((1.0, math.sqrt(2)))
+    assert check_density_hypothesis(v, "ledrappier") == VIOLATED
+
+
+def test_density_hypothesis_product_case_exact():
+    v_inf = ("12345*sqrt(7)", "54321*sqrt(7)")
+    same = OrbitVector.make(v_inf, fin=("12345", "54321"), p=2)
+    assert check_density_hypothesis(same, "a22") == VIOLATED
+    other = OrbitVector.make(v_inf, fin=("12345", "54322"), p=2)
+    assert check_density_hypothesis(other, "a22") == ()
+
+
+@pytest.mark.parametrize("v_inf,v_fin", [
+    (("1", "sqrt(2)*3"), None), (("1", "abc"), None), (("1", "1/0"), None),
+    (("1", "sqrt(-2)"), None), (("1", "sqrt(2)"), ("1", "abc")),
+    (("1", "sqrt(2)"), ("1/0", "1")),
+])
+def test_orbit_vector_rejects_malformed_literals(v_inf, v_fin):
+    with pytest.raises(ConfigError):
+        OrbitVector.make(v_inf, fin=v_fin, p=2)
+
+
+@pytest.mark.parametrize("token", [
+    "annulus(1,abc)", "annulus(1/0,2)", "shell(x)", "wedge(1,2,x)",
+    "shell(0,1,1:x)", "product(annulus(1,abc),shell(0))",
+])
+def test_parse_test_rejects_malformed_literals(token):
+    with pytest.raises(ConfigError):
+        parse_test(token, p=2)
+
+
 # ---------------------------------------------------------------------------
 # group orders, window scale, normalizers
 
@@ -372,7 +425,7 @@ def test_orbit_sum_rotation_equivariance():
     s2 = math.sqrt(2.0)
     configs = [
         (OrbitVector.make(("1", "sqrt(2)")), 0.0),
-        (OrbitVector((0.6 - 0.8 * s2, 0.8 + 0.6 * s2)), phi),
+        (OrbitVector.make((0.6 - 0.8 * s2, 0.8 + 0.6 * s2)), phi),
     ]
     for v, shift in configs:
         ref = orbit_sum(chunks, v, RealAnnulusSector(1, 2), 1.0)
@@ -488,6 +541,14 @@ def test_experiment_config_validation():
         ExperimentConfig(application="wedge", v=OrbitVector.make(("1", "sqrt(2)", "sqrt(3)")),
                          t_ladder=(3, 6), n=3,
                          window=CongruenceWindow(2, 1, reps=((1, 0, 0, 1),)))
+
+
+@pytest.mark.parametrize("application", ["ledrappier", "a21", "a22"])
+def test_experiment_config_sl2_applications_need_n_two(application):
+    v = OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=2)
+    assert led_config(application=application, v=v, n=2).dim == 2
+    with pytest.raises(ConfigError, match="n must be 2"):
+        led_config(application=application, v=v, n=3)
 
 
 def test_run_experiment_counts_match_orbit_sum():

@@ -9,13 +9,13 @@ import pytest
 
 from orbitlab.places import (
     as_rational,
-    continued_fraction,
     evaluate_symbolic,
     is_prime,
-    looks_rational,
     padic_abs,
     padic_valuation,
+    parse_surd,
     set_real_precision,
+    surd_value,
 )
 
 
@@ -91,6 +91,28 @@ def test_evaluate_symbolic():
     assert evaluate_symbolic(5) == 5
 
 
+def test_parse_surd_exact_parts():
+    F = Fraction
+    assert parse_surd("3/4") == (F(3, 4), 1)
+    assert parse_surd("sqrt(2)") == (1, 2)
+    assert parse_surd(" -2/3 * sqrt(5/7) ") == (F(-2, 3), F(5, 7))
+    assert parse_surd("sqrt(9/4)") == (1, F(9, 4))
+    assert parse_surd(5) == (5, 1)
+    # a float is its exact binary value, a dyadic rational
+    assert parse_surd(0.1) == (F(3602879701896397, 2**55), 1)
+    assert surd_value(parse_surd(0.1)) == F(0.1)
+    # the float value is the product of two roundings, as before the split
+    coef, rad = parse_surd("12345*sqrt(7)")
+    assert surd_value((coef, rad)) == 12345.0 * math.sqrt(7.0)
+
+
+@pytest.mark.parametrize("text", ["sqrt(2)*3", "abc", "1/0", "sqrt(-2)",
+                                  "sqrt(2", "2*abc"])
+def test_parse_surd_rejects_malformed_literals(text):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        parse_surd(text)
+
+
 def test_precision_toggle():
     # hardware doubles by default, mpmath at the set precision, and
     # doubles again once the precision is reset
@@ -103,12 +125,3 @@ def test_precision_toggle():
     finally:
         set_real_precision(0)
     assert isinstance(evaluate_symbolic("sqrt(2)"), float)
-
-
-def test_cf_heuristic():
-    assert looks_rational(0.75)
-    assert looks_rational(Fraction(22, 7))
-    assert not looks_rational(math.sqrt(2))
-    assert not looks_rational((1 + math.sqrt(5)) / 2)
-    cf = continued_fraction(math.sqrt(2), depth=10)
-    assert cf[:4] == [1, 2, 2, 2]

@@ -416,3 +416,10 @@ def test_floor_log_exact_at_boundaries():
     assert floor_log(float(5**12), 5) == 12
     with pytest.raises(ValueError):
         floor_log(0, 2)
+
+
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_floor_log_rejects_base_below_two(p):
+    # p^j never passes x for p <= 1: the search would not end
+    with pytest.raises(ValueError):
+        floor_log(5, p)
