@@ -19,6 +19,32 @@ The package is organized by layer:
 
 from __future__ import annotations
 
+import os
+import sys
+
 __version__ = "0.1.0"
 
 __all__ = ["__version__"]
+
+
+def _import_numpy_with_one_blas_thread() -> None:
+    """Import numpy with OpenBLAS limited to the calling thread.
+
+    orbitlab's parallelism is its own worker pool (``ORBITLAB_THREADS``);
+    its only BLAS calls are least-squares fits of a few dozen rows.  An
+    OpenBLAS pool would start at load and busy-wait on the cores the
+    workers use.  OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, at load,
+    so the variable is set only for the import and removed again: child
+    processes see the caller's environment.  A caller's own value, or a
+    numpy loaded before orbitlab, is left as it is.
+    """
+    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_with_one_blas_thread()

@@ -600,6 +600,19 @@ def _cmd_asymptotics(config: RunConfig) -> None:
     s = config.settings
     p = _require_prime(config)
     try:
+        moduli = tuple(int(x) for x in s["moduli"].split(","))
+    except ValueError:
+        raise ConfigError(f"moduli: expected integers, got {s['moduli']!r}")
+    if min(moduli) < 1:
+        raise ConfigError(
+            f"moduli: each must be at least 1, got {s['moduli']!r}")
+    tol, min_per_class = config.number("tol"), config.integer("min_per_class")
+    if tol < 0:
+        raise ConfigError(f"tol: must be >= 0, got {tol}")
+    if min_per_class < 1:
+        raise ConfigError(
+            f"min_per_class: must be at least 1, got {min_per_class}")
+    try:
         with open(s["input"], newline="") as fh:
             table = list(csv.reader(fh))
     except OSError as exc:
@@ -620,15 +633,8 @@ def _cmd_asymptotics(config: RunConfig) -> None:
         ts.append(_parse_number("t", row[it]))
         vols.append(float(_parse_exact_value(row[iv])))
     try:
-        moduli = tuple(int(x) for x in s["moduli"].split(","))
-    except ValueError:
-        raise ConfigError(f"moduli: expected integers, got {s['moduli']!r}")
-    try:
-        profile = fit_asymptotics(
-            ts, vols, p, moduli=moduli,
-            tol=float(config.number("tol")),
-            min_per_class=config.integer("min_per_class"),
-        )
+        profile = fit_asymptotics(ts, vols, p, moduli=moduli, tol=float(tol),
+                                  min_per_class=min_per_class)
     except ValueError as exc:
         raise ConfigError(str(exc))
     doc = {

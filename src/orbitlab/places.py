@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -155,6 +153,8 @@ def surd_value(surd):
     if root is not None:
         return coef * root
     if _REAL_DPS > 0:
+        import mpmath  # loaded only under extended precision
+
         with mpmath.workdps(_REAL_DPS):
             return mpmath.mpf(coef.numerator) / coef.denominator * mpmath.sqrt(
                 mpmath.mpf(rad.numerator) / rad.denominator

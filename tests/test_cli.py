@@ -281,10 +281,27 @@ def test_volume_unipair_table_matches_library(tmp_path):
     (["asymptotics", "--in", "vols.csv", "--p", 1], "p: a prime is required"),
     (["asymptotics", "--in", "vols.csv", "--p", 0], "p: a prime is required"),
     (["asymptotics", "--in", "vols.csv", "--p", 9], "p: a prime is required"),
+    (["asymptotics", "--in", "vols.csv", "--p", 3, "--tol", -1],
+     "tol: must be >= 0"),
+    (["asymptotics", "--in", "vols.csv", "--p", 3, "--tol", "inf"],
+     "tol: expected a number"),
+    (["asymptotics", "--in", "vols.csv", "--p", 3, "--moduli", 0],
+     "moduli: each must be at least 1"),
+    (["asymptotics", "--in", "vols.csv", "--p", 3, "--moduli", -1],
+     "moduli: each must be at least 1"),
+    (["asymptotics", "--in", "vols.csv", "--p", 3, "--moduli", "1,0"],
+     "moduli: each must be at least 1"),
+    (["asymptotics", "--in", "vols.csv", "--p", 3, "--min-per-class", 0],
+     "min_per_class: must be at least 1"),
+    (["asymptotics", "--in", "vols.csv", "--p", 3, "--min-per-class", -3],
+     "min_per_class: must be at least 1"),
 ], ids=["stab2-v-zero", "unipair-v-zero", "unipair-v_fin-zero",
         "unipair-t_p-zero", "unipair-t_p-negative", "example31-p-composite",
         "asymptotics-short-row", "asymptotics-p-1", "asymptotics-p-0",
-        "asymptotics-p-composite"])
+        "asymptotics-p-composite", "asymptotics-tol-negative",
+        "asymptotics-tol-inf", "asymptotics-moduli-0",
+        "asymptotics-moduli-negative", "asymptotics-moduli-1-0",
+        "asymptotics-min-per-class-0", "asymptotics-min-per-class-negative"])
 def test_degenerate_volume_inputs_exit_code(argv, message, capsys,
                                             monkeypatch, tmp_path):
     # each is a configuration error, reported before anything is written
