@@ -1118,7 +1118,7 @@ def _last_row_lines(prefix, budget, limit, bound=None, slack=None):
     half < 2^20 (checked), far inside the margin.  More than ``limit``
     lines on one level raise CapacityError before they are laid out."""
     m = _cofactor_vector(prefix)
-    keep = (np.gcd.reduce(np.abs(m), axis=1) == 1) & (budget >= 1)
+    keep = (functools.reduce(np.gcd, m.T) == 1) & (budget >= 1)
     m, budget = m[keep], budget[keep]
     ws = _size_reduce_basis(prefix[keep])
     x0 = _particular_solution(m)
@@ -1227,11 +1227,16 @@ class _SlnzPlan:
     Left: permuting the rows, one row's sign flipped for odd
     permutations, gives each matrix n! distinct images (the rows of an
     invertible matrix are pairwise independent), so only prefixes whose
-    row sizes do not increase are taken.  Rows 2..n-1 range over the
-    size-sorted table, up to the size of the row before them (reduced)
-    and, under Frobenius, to what leaves each row after them a size of at
-    least 1.  A block holds at most _CHUNK_PAIRS prefixes (rows 1..n-1),
-    counted per first row without building them, or one first row."""
+    row sizes do not increase are taken.  Sign: negating a middle row
+    (2..n-1) and the last row is a left multiplication of det 1 that
+    keeps every row size and maps x to -x among a prefix's last rows, and
+    no row is 0, so the reduced table keeps only the rows whose first
+    nonzero entry is positive, each standing for itself and its negative
+    (one prefix for 2^(n-2)).  Rows 2..n-1 range over the size-sorted
+    table, up to the size of the row before them (reduced) and, under
+    Frobenius, to what leaves each row after them a size of at least 1.
+    A block holds at most _CHUNK_PAIRS prefixes (rows 1..n-1), counted per
+    first row without building them, or one first row."""
 
     def __init__(self, spec: BallSpec, reduced: bool = False):
         n, cut = spec.n, norm_sq_cut(spec._exact_t_inf())
@@ -1246,6 +1251,10 @@ class _SlnzPlan:
         if reduced:
             limit = n * self.bound**2 if self.sq is None else self.sq - n + 1
             self.rows1, self.orbit = _orbit_rows(n, limit, self.bound)
+            lead = functools.reduce(lambda acc, col: np.where(col, col, acc),
+                                    self.rows_ns.T[::-1])  # first nonzero
+            self.rows_ns, self.keys_ns = (self.rows_ns[lead > 0],
+                                          self.keys_ns[lead > 0])
         self.empty = len(self.rows1) == 0
         if self.empty:
             return
@@ -1377,7 +1386,9 @@ def ball_count(spec: BallSpec, workers=None) -> int:
     Their int64 headroom is checked before counting, and capacity as the
     count runs.  SL(3,Z) and SL(4,Z) visit only the first rows of the
     signed-permutation fundamental domain, each weighted by its orbit
-    size, and the prefixes whose row sizes do not increase (``_SlnzPlan``).
+    size, the middle rows (2..n-1) whose first nonzero entry is positive,
+    so that each prefix also stands for its 2^(n-2) sign changes, and the
+    prefixes whose row sizes do not increase (``_SlnzPlan``).
     Such a prefix stands for W = n!/prod(run!) orderings, over its runs of
     equal sizes; a last row x as large as its last row joins that run, of
     length k, and stands for W/(k + 1), a multinomial.  So each line of
@@ -1398,7 +1409,10 @@ def ball_count(spec: BallSpec, workers=None) -> int:
         (keep, *_), (rep, _, tlo, thi), [(lo, hi)] = _last_row_lines(
             prefix, budget, 8 * meter.limit, bound, budget >= keys[-1])
         stabilizer, last_run = _runs(keys)
-        whole = math.factorial(spec.n) // stabilizer * plan.orbit[first]
+        # negating a middle row and the last row maps the ball onto itself
+        # and keeps every size: each prefix stands for 2^(n-2) sign changes
+        whole = (math.factorial(spec.n) // stabilizer * plan.orbit[first]
+                 << spec.n - 2)
         tie = whole // (last_run + 1)
         total = int((tie[keep][rep] * (thi - tlo + 1)
                      + (whole - tie)[keep][rep] * (hi - lo + 1)).sum())

@@ -55,6 +55,11 @@ def as_tuples(mats):
     return sorted(tuple(int(e) for e in m.ravel()) for m in mats)
 
 
+def first_nonzero(rows):
+    """The first nonzero entry of each row of an (N, n) array (0 if none)."""
+    return rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+
+
 def test_xgcd_arrays_matches_math_gcd():
     rng = random.Random(11)
     a = np.array([rng.randint(-9999, 9999) for _ in range(400)] + [0, 0, 7, -7],
@@ -399,6 +404,25 @@ def test_last_row_headroom_guard(monkeypatch):
         ball_count(BallSpec("slnz", n=3, t_inf=6), workers=1)
 
 
+@pytest.mark.parametrize("n,t,norm,built", [(3, "6.96", "frobenius", 5621),
+                                              (4, "1", "max", 6400)])
+def test_reduced_plan_takes_middle_rows_up_to_sign(n, t, norm, built):
+    # the count builds only the prefixes whose middle rows lead with a
+    # positive entry: half of them for n = 3 (11,242 at T = 6.96), a
+    # quarter for n = 4 (25,600 under the max norm at T = 1); enumeration
+    # still takes the whole row table
+    spec = BallSpec("slnz", n=n, t_inf=Fraction(t), norm=norm)
+    plan = balls._SlnzPlan(spec, reduced=True)
+    prefixes = np.concatenate([plan.prefixes(span)[0] for span in plan.blocks])
+    assert len(prefixes) == built
+    assert np.all(first_nonzero(prefixes[:, 1:].reshape(-1, n)) > 0)
+    full = balls._SlnzPlan(spec)
+    _, rows, keys = _row_table(n, full.bound, full.sq, norm)
+    assert np.array_equal(full.rows_ns, rows)
+    assert np.array_equal(full.keys_ns, keys)
+    assert 2 * len(plan.rows_ns) == len(rows)
+
+
 _ROUTE_CASES = [(3, 2.2, "frobenius"), (3, 3.5, "frobenius"),
                 (2, 6.25, "frobenius"), (4, 2, "frobenius"),
                 (4, 2.5, "frobenius"), (4, 3, "frobenius"), (3, 1, "max"),
@@ -450,6 +474,29 @@ def test_sorted_prefix_weights_cover_the_ball(norm):
                  for k in set(zip(*(k.tolist() for k in keys)))}
     assert weight.tolist() == [orderings[k]
                                for k in zip(*(k.tolist() for k in keys))]
+
+
+@pytest.mark.parametrize("n,t,norm", [(3, 3, "frobenius"), (3, 3, "max"),
+                                      (4, 2.5, "frobenius")])
+def test_middle_row_signs_map_the_ball_onto_itself(n, t, norm):
+    # negating a middle row and the last row (det 1, every row size kept)
+    # maps the ball onto itself, so the matrices whose middle rows all
+    # lead with a positive entry are one in 2^(n-2)
+    mats = enum_slnz(BallSpec("slnz", n=n, t_inf=t, norm=norm), workers=1)
+
+    def lex_sorted(stack):
+        flat = stack.reshape(len(stack), -1)
+        return flat[np.lexsort(flat.T[::-1])]
+
+    ball = lex_sorted(mats)
+    for i in range(1, n - 1):
+        image = mats.copy()
+        image[:, [i, -1]] *= -1
+        assert np.array_equal(lex_sorted(image), ball)
+    positive = np.all(first_nonzero(mats[:, 1:-1].reshape(-1, n))
+                      .reshape(len(mats), n - 2) > 0, axis=1)
+    assert len(mats) % 2 ** (n - 2) == 0
+    assert positive.sum() == len(mats) // 2 ** (n - 2)
 
 
 def test_reduced_count_sl2z_matches_column_engine():
