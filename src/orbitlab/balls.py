@@ -52,6 +52,8 @@ _CHUNK_PAIRS = 1 << 21
 # flight small and let the consumer overlap the producers.
 _SL2_BLOCK_PAIRS = 1 << 15
 _SL2_CHUNK_ELEMS = 1 << 19
+# matrices per chunk of a test strip, each binned and masked as a whole
+_STRIP_CHUNK_ELEMS = 1 << 14
 _MAX_N = 4
 _ROW_BUDGET = 3 * 10**7
 # radii whose full (2b+1)^n row table fits the row budget
@@ -67,6 +69,7 @@ _LINE_MARGIN = 1e-6
 _LINE_HEADROOM = 1 << 58
 # matrices per pass of the max-norm norm_sq: their entries stay in cache
 _NORM_ROWS = 1 << 13
+_VAL_INF = 10**9  # valuation sentinel for a zero entry
 
 
 def exact_radius(t) -> Fraction:
@@ -219,6 +222,35 @@ def _xgcd_arrays(a, b):
         live = live[r[live] != 0]
     sign = np.where(old_r < 0, -1, 1)
     return old_r * sign, old_x * sign, old_y * sign
+
+
+def _valuations(arr, p):
+    """Elementwise p-adic valuation; zero entries get a large sentinel.
+
+    For p = 2 the lowest set bit x & -x is 2^v (the same for x and -x),
+    and 2^v - 1 has v bits set.  Odd p divides only the entries still
+    divisible, so each pass touches about 1/p of the previous one."""
+    arr = np.asarray(arr, dtype=np.int64)
+    if p == 2:
+        out = np.bitwise_count((arr & -arr) - 1).astype(np.int64)
+    else:
+        out = np.zeros(arr.size, dtype=np.int64)
+        idx, work = np.flatnonzero(arr), arr[arr != 0]
+        while len(idx):
+            more = work % p == 0
+            idx, work = idx[more], work[more] // p
+            out[idx] += 1
+        out = out.reshape(arr.shape)
+    out[arr == 0] = _VAL_INF
+    return out
+
+
+def _content_valuation(cols, p):
+    """Elementwise v_p of the gcd of the arrays ``cols``: for p = 2 that
+    of their bitwise or, whose lowest set bit is the lowest of theirs."""
+    if p == 2:
+        return _valuations(functools.reduce(np.bitwise_or, cols), 2)
+    return functools.reduce(np.minimum, [_valuations(c, p) for c in cols])
 
 
 def _isqrt_array(x):
@@ -388,66 +420,70 @@ def _sl2_columns(a, c, det, bound, sq_int, prim_p=None):
     return b0, d0, step_a, step_c, tlo, thi, skip
 
 
-def _column_ts(start, lengths, skip=None, p=None, stride=1):
-    """Ragged (column index, t) pairs in column order: for column i the
-    t = start[i] + stride[i] o over the offsets 0 <= o < lengths[i],
-    less, where skip[i] >= 0, the offsets o = skip[i] (mod p).
-
-    Raises CapacityError before laying out more than _SL2_BLOCK_WORK
-    pairs."""
+def _column_ts(start, lengths, stride=1, skip=None, p=None):
+    """The number of ragged (column index, t) pairs in column order, and
+    a function laying out the pairs lo <= i < hi: for column i the t =
+    start[i] + stride[i] o over the offsets 0 <= o < lengths[i], less,
+    where skip[i] >= 0, the o = skip[i] (mod p).  CapacityError, before
+    any is laid out, past _SL2_BLOCK_WORK pairs."""
     lengths = lengths.copy()
     vanish = np.flatnonzero(skip >= 0) if skip is not None else ()
     if len(vanish):
         lengths[vanish] -= (lengths[vanish] + p - 1 - skip[vanish]) // p
-    work = int(lengths.sum())
+    ends = np.cumsum(lengths)
+    work = int(ends[-1]) if len(ends) else 0
     if work > _SL2_BLOCK_WORK:
         raise CapacityError(
             f"work guard: one block of first columns would build {work} "
             f"matrices, over the limit {_SL2_BLOCK_WORK}")
-    rep, off = _ragged_arange(lengths)
-    if len(vanish):
-        # the j-th offset kept sits at j + (j + p - 1 - skip) // (p - 1)
-        sel = np.flatnonzero(skip[rep] >= 0)
-        j = off[sel]
-        off[sel] = j + (j + p - 1 - skip[rep[sel]]) // (p - 1)
-    if not np.isscalar(stride):
-        stride = stride[rep]
-    return rep, start[rep] + off * stride
+
+    def window(lo, hi):  # columns c0..c1 hold the pairs lo..hi-1
+        c0, c1 = np.searchsorted(ends, (lo, hi - 1), side="right")
+        head = lo - int(ends[c0] - lengths[c0])
+        sub = lengths[c0:c1 + 1].copy()
+        sub[0] -= head
+        sub[-1] -= int(ends[c1]) - hi
+        rep, off = _ragged_arange(sub)
+        rep += c0
+        off[:sub[0]] += head
+        if len(vanish):
+            # the j-th offset kept sits at j + (j + p - 1 - skip) // (p - 1)
+            sel = np.flatnonzero(skip[rep] >= 0)
+            j = off[sel]
+            off[sel] = j + (j + p - 1 - skip[rep[sel]]) // (p - 1)
+        return rep, start[rep] + off * (stride if np.isscalar(stride)
+                                        else stride[rep])
+
+    return work, window
 
 
-def _sl2_assemble(a, c, b0, d0, step_a, step_c, rep_all, t_all, det, bound,
-                  sq_int, prim_p, meter):
-    """Chunks of the matrices [[a, b0 + t step_a], [c, d0 + t step_c]]
-    of the columns ``rep_all`` at ``t_all``, each row checked to lie in
-    the ball, to have det ``det`` and, with prim_p, not to vanish mod p;
-    ``meter`` is charged with every chunk."""
-    col_p = (a % prim_p == 0) & (c % prim_p == 0) if prim_p else None
-    chunks = []
-    for start in range(0, len(rep_all), _SL2_CHUNK_ELEMS):
-        rep = rep_all[start:start + _SL2_CHUNK_ELEMS]
-        tt = t_all[start:start + _SL2_CHUNK_ELEMS]
-        aa, cc = a[rep], c[rep]
-        bb = b0[rep] + tt * step_a[rep]
-        dd = d0[rep] + tt * step_c[rep]
-        if sq_int is not None:
-            inside = aa * aa + bb * bb + cc * cc + dd * dd <= sq_int
-        else:
-            inside = (np.abs(bb) <= bound) & (np.abs(dd) <= bound)
-        if not inside.all():
-            raise InvariantError("sl2 engine built a matrix outside the ball")
-        if not np.all(aa * dd - bb * cc == det):
-            raise InvariantError(f"sl2 engine built a matrix of det != {det}")
-        if prim_p:
-            on_p = np.flatnonzero(col_p[rep])
-            if np.any((bb[on_p] % prim_p == 0) & (dd[on_p] % prim_p == 0)):
-                raise InvariantError(
-                    f"sl2 engine built a matrix that vanishes mod {prim_p}")
-        out = np.empty((len(rep), 2, 2), dtype=np.int64)
-        out[:, 0, 0], out[:, 0, 1] = aa, bb
-        out[:, 1, 0], out[:, 1, 1] = cc, dd
-        meter.add(len(out))
-        chunks.append(out)
-    return chunks
+def _sl2_assemble(a, c, b0, d0, step_a, step_c, rep, tt, det, bound, sq_int,
+                  prim_p, meter):
+    """The matrices [[a, b0 + t step_a], [c, d0 + t step_c]] of the
+    columns ``rep`` at ``tt``, each row checked to lie in the ball, to
+    have det ``det`` and, with prim_p, not to vanish mod p; ``meter`` is
+    charged with them."""
+    aa, cc = a[rep], c[rep]
+    bb = b0[rep] + tt * step_a[rep]
+    dd = d0[rep] + tt * step_c[rep]
+    if sq_int is not None:
+        inside = aa * aa + bb * bb + cc * cc + dd * dd <= sq_int
+    else:
+        inside = (np.abs(bb) <= bound) & (np.abs(dd) <= bound)
+    if not inside.all():
+        raise InvariantError("sl2 engine built a matrix outside the ball")
+    if not np.all(aa * dd - bb * cc == det):
+        raise InvariantError(f"sl2 engine built a matrix of det != {det}")
+    if prim_p:
+        on_p = np.flatnonzero(((a % prim_p == 0) & (c % prim_p == 0))[rep])
+        if np.any((bb[on_p] % prim_p == 0) & (dd[on_p] % prim_p == 0)):
+            raise InvariantError(
+                f"sl2 engine built a matrix that vanishes mod {prim_p}")
+    out = np.empty((len(rep), 2, 2), dtype=np.int64)
+    out[:, 0, 0], out[:, 0, 1] = aa, bb
+    out[:, 1, 0], out[:, 1, 1] = cc, dd
+    meter.add(len(out))
+    return out
 
 
 def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
@@ -472,9 +508,10 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
     columns x have |x . vec| <= width and x . nums = 0 (mod p^k): the
     minor coordinate is the one of the larger |vec_j|, and each row and
     each t-interval is cut to its widened float strip interval and its
-    congruence progression (_strip_ts).  All of these are invariant under
-    N -> -N, so the strip keeps only the N whose first column lies in the
-    half-plane major > 0, or major = 0 < minor."""
+    congruence progression (_strip_progressions).  All of these are
+    invariant under N -> -N, so the strip keeps only the N whose first
+    column lies in the half-plane major > 0, or major = 0 < minor.  Its
+    chunks, of _STRIP_CHUNK_ELEMS, are built as they are taken."""
     j = 1  # the minor coordinate of the first column
     if sq_int is None and strip is None:
         side = 2 * bound + 1
@@ -519,17 +556,20 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
         g = np.gcd(a, c)
         keep = (g > 0) & (det % np.where(g > 0, g, 1) == 0)
         a, c = a[keep], c[keep]
-        if len(a) == 0:
-            return []
         b0, d0, step_a, step_c, tlo, thi, skip = _sl2_columns(
             a, c, det, bound, sq_int, prim_p)
         if strip is None:
-            rep, t = _column_ts(tlo, np.maximum(thi - tlo + 1, 0), skip, prim_p)
+            work, window = _column_ts(tlo, np.maximum(thi - tlo + 1, 0), 1,
+                                      skip, prim_p)
         else:
-            rep, t = _strip_ts(strip, b0, d0, step_a, step_c, tlo, thi, skip,
-                               prim_p)
-        return _sl2_assemble(a, c, b0, d0, step_a, step_c, rep, t,
-                             det, bound, sq_int, prim_p, meter)
+            work, window = _column_ts(*_strip_progressions(
+                strip, b0, d0, step_a, step_c, tlo, thi))
+        size = _STRIP_CHUNK_ELEMS if strip else _SL2_CHUNK_ELEMS
+        chunks = (_sl2_assemble(a, c, b0, d0, step_a, step_c,
+                                *window(lo, min(lo + size, work)), det, bound,
+                                sq_int, prim_p, meter)
+                  for lo in range(0, work, size))
+        return chunks if strip else list(chunks)
 
     for chunks in _pool_map(run, range(0, npairs, _SL2_BLOCK_PAIRS), workers):
         yield from chunks
@@ -697,7 +737,7 @@ def _pair_sums(table, terms, meters):
 
 
 def _det_norm_counts(dets, cutsets, meters):
-    """For each level k and each X of the ascending ``cutsets[k]``, the
+    """For each det k and each X of the ascending ``cutsets[k]``, the
     number of integer 2x2 M with det M = dets[k] >= 1 and norm_sq(M) <= X.
 
     With u = a+d, v = a-d, w = b-c, z = b+c, P = u^2 + w^2 and Q = v^2 +
@@ -724,9 +764,9 @@ def _det_norm_counts(dets, cutsets, meters):
     the table r2(4i + 1) (_r2_1mod4_range), j = 0..v2(D), over i <=
     (floor(Y/2^j) - 1)/4; the tail pairs r2 itself (_r2_range) over at
     most a quarter of the range, e >= 2.  One pass over the table serves
-    every level and every j, and one pass over r2 every level's tail
+    every det and every j, and one pass over r2 every det's tail
     (_pair_sums).  Each j = 0 term is a multiple of 16 (4 | r2(n) for n
-    >= 1), so halving is exact.  ``meters[k]`` is charged with level k's
+    >= 1), so halving is exact.  ``meters[k]`` is charged with det k's
     running sums, a lower bound on its largest X's count, block by block
     and table first."""
     heads, tails = [], []
@@ -780,35 +820,30 @@ def sl2_ladder_totals(spec: BallSpec, cuts, workers=None) -> list:
     of two squares (Frobenius) or column intervals (max, on ``workers``).
 
     ``cuts[i][m]`` is the norm_sq cut of the level-m matrices M at rung i
-    (-1 where the level is excluded).  Level m holds the M of det p^(2m)
-    less those that vanish mod p, p times the matrices of det p^(2m-2) and
-    norm_sq at most floor(cut / p^2) under either norm; level m - 1 counts
-    those too.  Under the Frobenius norm one pass over a table of r2 at n
-    = 1 (mod 4) and one over r2 at a quarter of the range or less count
-    every level (_det_norm_counts).  The spec's int64 headroom is checked
-    first, and a top rung over its capacity raises CapacityError, as the
-    stream would: early, as soon as the level-0 count of its cut passes
-    the capacity (the top rung holds every other rung, so no level-0 cut
-    is larger), else once the totals are known."""
+    (-1 where the level is excluded).  With L its top level, rung i holds
+    exactly the integer M_L of det p^(2L) and norm_sq(M_L) <= cuts[i][L]
+    under either norm: an element p^-m M of level m <= L is M_L = p^(L-m)
+    M, and floor(cut_L / p^(2(L-m))) is the level-m cut.  So one
+    _det_norm_counts pass (one _det_max_counts per det under the max
+    norm) counts the rungs' top (det, cut) pairs.  The spec's int64
+    headroom is checked first, and a top rung over its capacity raises
+    CapacityError, as the stream would, as soon as the running count of
+    its det passes the capacity."""
     _sl2_levels(spec)
     p = spec.p or 1
-    cuts = np.asarray(cuts, dtype=np.int64).tolist()
-    levels = range(len(cuts[0]) if cuts else 0)
-    xss = [sorted({row[m] for row in cuts if row[m] >= 0}
-                  | {row[m + 1] // (p * p) for row in cuts
-                     if m + 1 < len(row) and row[m + 1] >= 0})
-           for m in levels]
-    dets = [p ** (2 * m) for m in levels]
-    meters = [_CapacityMeter(math.inf if m else spec.capacity) for m in levels]
+    rungs = [[x for x in row if x >= 0]
+             for row in np.asarray(cuts, dtype=np.int64).tolist()]
+    tops = [(p ** (2 * len(r) - 2), r[-1]) if r else None for r in rungs]
+    dets = sorted({t[0] for t in tops if t})
+    xss = [sorted({t[1] for t in tops if t and t[0] == det}) for det in dets]
+    meters = [_CapacityMeter(spec.capacity if (det, xs[-1]) == tops[-1]
+                             else math.inf) for det, xs in zip(dets, xss)]
     counts = (_det_norm_counts(dets, xss, meters) if spec.norm == "frobenius"
               else [_det_max_counts(*args, resolve_workers(workers))
                     for args in zip(dets, xss, meters)])
-    here = [dict(zip(xs, got)) for xs, got in zip(xss, counts)]
-    totals = [sum(here[m][x] - (here[m - 1][x // (p * p)] if m else 0)
-                  for m, x in enumerate(row) if x >= 0) for row in cuts]
-    if totals:
-        _CapacityMeter(spec.capacity).add(totals[-1])
-    return totals
+    here = {(det, x): got for det, xs, cs in zip(dets, xss, counts)
+            for x, got in zip(xs, cs)}
+    return [here[t] if t else 0 for t in tops]
 
 
 def _linear_classes(coef, rhs, p, k):
@@ -817,14 +852,9 @@ def _linear_classes(coef, rhs, p, k):
     and no solution elsewhere; k = 0 gives every t."""
     mod = p**k
     c, rhs = coef % mod, rhs % mod
-    f = np.zeros(len(c), dtype=np.int64)
-    for _ in range(k):
-        div = c % p == 0
-        f += div
-        c = np.where(div, c // p, c)
-    pf = np.power(p, f)
+    pf = np.power(p, np.minimum(_valuations(c, p), k))
     step = mod // pf
-    _, inv, _ = _xgcd_arrays(c % step, step)
+    _, inv, _ = _xgcd_arrays(c // pf % step, step)
     r = (rhs // pf) % step * (inv % step) % step
     return rhs % pf == 0, r, step
 
@@ -846,12 +876,12 @@ def _widened_interval(e1, e2, lo, hi):
             np.minimum(hi, np.floor(high).astype(np.int64) + 1))
 
 
-def _strip_ts(strip, b0, d0, step_a, step_c, tlo, thi, skip, prim_p):
-    """_column_ts of the second columns (b0 + t step_a, d0 + t step_c)
-    whose t lies in the exact interval tlo <= t <= thi and in the strip
-    (vec, width, nums, p, k): the float interval of |col . vec| <= width
-    widened by one step on each side, and the progression of col . nums
-    = 0 (mod p^k), less the class that vanishes mod prim_p."""
+def _strip_progressions(strip, b0, d0, step_a, step_c, tlo, thi):
+    """(first t, count, stride) per column of the second columns (b0 + t
+    step_a, d0 + t step_c) whose t lies in the exact interval tlo <= t <=
+    thi and in the strip (vec, width, nums, p, k): the float interval of
+    |col . vec| <= width widened by one step on each side, and the
+    progression of col . nums = 0 (mod p^k)."""
     vec, width, nums, p, k = strip
     mod = p**k
     # the second column . vec = offset + t slope
@@ -868,16 +898,7 @@ def _strip_ts(strip, b0, d0, step_a, step_c, tlo, thi, skip, prim_p):
     ok, r, tstep = _linear_classes(
         step_a % mod * nums[0] + step_c % mod * nums[1],
         -(b0 % mod * nums[0] + d0 % mod * nums[1]), p, k)
-    first, count = _progression_starts(t0, t1, ok, r, tstep)
-    if prim_p:
-        # a stride p^e >= p stays in one class mod p: the column goes
-        # when that is the vanishing class
-        van = (skip >= 0) & (tstep > 1)
-        count[van & ((first - tlo - skip) % prim_p == 0)] = 0
-        skip = np.where(van, -1, skip)
-        at = skip >= 0
-        skip[at] = (tlo[at] + skip[at] - first[at]) % prim_p
-    return _column_ts(first, count, skip, prim_p, tstep)
+    return (*_progression_starts(t0, t1, ok, r, tstep), tstep)
 
 
 def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
@@ -892,45 +913,51 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
     Both rows of M then satisfy |row . vec| <= p^m R', R' being
     ``radius`` widened by a relative and an absolute margin far above
     the rounding of the float orbit point and of the float intervals of
-    the strip.  Per level this runs _sl2_det_blocks on M^T with that
-    strip (transposition keeps det, the norm and vanishing mod p) and
-    transposes what it yields.
+    the strip.  The elements of levels m <= L, the top one, are the M_L =
+    p^(L-m) M of det p^(2L) and norm_sq(M_L) <= cut_L, of content p^(L-m),
+    so one pass of _sl2_det_blocks runs on M_L^T with the strip |row .
+    vec| <= p^L R' (transposition keeps det and the norm) and divides
+    each M_L by its content, which gives its level.
 
     ``congruence = (nums, k0)`` also keeps only the M with M nums = 0
-    (mod p^k), k = max(0, m + k0), on both rows.  Chunks come level by
-    level, in a fixed order that is not the sl2z order.  The int64
-    headroom is checked when called, and so are the rows 0 <= a <= bound
-    of a max-norm strip: no more than the 2^16 of the largest Frobenius
-    disk (CapacityError).  Capacity is not charged (see sl2_ladder_totals)."""
+    (mod p^k), k = max(0, m + k0), on both rows: M_L nums = 0 (mod
+    p^(L+k0)).  Chunks mix the levels, in a fixed order that is not the
+    sl2z order.  The int64 headroom is checked when called, and so are
+    the rows 0 <= a <= bound of a max-norm strip: no more than the 2^16
+    of the largest Frobenius disk (CapacityError).  Capacity is not
+    charged (see sl2_ladder_totals)."""
     levels = _sl2_levels(spec)
     if spec.norm == "max" and entry_bound(spec) >= 1 << 16:
         raise CapacityError("max-norm strip: over 2^16 rows of first columns")
-    workers = resolve_workers(workers)
-    meter = _CapacityMeter(math.inf)
+    if not levels:
+        return iter(())
     vec = np.asarray(vec, dtype=np.float64)
-    p = spec.p or 1
-    eps = 2.0**-40
+    p, top = spec.p or 1, len(levels) - 1
+    det, bound, sq, _ = levels[top]
+    # every row entry, every (b0, d0) with a nonempty t interval and every
+    # t (step_a, step_c) in it is at most 4 sqrt(cut) (max norm: cut 2
+    # bound^2), so the rounding of the float orbit point and of offset + t
+    # slope stays far below the absolute margin
+    eps, cut = 2.0**-40, 2 * bound**2 if sq is None else sq
+    width = p**top * float(radius) * (1 + eps) \
+        + eps * (4 * math.sqrt(cut) + 1) * (abs(vec[0]) + abs(vec[1]))
+    k = max(0, top + congruence[1]) if congruence else 0
+    while p**k >= 1 << 30:
+        k -= 1
+    nums = np.asarray(congruence[0] if congruence else (0, 0),
+                      dtype=np.int64) % p**k
 
-    def stream():
-        for m, (det, bound, sq, prim) in enumerate(levels):
-            # every row entry, every (b0, d0) with a nonempty t interval
-            # and every t (step_a, step_c) in it is at most 4 sqrt(cut) (max
-            # norm: cut 2 bound^2), so the rounding of the float orbit point
-            # and of offset + t slope stays far below the absolute margin
-            cut = 2 * bound**2 if sq is None else sq
-            width = p**m * float(radius) * (1 + eps) \
-                + eps * (4 * math.sqrt(cut) + 1) * (abs(vec[0]) + abs(vec[1]))
-            k = max(0, m + congruence[1]) if congruence else 0
-            while p**k >= 1 << 30:
-                k -= 1
-            nums = np.asarray(congruence[0] if congruence else (0, 0),
-                              dtype=np.int64) % p**k
-            for mats in _sl2_det_blocks(det, bound, sq, prim, meter, workers,
-                                        (vec, width, nums, p, k)):
-                yield (np.full(len(mats), m, dtype=np.int64),
-                       mats.transpose(0, 2, 1))
+    def split(mats):  # M_L -> (levels, M), M divided in place
+        j = 0
+        if top:
+            j = _content_valuation(mats.reshape(-1, 4).T, p)
+            mats //= np.power(p, j)[:, None, None]
+        return np.full(len(mats), top) - j, mats.transpose(0, 2, 1)
 
-    return stream()
+    return map(split, _sl2_det_blocks(det, bound, sq, None,
+                                      _CapacityMeter(math.inf),
+                                      resolve_workers(workers),
+                                      (vec, width, nums, p, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -1235,10 +1262,11 @@ class _SlnzPlan:
     (one prefix for 2^(n-2)).  Rows 2..n-1 range over the size-sorted
     table, up to the size of the row before them (reduced) and, under
     Frobenius, to what leaves each row after them a size of at least 1.
-    A block holds at most _CHUNK_PAIRS prefixes (rows 1..n-1), counted per
-    first row without building them, or one first row."""
+    A block holds at most _CHUNK_PAIRS prefixes (rows 1..n-1) and at most
+    1/``workers`` of all, counted per first row without building them, or
+    one first row."""
 
-    def __init__(self, spec: BallSpec, reduced: bool = False):
+    def __init__(self, spec: BallSpec, reduced: bool = False, workers=1):
         n, cut = spec.n, norm_sq_cut(spec._exact_t_inf())
         self.n, self.reduced = n, reduced
         self.bound = math.isqrt(cut)
@@ -1274,9 +1302,10 @@ class _SlnzPlan:
         per_row = (tails(keys, keys, n - 2)[inverse] if n > 2
                    else np.ones_like(self.keys1))
         cum = np.concatenate([[0], np.cumsum(per_row)])
+        size = min(_CHUNK_PAIRS, -(-int(cum[-1]) // workers))
         self.blocks, start = [], 0
         while start < len(self.rows1):
-            stop = np.searchsorted(cum, cum[start] + _CHUNK_PAIRS, "right") - 1
+            stop = np.searchsorted(cum, cum[start] + size, "right") - 1
             self.blocks.append((start, max(int(stop), start + 1)))
             start = self.blocks[-1][1]
 
@@ -1314,10 +1343,10 @@ def iter_slnz_chunks(spec: BallSpec, workers=None):
 
     The exact count of the ball (ball_count) is checked against the
     capacity before the first block is built."""
-    plan = _SlnzPlan(spec)
+    workers = resolve_workers(workers)
+    plan = _SlnzPlan(spec, workers=workers)
     if plan.empty:
         return
-    workers = resolve_workers(workers)
     ball_count(spec, workers)
 
     def run(span):
@@ -1399,7 +1428,8 @@ def ball_count(spec: BallSpec, workers=None) -> int:
     if spec.n == 2:
         cuts = _level_cuts(spec._exact_t_inf(), spec.p, spec._exact_t_p())
         return sl2_ladder_totals(spec, [cuts], workers)[0]
-    plan = _SlnzPlan(spec, reduced=True)
+    workers = resolve_workers(workers)
+    plan = _SlnzPlan(spec, reduced=True, workers=workers)
     if plan.empty:
         return 0
     meter = _CapacityMeter(spec.capacity)
@@ -1419,7 +1449,7 @@ def ball_count(spec: BallSpec, workers=None) -> int:
         meter.add(total)
         return total
 
-    return sum(_pool_map(run, plan.blocks, resolve_workers(workers)))
+    return sum(_pool_map(run, plan.blocks, workers))
 
 
 def filter_window(mats, window: CongruenceWindow, levels=None):

@@ -28,7 +28,6 @@ unit-part residues, matching the enumeration module's discipline.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -39,6 +38,7 @@ import numpy as np
 from .balls import (
     BallSpec,
     CongruenceWindow,
+    _content_valuation,
     _level_cuts,
     entry_bound,
     exact_radius,
@@ -86,7 +86,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-_VAL_INF = 10**9  # valuation sentinel for a zero coordinate
 _INT64_MAX = 2**63 - 1
 
 
@@ -539,32 +538,9 @@ class _FinAction:
         return cls(nums=nums, dv=int(dv), den_unit=den // v.p**int(dv))
 
 
-def _valuations(arr: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise p-adic valuation; zero entries get a large sentinel.
-
-    For p = 2 the lowest set bit x & -x is 2^v (the same for x and -x),
-    and 2^v - 1 has v bits set.  Odd p divides only the entries still
-    divisible, so each pass touches about 1/p of the previous one."""
-    arr = np.asarray(arr, dtype=np.int64)
-    if p == 2:
-        out = np.bitwise_count((arr & -arr) - 1).astype(np.int64)
-    else:
-        out = np.zeros(arr.shape, dtype=np.int64)
-        flat = out.reshape(-1)
-        work = arr.reshape(-1)
-        idx = np.flatnonzero((work % p == 0) & (work != 0))
-        work = work[idx] // p
-        while len(idx):
-            flat[idx] += 1
-            more = work % p == 0
-            idx, work = idx[more], work[more] // p
-    out[arr == 0] = _VAL_INF
-    return out
-
-
-def _padic_mask(minv, shifted, level: int, fin: _FinAction,
+def _padic_mask(minv, shifted, levels, fin: _FinAction,
                 test: PadicShellBox) -> np.ndarray:
-    mask = (minv - fin.dv - level) == -test.s
+    mask = (minv - fin.dv - levels) == -test.s
     if test.m and mask.any():
         mod = test.p**test.m
         inv = pow(fin.den_unit % mod, -1, mod)
@@ -605,10 +581,10 @@ class _ChunkEvaluator:
                 f"finite-place action overflows int64: matrix entries up to "
                 f"{bound} times v_fin numerators up to {top}")
 
-    def masks(self, level: int, mats: np.ndarray, signs: bool = False):
-        """One boolean mask per test for the chunk's elements M; with
-        ``signs``, per test the pair (mask of M, mask of -M), one array
-        when the test is negation_invariant.
+    def masks(self, levels, mats: np.ndarray, signs: bool = False):
+        """One boolean mask per test for the chunk's elements p^-m M, m
+        their ``levels``; with ``signs``, per test the pair (mask of M,
+        mask of -M), one array when the test is negation_invariant.
 
         Each distinct test and real or p-adic set is evaluated once per
         chunk and sign, so tests that repeat one share its mask.  -w and
@@ -618,20 +594,14 @@ class _ChunkEvaluator:
             raise ConfigError("vector and matrix dimensions disagree")
         if self.need_real:
             w = _column_sums(mats, self.vec)
-            if level:
-                w = w / float(self.v.p) ** level
+            if levels.any():  # p^m is exact in int64 and in float64
+                w = w / np.power(self.v.p, levels)[:, None]
         if self.need_fin:
             if self.entry_bound is None:
                 self._check_headroom(np.abs(mats).max())
             p = self.v.p
             nums = _column_sums(mats, self.fin.nums)
-            cols = [nums[:, j] for j in range(nums.shape[1])]
-            if p == 2:
-                # the lowest set bit of x | y is the lower one of x and y
-                minv = _valuations(functools.reduce(np.bitwise_or, cols), 2)
-            else:
-                minv = functools.reduce(np.minimum,
-                                        [_valuations(c, p) for c in cols])
+            minv = _content_valuation(nums.T, p)
             k = np.minimum(minv, 62)[:, None]
             shifted = nums >> k if p == 2 else nums // p**k
         seen = {}
@@ -642,13 +612,16 @@ class _ChunkEvaluator:
                     seen[f, neg] = hit(f.real, neg) & hit(f.padic, neg)
                 elif isinstance(f, PadicShellBox):
                     seen[f, neg] = _padic_mask(
-                        minv, -shifted if neg else shifted, level, self.fin, f)
+                        minv, -shifted if neg else shifted, levels, self.fin,
+                        f)
                 else:
                     seen[f, neg] = f.contains(-w if neg else w)
             return seen[f, neg]
 
-        return [(hit(f), hit(f, not f.negation_invariant)) if signs
-                else hit(f) for f in self.tests]
+        out = [(hit(f), hit(f, not f.negation_invariant)) if signs
+               else hit(f) for f in self.tests]
+        del hit  # it refers to itself: free its arrays now, not at a gc pass
+        return out
 
 
 def _column_sums(mats, vec):
@@ -675,7 +648,7 @@ def orbit_sum(chunks, v: OrbitVector, f, normalizer: float, *,
     for levels, mats in chunks:
         if not len(mats):
             continue
-        mask = ev.masks(int(levels[0]), mats)[0]
+        mask = ev.masks(levels, mats)[0]
         if window is not None:
             mask = mask & filter_window(mats, window, levels=levels)
         total += int(mask.sum())
@@ -875,14 +848,14 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     Two routes give the same integer counts.  The strip route (see
     _strip_route) takes every SL(2) ball without a window, under either
     norm: sl2_ladder_totals counts every rung without building an
-    element, and the tests run only over iter_sl2_strip_chunks, the
-    elements whose rows satisfy |row . v| <= p^m R (R infinite when a
-    test bounds no |gamma v|; and, when every test has a shell, the row
-    congruence those shells force), one of each pair +-gamma: the hits
-    of -gamma are binned from its own masks, or as those of gamma when
-    the test is invariant under negation.  Congruence windows (level 0
-    only) and SL(n) (wedge) stream the ball through iter_ball_chunks and
-    count its totals as they go.
+    element, and the tests run only over iter_sl2_strip_chunks, one pass
+    for every level, the elements whose rows satisfy |row . v| <= p^m R
+    (R infinite when a test bounds no |gamma v|; and, when every test has
+    a shell, the row congruence those shells force), one of each pair
+    +-gamma: the hits of -gamma are binned from its own masks, or as
+    those of gamma when the test is invariant under negation.  Congruence
+    windows (level 0 only) and SL(n) (wedge) stream the ball through
+    iter_ball_chunks and count its totals as they go.
 
     Deterministic for a fixed config: every accumulator is an integer
     count, which does not depend on chunk order.  The seed only feeds
@@ -922,27 +895,24 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
                                            *route, config.workers)
 
     for levels, mats in chunks:
-        if not len(mats):
-            continue
-        level = int(levels[0])
         key = norm_sq(mats, config.norm)
         # rungs are nested: an element lies in its first rung whose cut
-        # admits it and in every later one, so count first rungs and
-        # accumulate; index len(live) collects the elements in none
-        live = np.flatnonzero(cuts[:, level] >= 0)
-        first = np.searchsorted(cuts[live, level], key)
-        tmasks = (ev.masks(level, mats, signs=first_col == 1) if ntests
+        # admits it and in every later one, so count first rungs (the
+        # rungs whose cut at its level, -1 where excluded, is below its
+        # key) and accumulate; index nrungs collects the elements in none
+        first = sum(row[levels] < key for row in cuts)
+        tmasks = (ev.masks(levels, mats, signs=first_col == 1) if ntests
                   else [])
         for j, mask in enumerate(([None] + tmasks)[first_col:], first_col):
             plus, minus = mask if first_col else (mask, None)
             hist = np.bincount(first if plus is None else first[plus],
-                               minlength=len(live) + 1)
+                               minlength=nrungs + 1)
             if first_col:
                 # the strip holds one of each +-gamma: -gamma binned from
                 # its own mask, or as gamma when the test is invariant
                 hist = 2 * hist if minus is plus else hist + np.bincount(
-                    first[minus], minlength=len(live) + 1)
-            acc[live, j] += np.cumsum(hist[:-1])
+                    first[minus], minlength=nrungs + 1)
+            acc[:, j] += np.cumsum(hist[:-1])
     totals = acc[:, 0].tolist()
     counts = acc[:, 1:].tolist()
 

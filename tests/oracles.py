@@ -154,6 +154,42 @@ def brute_sl2zp(p, t_inf, t_p, norm="frobenius"):
     return sorted(out)
 
 
+def box_scan_sl2zp(p, t_inf, t_p, norm="frobenius"):
+    """brute_sl2zp in numpy, at exact radii: each level's full entry box,
+    one first entry a at a time; the same sorted (level, (a, b, c, d))
+    pairs."""
+    t_inf, t_p = Fraction(t_inf), Fraction(t_p)
+    out, m = [], 0
+    while t_p >= p**m:
+        r = p**m * t_inf
+        bound = math.floor(r)
+        e = np.arange(-bound, bound + 1, dtype=np.int64)
+        b, c, d = (x.ravel() for x in np.meshgrid(e, e, e, indexing="ij"))
+        for a in range(-bound, bound + 1):
+            ok = a * d - b * c == p ** (2 * m)
+            if norm != "max":
+                ok &= a * a + b * b + c * c + d * d <= math.floor(r * r)
+            if m and a % p == 0:
+                ok &= (b % p != 0) | (c % p != 0) | (d % p != 0)
+            out += [(m, (a, int(x), int(y), int(z)))
+                    for x, y, z in zip(b[ok], c[ok], d[ok])]
+        m += 1
+    return sorted(out)
+
+
+def box_det_count(det, bound):
+    """#{integer 2x2 M : det M = det, every |entry| <= bound}: for each
+    (a, d) of the box, the pairs (b, c) of the box with b c = a d - det,
+    read from a table of the products b c."""
+    e = np.arange(-bound, bound + 1, dtype=np.int64)
+    prods = (e[:, None] * e[None, :]).ravel()
+    sq = bound * bound
+    table = np.bincount(prods + sq, minlength=2 * sq + 1)
+    need = prods - det
+    ok = (need >= -sq) & (need <= sq)
+    return int(table[need[ok] + sq].sum())
+
+
 def two_squares_det_count(det, x):
     """#{integer 2x2 M : det M = det, norm_sq(M) <= x}, Frobenius, det >= 1.
 

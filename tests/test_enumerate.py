@@ -41,12 +41,15 @@ from orbitlab.errors import CapacityError, ConfigError, InvariantError
 from orbitlab.places import padic_abs
 
 from oracles import (
+    box_det_count,
+    box_scan_sl2zp,
     box_scan_slnz,
     brute_sl2z,
     brute_sl2zp,
     brute_slnz,
     det_np_batch,
     laplace_det,
+    two_squares_det_count,
     xgcd,
 )
 
@@ -547,6 +550,25 @@ def test_two_squares_count_matches_oracles(monkeypatch):
                 assert got == 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("t_inf", [Fraction(23, 10), Fraction(7)])
+def test_sl2zp_ball_is_one_det_of_its_top_level(p, t_inf):
+    # the ball of top level L holds exactly the integer M_L = p^(L-m) M of
+    # det p^(2L) and norm_sq(M_L) <= cut_L, counted here by oracles that
+    # share no code with the package: the sum over Q of two-square counts
+    # (Frobenius) and the products b c of a box (max norm); t_p takes
+    # powers of p and radii that are none
+    for t_p in (1, p, t_inf, p * t_inf):
+        top = max(m for m in range(8) if p**m <= t_p)
+        cut = math.floor((p**top * t_inf) ** 2)
+        det = p ** (2 * top)
+        for norm, want in (("frobenius", two_squares_det_count(det, cut)),
+                           ("max", box_det_count(det, math.isqrt(cut)))):
+            got = ball_count(BallSpec("sl2zp", p=p, t_inf=t_inf, t_p=t_p,
+                                      norm=norm))
+            assert got == want, (t_p, norm)
+
+
 def test_r2_range_against_lattice_points():
     # windows at 0, straddling squares and far out, where rows of the
     # annulus u > w >= 1 are one or two points wide
@@ -643,18 +665,23 @@ def _with_negatives(got):
     return set(got) | neg
 
 
-@pytest.mark.parametrize("p,t_inf,t_p", [(0, 6.5, None), (2, 2.2, 4),
-                                         (3, Fraction(5, 2), 3)])
-def test_strip_chunks_against_box_scan(p, t_inf, t_p, monkeypatch):
-    # blocks of 5 first columns split the rows and their progressions;
-    # under either norm a strip holds one element of each pair +-gamma,
-    # and with their negatives every ball element whose float |gamma v|
-    # is at most the radius (math.inf: every one) and that meets the
-    # shell congruence, and nothing outside the ball
-    monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 5)
+@pytest.mark.parametrize("p,t_inf,t_p,block", [
+    (0, 6.5, None, 5), (2, 2.2, 4, 5), (3, Fraction(5, 2), 3, 5),
+    (2, 2.2, 8, 64), (3, Fraction(5, 2), 9, 64)],
+    ids=["0-6.5-None", "2-2.2-4", "3-t_inf2-3", "2-2.2-8", "3-t_inf4-9"])
+def test_strip_chunks_against_box_scan(p, t_inf, t_p, block, monkeypatch):
+    # blocks of 5 or 64 first columns split the rows and their
+    # progressions, and chunks of 64 matrices mix the levels (up to 3 at
+    # t_p = 8 and 2 at t_p = 9, split from the one pass at the top
+    # level); under either norm a strip holds one element of each pair
+    # +-gamma, and with their negatives every ball element whose float
+    # |gamma v| is at most the radius (math.inf: every one) and that
+    # meets the shell congruence, and nothing outside the ball
+    monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", block)
+    monkeypatch.setattr(balls, "_STRIP_CHUNK_ELEMS", 64)
     rng = random.Random(19 + p)
     for norm in ("frobenius", "max"):
-        ball = (brute_sl2zp(p, t_inf, t_p, norm) if p
+        ball = (box_scan_sl2zp(p, t_inf, t_p, norm) if p
                 else [(0, mat) for mat in brute_sl2z(t_inf, norm)])
         spec = BallSpec("sl2zp" if p else "sl2z", p=p, t_inf=t_inf, t_p=t_p,
                         norm=norm)

@@ -479,7 +479,7 @@ def test_orbit_sum_normalizer_validation():
 
 
 def test_valuation_array_matches_scalar():
-    from orbitlab.equidist import _valuations
+    from orbitlab.balls import _valuations
 
     rng = random.Random(11)
     for p in (2, 3, 5, 7):
@@ -1175,6 +1175,30 @@ def _count_routes(monkeypatch):
 
 
 A22_V = OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=2)
+
+
+@pytest.mark.parametrize("norm", ["frobenius", "max"])
+def test_strip_route_runs_one_pass_for_every_level(norm, monkeypatch):
+    # the a22 ladder T <= 8 has levels 0..3: the strip route runs the SL(2)
+    # engine once, at the top level (det 4^3), and takes each element's
+    # level from its content; the stream runs it once per level, and
+    # both give the same report
+    calls = []
+    real_blocks = balls._sl2_det_blocks
+
+    def counted(det, *args, **kwargs):
+        calls.append(det)
+        return real_blocks(det, *args, **kwargs)
+
+    monkeypatch.setattr(balls, "_sl2_det_blocks", counted)
+    cfg = ExperimentConfig(
+        application="a22", v=A22_V, t_ladder=(2, 4, 8), norm=norm,
+        tests=tuple(parse_test(f"product(annulus(1,2),shell({s}))", p=2)
+                    for s in (0, 1)))
+    strip, stream = _both_routes(cfg, monkeypatch)
+    assert calls == [4**3, 1, 4, 4**2, 4**3]
+    assert _cells(strip) == _cells(stream)
+    assert all(row.count for row in strip.rows)
 
 
 @pytest.mark.parametrize("name,cfg", [
