@@ -234,13 +234,12 @@ def _valuations(arr, p):
     if p == 2:
         out = np.bitwise_count((arr & -arr) - 1).astype(np.int64)
     else:
-        out = np.zeros(arr.size, dtype=np.int64)
+        out = np.zeros(arr.shape, dtype=np.int64)
         idx, work = np.flatnonzero(arr), arr[arr != 0]
         while len(idx):
             more = work % p == 0
             idx, work = idx[more], work[more] // p
-            out[idx] += 1
-        out = out.reshape(arr.shape)
+            out.flat[idx] += 1
     out[arr == 0] = _VAL_INF
     return out
 
@@ -827,8 +826,8 @@ def sl2_ladder_totals(spec: BallSpec, cuts, workers=None) -> list:
     _det_norm_counts pass (one _det_max_counts per det under the max
     norm) counts the rungs' top (det, cut) pairs.  The spec's int64
     headroom is checked first, and a top rung over its capacity raises
-    CapacityError, as the stream would, as soon as the running count of
-    its det passes the capacity."""
+    CapacityError, as the stream would, as soon as a running count passes
+    the capacity (every rung lies in the top one)."""
     _sl2_levels(spec)
     p = spec.p or 1
     rungs = [[x for x in row if x >= 0]
@@ -836,8 +835,7 @@ def sl2_ladder_totals(spec: BallSpec, cuts, workers=None) -> list:
     tops = [(p ** (2 * len(r) - 2), r[-1]) if r else None for r in rungs]
     dets = sorted({t[0] for t in tops if t})
     xss = [sorted({t[1] for t in tops if t and t[0] == det}) for det in dets]
-    meters = [_CapacityMeter(spec.capacity if (det, xs[-1]) == tops[-1]
-                             else math.inf) for det, xs in zip(dets, xss)]
+    meters = [_CapacityMeter(spec.capacity) for _ in dets]
     counts = (_det_norm_counts(dets, xss, meters) if spec.norm == "frobenius"
               else [_det_max_counts(*args, resolve_workers(workers))
                     for args in zip(dets, xss, meters)])
@@ -849,13 +847,19 @@ def sl2_ladder_totals(spec: BallSpec, cuts, workers=None) -> list:
 def _linear_classes(coef, rhs, p, k):
     """Solutions t of coef t = rhs (mod p^k), per entry of the int64
     arrays coef and rhs: (ok, r, step) with t = r (mod step) where ok,
-    and no solution elsewhere; k = 0 gives every t."""
+    and no solution elsewhere; k = 0 gives every t.  The unit part u of
+    coef is inverted as u^(p-2) mod p lifted by Newton steps inv (2 - u
+    inv), products below 2^60 while p^k < 2^30."""
     mod = p**k
     c, rhs = coef % mod, rhs % mod
     pf = np.power(p, np.minimum(_valuations(c, p), k))
     step = mod // pf
-    _, inv, _ = _xgcd_arrays(c // pf % step, step)
-    r = (rhs // pf) % step * (inv % step) % step
+    u, inv = c // pf % step, np.ones_like(c)
+    for bit in f"{p - 2:b}" if k and p > 2 else "":
+        inv = inv * inv % p * (u if bit == "1" else 1) % p
+    for _ in range(k.bit_length()):
+        inv = inv * ((2 - u * inv) % step) % step
+    r = (rhs // pf) % step * inv % step
     return rhs % pf == 0, r, step
 
 
@@ -947,12 +951,16 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
     nums = np.asarray(congruence[0] if congruence else (0, 0),
                       dtype=np.int64) % p**k
 
-    def split(mats):  # M_L -> (levels, M), M divided in place
+    def split(mats):  # M_L^T -> (levels, M), M contiguous for the masks
+        mats = np.ascontiguousarray(mats.transpose(0, 2, 1))
         j = 0
         if top:
             j = _content_valuation(mats.reshape(-1, 4).T, p)
-            mats //= np.power(p, j)[:, None, None]
-        return np.full(len(mats), top) - j, mats.transpose(0, 2, 1)
+            if p == 2:
+                mats >>= j[:, None, None]
+            else:
+                mats //= np.power(p, j)[:, None, None]
+        return np.full(len(mats), top) - j, mats
 
     return map(split, _sl2_det_blocks(det, bound, sq, None,
                                       _CapacityMeter(math.inf),

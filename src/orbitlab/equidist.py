@@ -586,10 +586,10 @@ class _ChunkEvaluator:
         their ``levels``; with ``signs``, per test the pair (mask of M,
         mask of -M), one array when the test is negation_invariant.
 
-        Each distinct test and real or p-adic set is evaluated once per
-        chunk and sign, so tests that repeat one share its mask.  -w and
-        -shifted are exact for -M: negation commutes with the float
-        products, sums and hypot, and shifted is an exact quotient."""
+        Each distinct real or p-adic set is evaluated once per chunk and
+        sign, so tests that repeat one share its mask.  -w and -shifted
+        are exact for -M: negation commutes with the float products, sums
+        and hypot, and shifted is an exact quotient."""
         if mats.shape[1] != len(self.vec):
             raise ConfigError("vector and matrix dimensions disagree")
         if self.need_real:
@@ -606,22 +606,21 @@ class _ChunkEvaluator:
             shifted = nums >> k if p == 2 else nums // p**k
         seen = {}
 
-        def hit(f, neg=False):
+        def part(f, neg):
             if (f, neg) not in seen:
-                if isinstance(f, ProductTest):
-                    seen[f, neg] = hit(f.real, neg) & hit(f.padic, neg)
-                elif isinstance(f, PadicShellBox):
-                    seen[f, neg] = _padic_mask(
-                        minv, -shifted if neg else shifted, levels, self.fin,
-                        f)
-                else:
-                    seen[f, neg] = f.contains(-w if neg else w)
+                seen[f, neg] = (f.contains(-w if neg else w)
+                                if not isinstance(f, PadicShellBox) else
+                                _padic_mask(minv, -shifted if neg else shifted,
+                                            levels, self.fin, f))
             return seen[f, neg]
 
-        out = [(hit(f), hit(f, not f.negation_invariant)) if signs
-               else hit(f) for f in self.tests]
-        del hit  # it refers to itself: free its arrays now, not at a gc pass
-        return out
+        def hit(f, neg=False):
+            if isinstance(f, ProductTest):
+                return part(f.real, neg) & part(f.padic, neg)
+            return part(f, neg)
+
+        return [(hit(f), hit(f, not f.negation_invariant)) if signs
+                else hit(f) for f in self.tests]
 
 
 def _column_sums(mats, vec):
