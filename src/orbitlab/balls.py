@@ -375,7 +375,7 @@ def _check_sl2_headroom(det, bound, sq_int):
             f"{bound} needs products up to {worst} >= 2^62")
 
 
-def _sl2_columns(a, c, det, bound, sq_int, prim_p=None):
+def _sl2_columns(a, c, det, bound, sq_int, prim_p=None, major=None):
     """Second columns of the first columns (a, c), gcd(a, c) | det.
 
     Returns (b0, d0, step_a, step_c, tlo, thi, skip): the matrices
@@ -385,6 +385,16 @@ def _sl2_columns(a, c, det, bound, sq_int, prim_p=None):
     q t^2 + 2 rr t + |b0, d0|^2 <= rem, whose discriminant is q rem -
     (det/g)^2 by Lagrange's identity; q t is an integer, so the integer
     square root s gives the interval exactly.  Max norm: _box_interval.
+
+    ``major`` (a strip's major coordinate, 0 or 1) keeps only the second
+    columns x with |x|^2 < q1 = a^2 + c^2, or |x|^2 = q1 and x in the
+    half-plane major > 0, or major = 0 < minor.  Frobenius caps rem at
+    q1.  The max norm cuts the box interval to the disk |x|^2 <= q1:
+    about t = -rr/q, of half-width sqrt(g^2 - (det/g/q)^2) < g, rounded
+    in float, each end then moved by one where the exact |x|^2 says so
+    (q q1 may pass 2^62; |x|^2 next to the disk stays below 10 q1).
+    |x(t)|^2 is strictly convex in t, so an x on the circle |x|^2 = q1
+    is an end of its interval: only the two ends are checked.
 
     ``skip`` is -1, or where the matrices of a column vanish mod prim_p,
     the residue (t - tlo) mod p of exactly those t.  They occur only when
@@ -400,15 +410,43 @@ def _sl2_columns(a, c, det, bound, sq_int, prim_p=None):
     shift = np.rint(-(step_a * b0 + step_c * d0) / q).astype(np.int64)
     b0 += shift * step_a
     d0 += shift * step_c
+    rr = step_a * b0 + step_c * d0
+    q1 = a * a + c * c
+
+    def col2(t):
+        return b0 + t * step_a, d0 + t * step_c
+
+    def inside(t):  # |x(t)|^2 <= q1
+        b, d = col2(t)
+        return b * b + d * d <= q1
+
     if sq_int is not None:
-        rem = sq_int - (a * a + c * c)
-        rr = step_a * b0 + step_c * d0
+        rem = sq_int - q1
+        if major is not None:
+            rem = np.minimum(rem, q1)
         disc = q * rem - scale * scale
         s = _isqrt_array(np.maximum(disc, 0))
         tlo = -np.floor_divide(rr + s, q)
         thi = np.where(disc >= 0, np.floor_divide(s - rr, q), tlo - 1)
     else:
         tlo, thi = _box_interval((b0, d0), (step_a, step_c), bound)
+        if major is not None:
+            center = -rr / q
+            half = np.sqrt(np.maximum(g * g - (scale / q) ** 2, 0.0))
+            lo = np.ceil(center - half).astype(np.int64)
+            hi = np.floor(center + half).astype(np.int64)
+            lo = np.where(inside(lo - 1), lo - 1, lo + ~inside(lo))
+            hi = np.where(inside(hi + 1), hi + 1, hi - ~inside(hi))
+            # the disk is empty exactly when g q < det/g
+            tlo = np.maximum(tlo, lo)
+            thi = np.where(g * q >= scale, np.minimum(thi, hi), tlo - 1)
+    if major is not None:
+        nonempty = tlo <= thi
+        for end, inward in ((tlo, 1), (thi, -1)):
+            b, d = col2(end)
+            u, v = (b, d) if major == 0 else (d, b)
+            end += inward * (nonempty & (b * b + d * d == q1)
+                             & ((u < 0) | ((u == 0) & (v < 0))))
     skip = np.full(len(a), -1, dtype=np.int64)
     if prim_p:
         p = prim_p
@@ -508,9 +546,12 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
     minor coordinate is the one of the larger |vec_j|, and each row and
     each t-interval is cut to its widened float strip interval and its
     congruence progression (_strip_progressions).  All of these are
-    invariant under N -> -N, so the strip keeps only the N whose first
-    column lies in the half-plane major > 0, or major = 0 < minor.  Its
-    chunks, of _STRIP_CHUNK_ELEMS, are built as they are taken."""
+    invariant under the quarter turn N -> N J^T, which maps the columns
+    (x1, x2) to (-x2, x1), so the strip keeps one N of each orbit {N J^k}:
+    the first column in the half-plane H, major > 0 or major = 0 < minor,
+    and the second column x2 with |x2|^2 < |x1|^2, or |x2|^2 = |x1|^2 and
+    x2 in H (_sl2_columns caps each t-interval exactly).  Its chunks, of
+    _STRIP_CHUNK_ELEMS, are built as they are taken."""
     j = 1  # the minor coordinate of the first column
     if sq_int is None and strip is None:
         side = 2 * bound + 1
@@ -556,7 +597,8 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
         keep = (g > 0) & (det % np.where(g > 0, g, 1) == 0)
         a, c = a[keep], c[keep]
         b0, d0, step_a, step_c, tlo, thi, skip = _sl2_columns(
-            a, c, det, bound, sq_int, prim_p)
+            a, c, det, bound, sq_int, prim_p,
+            None if strip is None else 1 - j)
         if strip is None:
             work, window = _column_ts(tlo, np.maximum(thi - tlo + 1, 0), 1,
                                       skip, prim_p)
@@ -909,10 +951,14 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
                           workers=None):
     """Yield (levels, mats) chunks of the elements gamma = p^-m M of an
     SL(2) ball whose orbit point gamma.vec may lie in the disk of
-    ``radius`` (math.inf: the whole ball), one of each pair +-gamma (the
-    strip and congruence are invariant under negation): with their
-    negatives, a superset of those whose vectorized float |gamma vec| is
-    at most ``radius``.
+    ``radius`` (math.inf: the whole ball), one of each quarter-turn orbit
+    {gamma, J gamma, -gamma, -J gamma}, J = [[0, -1], [1, 0]] (the ball,
+    the levels, the strip and the congruence are invariant under gamma ->
+    J gamma, which maps the rows (r1, r2) to (-r2, r1)): with their
+    images, a superset of those whose vectorized float |gamma vec| is at
+    most ``radius``.  The one kept has its first row in the half-plane H
+    (major > 0, or major = 0 < minor, the major coordinate that of the
+    smaller |vec_j|) and |r2|^2 < |r1|^2, or |r2|^2 = |r1|^2 and r2 in H.
 
     Both rows of M then satisfy |row . vec| <= p^m R', R' being
     ``radius`` widened by a relative and an absolute margin far above

@@ -11,9 +11,10 @@ once in ``_SCHEMAS``.  Values come from a config file (``--config``),
 generic ``--set key=value`` pairs, or dedicated flags; any command line
 value wins over the file with a recorded warning, and dedicated flags
 win over ``--set``.  ``_SUBCOMMANDS`` maps each dedicated flag to its
-schema key, whose choices the flag offers; only the invoked
-subcommand's parser is built.  Unknown keys are rejected by name, and
-every violation is reported in one pass.
+schema key, whose choices the flag offers; one loop over argv reads
+them (flags are spelled out in full), and parse_config checks every
+value.  Unknown keys are rejected by name, and every violation is
+reported in one pass.
 
 The orbit JSON report is its ``DistributionReport`` dataclass as
 written, with ``normalizer_label`` named ``normalizer`` and each row's
@@ -27,7 +28,6 @@ failure modes: 2 configuration, 3 capacity, 4 numeric divergence.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
@@ -326,6 +326,9 @@ def _cross_checks(subcommand: str, settings: dict) -> list:
     if subcommand == "orbit" and settings["k"] != "1":
         problems.append(f"k: orbit runs count vector orbits, wedge degree 1 "
                         f"only; got {settings['k']}")
+    if subcommand == "orbit" and int(settings["precision"]) < 0:
+        problems.append(
+            f"precision: must be >= 0, got {settings['precision']}")
     if "ladder" in settings:
         try:
             _parse_ladder(settings["ladder"])
@@ -741,13 +744,7 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 # argument parser
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ConfigError(message)
-
-
-# subcommand -> (help line, {dedicated flag: schema key}); each flag
-# takes its key's choices from the schema
+# subcommand -> (help line, {dedicated flag: schema key})
 _SUBCOMMANDS = {
     "enumerate": ("stream a lattice ball to CSV", {
         "--group": "group", "--n": "n", "--p": "p", "--T-inf": "t_inf",
@@ -763,47 +760,56 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(argv=()) -> _Parser:
-    """The parser for ``argv``: only the subcommand that ``argv[0]``
-    names, or all of them, so that ``--help`` and a missing or unknown
-    subcommand list every one."""
-    parser = _Parser(prog="orbitlab",
-                     description="S-arithmetic ball volumes and orbit counts")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
-    for name in names:
-        help_line, flags = _SUBCOMMANDS[name]
-        sp = sub.add_parser(name, help=help_line)
-        sp.add_argument("--config", dest="_config", metavar="FILE",
-                        help="flat key=value config file")
-        sp.add_argument("--set", dest="_set", action="append", default=[],
-                        metavar="KEY=VALUE", help="override one config key")
-        for flag, key in flags.items():
-            spec = _SCHEMAS[name][key]
-            sp.add_argument(flag, dest=key, choices=spec.choices or None,
-                            metavar="FILE" if spec.kind == "path" else None)
-        if name == "volume":
-            sp.add_argument("--params", dest="_params", nargs="*", default=[],
-                            metavar="KEY=VALUE", help="case parameters")
-        if name == "report":
-            sp.add_argument("inputs", nargs="*", metavar="CSV")
-    return parser
+def _help(sub=None) -> str:
+    """The --help text: every subcommand, or the flags of one."""
+    if sub is None:
+        return "usage: orbitlab SUBCOMMAND [--help] ...\n" + "\n".join(
+            f"  {name:<13}{line}" for name, (line, _) in _SUBCOMMANDS.items())
+    line, flags = _SUBCOMMANDS[sub]
+    extra = {"volume": " [--params KEY=VALUE ...]", "report": " [CSV ...]"}
+    usage = [f"usage: orbitlab {sub} [--config FILE] [--set KEY=VALUE]",
+             *(f"[{flag} VALUE]" for flag in flags)]
+    return f"{line}\n{' '.join(usage)}{extra.get(sub, '')}"
 
 
-def _collect_flags(ns) -> dict:
-    flags = {}
-    for pair in [*getattr(ns, "_set", []), *getattr(ns, "_params", [])]:
+def _parse_argv(argv) -> tuple:
+    """(subcommand, flags, config path) of a command line, for parse_config
+    to check: a flag's value follows it or its ``=`` and wins over --set
+    and --params; report takes CSV paths; -h/--help prints help, exits 0."""
+    if {"-h", "--help"} & set(argv):
+        print(_help(argv[0] if argv[0] in _SUBCOMMANDS else None))
+        raise SystemExit(0)
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        raise ConfigError(f"expected a subcommand, one of "
+                          f"{', '.join(_SUBCOMMANDS)}; got {argv[:1]}")
+    sub, table, rest = argv[0], _SUBCOMMANDS[argv[0]][1], iter(argv[1:])
+    pairs, flags, inputs, params = [], {}, [], False
+    for arg in rest:
+        if not arg.startswith("-") and (params or sub == "report"):
+            (pairs if params else inputs).append(arg)
+            continue
+        params = sub == "volume" and arg == "--params"
+        if params:
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in ("--config", "--set", *table):
+            raise ConfigError(f"unrecognized argument {arg!r}")
+        if not eq and (value := next(rest, None)) is None:
+            raise ConfigError(f"{name}: expected a value")
+        if name == "--set":
+            pairs.append(value)
+        else:
+            flags[table.get(name, name)] = value
+    merged = {}
+    for pair in pairs:
         key, eq, value = pair.partition("=")
         if not eq or not key.strip():
             raise ConfigError(f"expected KEY=VALUE, got {pair!r}")
-        flags[key.strip()] = value.strip()
-    for key in _SUBCOMMANDS[ns.subcommand][1].values():
-        value = getattr(ns, key)
-        if value is not None:
-            flags[key] = value
-    if getattr(ns, "inputs", None):
-        flags["inputs"] = ";".join(ns.inputs)
-    return flags
+        merged[key.strip()] = value.strip()
+    if inputs:
+        flags["inputs"] = ";".join(inputs)
+    path = flags.pop("--config", None)
+    return sub, {**merged, **flags}, path
 
 
 def main(argv=None) -> int:
@@ -814,9 +820,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        ns = _build_parser(argv).parse_args(argv)
-        config = parse_config(ns.subcommand, _collect_flags(ns),
-                              getattr(ns, "_config", None))
+        config = parse_config(*_parse_argv(argv))
         for warning in config.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         _DISPATCH[config.subcommand](config)

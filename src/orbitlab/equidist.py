@@ -124,16 +124,18 @@ class RealAnnulusSector:
             raise ConfigError("annulus sectors live on R^2")
         r = np.hypot(w[:, 0], w[:, 1])
         ok = (r >= self.r1) & (r <= self.r2)
-        if not self.negation_invariant:
+        if self.turn_period > 1:
             span = self.theta2 - self.theta1
             rel = np.mod(np.arctan2(w[:, 1], w[:, 0]) - self.theta1, TWO_PI)
             ok &= rel <= span
         return ok
 
     @property
-    def negation_invariant(self) -> bool:
-        """contains(-w) == contains(w): at a full turn it reads only hypot."""
-        return self.theta2 - self.theta1 >= TWO_PI
+    def turn_period(self) -> int:
+        """The least P with contains(J^P w) == contains(w), J the quarter
+        turn: 1 at a full turn, where it reads only hypot (symmetric in
+        its arguments and even in each), else 4."""
+        return 1 if self.theta2 - self.theta1 >= TWO_PI else 4
 
     def predicted(self) -> float:
         """Mass under dw/|w|: polar form gives (theta span)(r span)."""
@@ -186,11 +188,15 @@ class PadicShellBox:
         return f"shell[{self.s}]mod{self.p}^{self.m}x{len(self.units)}"
 
     @property
-    def negation_invariant(self) -> bool:
-        """-w lies in the box exactly when w does: the listed unit classes
-        are closed under u -> -u mod p^m (m = 0 lists none)."""
-        mod = self.p**self.m
-        return {(-a % mod, -b % mod) for a, b in self.units} == set(self.units)
+    def turn_period(self) -> int:
+        """The least P with J^P w in the box exactly when w is, J the
+        quarter turn: 1 when the listed unit classes are closed under
+        (a, b) -> (-b, a) mod p^m (m = 0 lists none), 2 when only under
+        u -> -u, else 4."""
+        mod, units = self.p**self.m, set(self.units)
+        if {(-b % mod, a) for a, b in units} == units:
+            return 1
+        return 2 if {(-a % mod, -b % mod) for a, b in units} == units else 4
 
     def unit_class_fraction(self) -> Fraction:
         if self.m == 0:
@@ -216,7 +222,7 @@ class RealWedgeAnnulus:
     r1: float
     r2: float
     dim: int
-    negation_invariant = True  # contains reads only |w|
+    turn_period = 1  # contains reads only |w|
 
     def __post_init__(self):
         if not 0.0 < self.r1 <= self.r2:
@@ -257,8 +263,8 @@ class ProductTest:
         return f"{self.real.label}*{self.padic.label}"
 
     @property
-    def negation_invariant(self) -> bool:
-        return self.real.negation_invariant and self.padic.negation_invariant
+    def turn_period(self) -> int:
+        return max(self.real.turn_period, self.padic.turn_period)
 
     def predicted_parts(self) -> tuple:
         return self.real.predicted(), self.padic.predicted()
@@ -581,15 +587,18 @@ class _ChunkEvaluator:
                 f"finite-place action overflows int64: matrix entries up to "
                 f"{bound} times v_fin numerators up to {top}")
 
-    def masks(self, levels, mats: np.ndarray, signs: bool = False):
+    def masks(self, levels, mats: np.ndarray, turns: bool = False):
         """One boolean mask per test for the chunk's elements p^-m M, m
-        their ``levels``; with ``signs``, per test the pair (mask of M,
-        mask of -M), one array when the test is negation_invariant.
+        their ``levels``; with ``turns``, per test the list of the masks
+        of J^k M for k < P, J the quarter turn [[0, -1], [1, 0]] and P
+        the test's turn_period.
 
         Each distinct real or p-adic set is evaluated once per chunk and
-        sign, so tests that repeat one share its mask.  -w and -shifted
-        are exact for -M: negation commutes with the float products, sums
-        and hypot, and shifted is an exact quotient."""
+        image, so tests that repeat one share its mask.  The images are
+        exact: J^k M has the float orbit point J^k w, since the column
+        sums of its rows (-r2, r1) are -w1 and w0, bit for bit, and the
+        p-adic valuation of J^k nums is that of nums, its shifted part J^k
+        shifted (an exact quotient)."""
         if mats.shape[1] != len(self.vec):
             raise ConfigError("vector and matrix dimensions disagree")
         if self.need_real:
@@ -606,21 +615,29 @@ class _ChunkEvaluator:
             shifted = nums >> k if p == 2 else nums // p**k
         seen = {}
 
-        def part(f, neg):
-            if (f, neg) not in seen:
-                seen[f, neg] = (f.contains(-w if neg else w)
-                                if not isinstance(f, PadicShellBox) else
-                                _padic_mask(minv, -shifted if neg else shifted,
-                                            levels, self.fin, f))
-            return seen[f, neg]
+        def part(f, k):
+            k %= f.turn_period
+            if (f, k) not in seen:
+                seen[f, k] = (f.contains(_turn(w, k))
+                              if not isinstance(f, PadicShellBox) else
+                              _padic_mask(minv, _turn(shifted, k), levels,
+                                          self.fin, f))
+            return seen[f, k]
 
-        def hit(f, neg=False):
+        def hit(f, k=0):
             if isinstance(f, ProductTest):
-                return part(f.real, neg) & part(f.padic, neg)
-            return part(f, neg)
+                return part(f.real, k) & part(f.padic, k)
+            return part(f, k)
 
-        return [(hit(f), hit(f, not f.negation_invariant)) if signs
+        return [[hit(f, k) for k in range(f.turn_period)] if turns
                 else hit(f) for f in self.tests]
+
+
+def _turn(x, k):
+    """J^k x for the rows x of an (N, 2) array, J the quarter turn."""
+    if k % 2:
+        x = np.stack((-x[:, 1], x[:, 0]), axis=1)
+    return -x if k >= 2 else x
 
 
 def _column_sums(mats, vec):
@@ -850,9 +867,10 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
     element, and the tests run only over iter_sl2_strip_chunks, one pass
     for every level, the elements whose rows satisfy |row . v| <= p^m R
     (R infinite when a test bounds no |gamma v|; and, when every test has
-    a shell, the row congruence those shells force), one of each pair
-    +-gamma: the hits of -gamma are binned from its own masks, or as
-    those of gamma when the test is invariant under negation.  Congruence
+    a shell, the row congruence those shells force), one of each orbit
+    {J^k gamma} of the quarter turn J: a test of turn_period P is
+    evaluated on the P images J^k gamma, k < P, and each image's hits
+    count 4/P times.  Congruence
     windows (level 0 only) and SL(n) (wedge) stream the ball through
     iter_ball_chunks and count its totals as they go.
 
@@ -900,18 +918,16 @@ def run_experiment(config: ExperimentConfig, *, seed: int = 7) -> DistributionRe
         # rungs whose cut at its level, -1 where excluded, is below its
         # key) and accumulate; index nrungs collects the elements in none
         first = sum(row[levels] < key for row in cuts)
-        tmasks = (ev.masks(levels, mats, signs=first_col == 1) if ntests
+        tmasks = (ev.masks(levels, mats, turns=first_col == 1) if ntests
                   else [])
         for j, mask in enumerate(([None] + tmasks)[first_col:], first_col):
-            plus, minus = mask if first_col else (mask, None)
-            hist = np.bincount(first if plus is None else first[plus],
-                               minlength=nrungs + 1)
-            if first_col:
-                # the strip holds one of each +-gamma: -gamma binned from
-                # its own mask, or as gamma when the test is invariant
-                hist = 2 * hist if minus is plus else hist + np.bincount(
-                    first[minus], minlength=nrungs + 1)
-            acc[:, j] += np.cumsum(hist[:-1])
+            # the strip holds one of each orbit {J^k gamma}: the hits of
+            # its P images count 4/P times each
+            images = mask if first_col else [mask]
+            weight = 4 // len(images) if first_col else 1
+            hist = sum(np.bincount(first if m is None else first[m],
+                                   minlength=nrungs + 1) for m in images)
+            acc[:, j] += weight * np.cumsum(hist[:-1])
     totals = acc[:, 0].tolist()
     counts = acc[:, 1:].tolist()
 

@@ -127,9 +127,6 @@ class SqrtPower:
 # ---------------------------------------------------------------------------
 # stabilizer of a vector in SL(2,R)
 
-_J = ((0.0, -1.0), (1.0, 0.0))
-
-
 def _nilpotent_for(v):
     """N = v (Jv)^T; Stab(v) = {I + s N}."""
     vx, vy = (float(e) for e in v)

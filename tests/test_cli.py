@@ -432,6 +432,7 @@ def test_orbit_undefined_ratios_write_null(conf, monkeypatch, tmp_path):
     ("tests", "shell(x)"), ("tests", "wedge(1,2,x)"),
     ("tests", "shell(0,1,1:x)"),
     ("n", "3"),  # a22 orbits live in SL(2)
+    ("precision", "-1"),
 ])
 def test_orbit_bad_value_exit_code(key, value, capsys, monkeypatch, tmp_path):
     # each pair replaces one key of a valid a22 config
@@ -633,6 +634,25 @@ def test_orbit_run_leaves_numpy_random_unimported(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["0", "False", "False"]
+
+
+def test_orbit_run_leaves_argparse_and_locale_unimported(tmp_path):
+    # argv is read by one loop over the subcommand table: argparse, and
+    # the gettext and locale lookups of its messages, cost a fresh
+    # process about 2 ms of each run and 2.5 ms of its imports
+    (tmp_path / "run.conf").write_text(
+        "application = a22\nv_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2\n"
+        "ladder = 2,2,2\n" + A22_TESTS
+        + "out_json = o.json\nout_csv = o.csv\n")
+    code = ("import sys\nfrom orbitlab.cli import main\n"
+            "print(main(['orbit', '--config', 'run.conf']), *(m in "
+            "sys.modules for m in ('argparse', 'gettext', 'locale')))")
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(orbitlab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False", "False", "False"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ORBIT_JSON))

@@ -1,7 +1,6 @@
 """The subcommand table behind the parser, orbit config dimensions, and
 the module attributes the benchmark tracer wraps by name."""
 
-import argparse
 import pathlib
 
 import pytest
@@ -13,8 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _config(argv):
-    ns = cli._build_parser(argv).parse_args(argv)
-    return cli.parse_config(ns.subcommand, cli._collect_flags(ns), ns._config)
+    return cli.parse_config(*cli._parse_argv(argv))
 
 
 def _value(key, spec, tmp_path):
@@ -52,18 +50,6 @@ def test_flag_table_names_schema_keys():
         assert set(flags.values()) <= set(_SCHEMAS[sub]), sub
 
 
-def _registered(argv):
-    action = next(a for a in cli._build_parser(argv)._actions
-                  if isinstance(a, argparse._SubParsersAction))
-    return list(action.choices)
-
-
-def test_parser_registers_only_the_invoked_subcommand():
-    assert _registered(["orbit", "--config", "run.conf"]) == ["orbit"]
-    for argv in ([], ["--help"], ["bogus"], ["--config", "run.conf"]):
-        assert _registered(argv) == list(_SUBCOMMANDS)
-
-
 def test_top_level_help_lists_every_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -78,6 +64,46 @@ def test_unknown_or_missing_subcommand_exit_code(argv, capsys):
     err = capsys.readouterr().err
     if argv:
         assert all(name in err for name in _SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("sub", list(_SUBCOMMANDS))
+def test_subcommand_help_lists_its_flags(sub, capsys):
+    for argv in ([sub, "--help"], [sub, "--set", "a=b", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(flag in out for flag in ("--config", "--set",
+                                            *_SUBCOMMANDS[sub][1]))
+
+
+def test_flag_takes_its_value_after_an_equals_sign(tmp_path):
+    # --flag=VALUE is --flag VALUE, and a value may start with a dash
+    out = str(tmp_path / "o.csv")
+    base = ["asymptotics", "--in", "t.csv", "--p", "3", "--out", out]
+    assert _config([*base, "--tol=-1/2"]) == _config([*base, "--tol", "-1/2"])
+    assert _config([*base, "--tol", "-1/2"]).settings["tol"] == "-1/2"
+    assert _config([*base, "--set=p=5", "--p=7"]).settings["p"] == "7"
+    # report's CSV paths may sit before and after its flags
+    got = _config(["report", "a.csv", "--out", out, "b.csv"])
+    assert got.settings["inputs"] == "a.csv;b.csv"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "--T", "8"], "unrecognized argument '--T'"),
+    (["enumerate", "--T-in", "8"], "unrecognized argument '--T-in'"),
+    (["enumerate", "--bogus=1"], "unrecognized argument '--bogus=1'"),
+    (["volume", "stray"], "unrecognized argument 'stray'"),
+    (["enumerate", "--params", "v=1"], "unrecognized argument '--params'"),
+    (["enumerate", "--T-inf"], "--T-inf: expected a value"),
+    (["orbit", "--config"], "--config: expected a value"),
+    (["orbit", "--set", "k"], "expected KEY=VALUE, got 'k'"),
+    (["--config", "run.conf"], "expected a subcommand, one of"),
+], ids=["abbreviation", "prefix", "unknown", "positional", "params",
+        "no-value", "no-config", "set-no-equals", "no-subcommand"])
+def test_bad_command_lines_exit_code(argv, message, capsys):
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -656,13 +656,23 @@ def _strip_elements(chunks):
             for levels, mats in chunks for m, mat in zip(levels, mats)]
 
 
-def _with_negatives(got):
-    """The strip's elements and their negatives, after checking that no
-    element comes twice or together with its negative."""
-    neg = {(m, tuple(-e for e in flat)) for m, flat in got}
-    assert len(set(got)) == len(got)
-    assert not neg & set(got)
-    return set(got) | neg
+def _quarter_turns(m, flat):
+    """The orbit {J^k gamma} of one element, J = [[0, -1], [1, 0]]: J maps
+    the rows (r1, r2) to (-r2, r1)."""
+    a, b, c, d = flat
+    return {(m, (a, b, c, d)), (m, (-c, -d, a, b)), (m, (-a, -b, -c, -d)),
+            (m, (c, d, -a, -b))}
+
+
+def _with_images(got):
+    """The strip's elements and their quarter-turn images, after checking
+    that no two elements share an orbit."""
+    both = set()
+    for g in got:
+        orbit = _quarter_turns(*g)
+        assert not orbit & both, g
+        both |= orbit
+    return both
 
 
 @pytest.mark.parametrize("p,t_inf,t_p,block", [
@@ -673,10 +683,11 @@ def test_strip_chunks_against_box_scan(p, t_inf, t_p, block, monkeypatch):
     # blocks of 5 or 64 first columns split the rows and their
     # progressions, and chunks of 64 matrices mix the levels (up to 3 at
     # t_p = 8 and 2 at t_p = 9, split from the one pass at the top
-    # level); under either norm a strip holds one element of each pair
-    # +-gamma, and with their negatives every ball element whose float
-    # |gamma v| is at most the radius (math.inf: every one) and that
-    # meets the shell congruence, and nothing outside the ball
+    # level); under either norm a strip holds one element of each orbit
+    # {gamma, J gamma, -gamma, -J gamma}, and with their images every
+    # ball element whose float |gamma v| is at most the radius (math.inf:
+    # every one) and that meets the shell congruence, and nothing outside
+    # the ball
     monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", block)
     monkeypatch.setattr(balls, "_STRIP_CHUNK_ELEMS", 64)
     rng = random.Random(19 + p)
@@ -687,7 +698,7 @@ def test_strip_chunks_against_box_scan(p, t_inf, t_p, block, monkeypatch):
                         norm=norm)
         levels = np.array([m for m, _ in ball])
         mats = np.array([mat for _, mat in ball]).reshape(-1, 2, 2)
-        vecs = [(1.0, 0.0), (0.0, -2 / 3), (1.0, math.sqrt(2))]
+        vecs = [(1.0, 0.0), (0.0, -2 / 3), (1.0, math.sqrt(2)), (1.0, -1.0)]
         vecs += [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)]
         congruences = [None] + [((rng.randint(1, 9), rng.randint(0, 9)), k0)
                                 for k0 in ((-1, 0, 1) if p else ())]
@@ -698,7 +709,7 @@ def test_strip_chunks_against_box_scan(p, t_inf, t_p, block, monkeypatch):
                 for radius in (rng.uniform(0.3, 3), math.inf):
                     got = _strip_elements(iter_sl2_strip_chunks(
                         spec, vec, radius, congruence, workers=2))
-                    both = _with_negatives(got)
+                    both = _with_images(got)
                     assert both <= set(ball)
                     keep = r <= radius
                     if congruence:
@@ -712,12 +723,40 @@ def test_strip_chunks_against_box_scan(p, t_inf, t_p, block, monkeypatch):
                                         * nums[1]) % p**k == 0 for i in (0, 1))
                     assert {ball[i] for i in np.flatnonzero(keep)} <= both
             # a radius past every orbit point, or math.inf, gives exactly
-            # half the ball, and with the negatives the whole ball
+            # a quarter of the ball, and with the images the whole ball
             for radius in (float(r.max()) + 1, math.inf):
                 got = _strip_elements(iter_sl2_strip_chunks(
                     spec, vec, radius, workers=1))
-                assert sorted(_with_negatives(got)) == ball
-                assert 2 * len(got) == len(ball)
+                assert sorted(_with_images(got)) == ball
+                assert 4 * len(got) == len(ball)
+
+
+@pytest.mark.parametrize("norm", ["frobenius", "max"])
+def test_strip_breaks_quarter_turn_ties_in_the_half_plane(norm):
+    # rows of equal length: of each orbit the strip keeps the element
+    # whose rows both lie in the half-plane of its major coordinate.
+    # Level 0 holds +-I and +-J, one orbit (the whole Frobenius ball at
+    # T = 3/2); p = 5 at level 1 holds 5^-1 [[3, 4], [-4, 3]] and its
+    # orbit, whose rows have |r|^2 = 25
+    for vec, major in (((1.0, 2.0), 0), ((2.0, 1.0), 1)):
+        for spec, tie in (
+                (BallSpec("sl2z", t_inf=Fraction(3, 2), norm=norm),
+                 (0, (1, 0, 0, 1))),
+                (BallSpec("sl2zp", p=5, t_inf=Fraction(3, 2), t_p=5,
+                          norm=norm), (1, (3, 4, -4, 3)))):
+            got = _strip_elements(iter_sl2_strip_chunks(spec, vec, math.inf,
+                                                         workers=1))
+            both = _with_images(got)
+            assert len(both) == 4 * len(got) and tie in both
+            ties = [flat for _, flat in got if flat[0] ** 2 + flat[1] ** 2
+                    == flat[2] ** 2 + flat[3] ** 2]
+            assert len(_with_images([(0, flat) for flat in ties])) \
+                == 4 * len(ties)
+            for flat in ties:
+                for row in (flat[:2], flat[2:]):
+                    assert (row[major], row[1 - major]) > (0, 0), flat
+            if spec.group == "sl2z" and norm == "frobenius":
+                assert got == [tie]
 
 
 def test_max_norm_strip_rows_stay_within_the_frobenius_disk():

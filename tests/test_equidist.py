@@ -119,47 +119,60 @@ def test_shell_congruence_fraction():
     assert a.predicted() + b.predicted() == union.predicted()
 
 
-def test_negation_invariance_of_test_parts():
-    # a sector ignores the angle, and so the sign of w, only at a full
-    # turn; a box, when its unit classes are closed under u -> -u
-    assert RealAnnulusSector(1, 2).negation_invariant
-    assert RealAnnulusSector(1, 2, 0.0, TWO_PI).negation_invariant
-    assert not RealAnnulusSector(1, 2, 0.0, TWO_PI - 1e-9).negation_invariant
-    assert not RealAnnulusSector(1, 2, 1.0, 1.0 + math.pi).negation_invariant
-    w = np.array([[1.5, 0.2], [-0.3, 1.1]])
+def test_turn_period_of_test_parts():
+    # the period P of a test under the quarter turn J w = (-w1, w0): a
+    # sector ignores the angle only at a full turn (P = 1, else 4); a box
+    # has P = 1 when its unit classes are closed under (a, b) -> (-b, a),
+    # 2 when only under u -> -u, else 4; a product the larger of its parts
+    assert RealAnnulusSector(1, 2).turn_period == 1
+    assert RealAnnulusSector(1, 2, 0.0, TWO_PI).turn_period == 1
+    assert RealAnnulusSector(1, 2, 0.0, TWO_PI - 1e-9).turn_period == 4
+    assert RealAnnulusSector(1, 2, 1.0, 1.0 + math.pi).turn_period == 4
+    w = np.array([[1.5, 0.2], [-0.3, 1.1], [0.1, -1.7]])
     full, half = RealAnnulusSector(1, 2), RealAnnulusSector(1, 2, 0, math.pi)
-    assert (full.contains(-w) == full.contains(w)).all()
+    for k in range(4):
+        assert (full.contains(equidist._turn(w, k)) == full.contains(w)).all()
     assert (half.contains(-w) != half.contains(w)).all()
+    assert RealWedgeAnnulus(1, 2, 2).turn_period == 1
     for p in (2, 3, 5):
-        assert PadicShellBox(p, 1).negation_invariant  # m = 0
-    # mod 2 every class is its own negative
-    assert PadicShellBox(2, 0, 1, ((1, 0),)).negation_invariant
-    assert PadicShellBox(2, 0, 1, ((1, 1), (0, 1))).negation_invariant
-    # mod 4: -(1, 0) = (3, 0), while -(2, 1) = (2, 3)
-    assert not PadicShellBox(2, 0, 2, ((1, 0),)).negation_invariant
-    assert PadicShellBox(2, 0, 2, ((1, 0), (3, 0))).negation_invariant
-    assert not PadicShellBox(2, 0, 2, ((2, 1), (3, 0), (1, 0))) \
-        .negation_invariant
-    # odd p: no class is its own negative
-    assert not PadicShellBox(3, 0, 1, ((1, 0),)).negation_invariant
-    assert PadicShellBox(3, 0, 1, ((1, 0), (2, 0))).negation_invariant
-    assert PadicShellBox(3, 0, 2, ((1, 4), (8, 5))).negation_invariant
-    assert not PadicShellBox(3, 0, 2, ((1, 4), (8, 4))).negation_invariant
-    assert PadicShellBox(5, 2, 1, ((0, 1), (0, 4), (2, 3), (3, 2))) \
-        .negation_invariant
+        assert PadicShellBox(p, 1).turn_period == 1  # m = 0
+    cases = [
+        # mod 2 every class is its own negative; J swaps (1, 0) and (0, 1)
+        (2, 1, ((1, 1),), 1), (2, 1, ((1, 0),), 2),
+        (2, 1, ((1, 0), (0, 1)), 1),
+        # mod 4: -(1, 0) = (3, 0), while -(2, 1) = (2, 3)
+        (2, 2, ((1, 0),), 4), (2, 2, ((1, 0), (3, 0)), 2),
+        (2, 2, ((1, 0), (0, 1), (3, 0), (0, 3)), 1),
+        (2, 2, ((2, 1), (3, 0), (1, 0)), 4),
+        # odd p: no class is its own negative
+        (3, 1, ((1, 0),), 4), (3, 1, ((1, 0), (2, 0)), 2),
+        (3, 1, ((1, 0), (0, 1), (2, 0), (0, 2)), 1),
+        (3, 2, ((1, 4), (8, 5)), 2), (3, 2, ((1, 4), (8, 4)), 4),
+        (3, 2, ((1, 4), (5, 1), (8, 5), (4, 8)), 1),
+        (5, 1, ((0, 1), (0, 4), (2, 3), (3, 2)), 2),
+        # 2 is a square root of -1 mod 5: J maps (1, 2) to (3, 1) = 3 (1, 2)
+        (5, 1, ((1, 2), (3, 1), (4, 3), (2, 4)), 1)]
+    for p, m, units, period in cases:
+        assert PadicShellBox(p, 2, m, units).turn_period == period, units
+    real = RealAnnulusSector(1, 2, 0, 3)
+    for box, want in ((PadicShellBox(3, 0), 4), (PadicShellBox(2, 0), 4)):
+        assert ProductTest(real, box).turn_period == want
+    assert ProductTest(RealAnnulusSector(1, 2),
+                       PadicShellBox(3, 0, 1, ((1, 0), (2, 0)))).turn_period \
+        == 2
 
 
-def test_every_test_kind_defines_negation_invariant():
-    # the strip route bins the hits of -gamma through negation_invariant:
-    # one sample per kind of the parse_test grammar, so that a new kind
-    # fails here until it defines one
+def test_every_test_kind_defines_turn_period():
+    # the strip route bins the images J^k gamma through turn_period: one
+    # sample per kind of the parse_test grammar, so that a new kind fails
+    # here until it defines one
     samples = {"annulus": "annulus(1,2,0,1)", "shell": "shell(0,1,1:0)",
                "wedge": "wedge(1,2,2)",
                "product": "product(annulus(1,2),shell(1))"}
     heads = re.findall(r"^\s+(\w+)\(", parse_test.__doc__, re.MULTILINE)
     assert sorted(heads) == sorted(samples)
     for head, token in samples.items():
-        assert isinstance(parse_test(token, p=3).negation_invariant, bool), head
+        assert parse_test(token, p=3).turn_period in (1, 2, 4), head
 
 
 def test_shell_validation():
@@ -727,9 +740,9 @@ def test_run_experiment_odd_p_matches_pointwise(norm, monkeypatch):
                                      (3, ("sqrt(3)", "1/2"))])
 def test_run_experiment_shared_sets_match_pointwise(p, v_inf, monkeypatch):
     # tests that repeat one real set (with and without a sector) and one
-    # shell share a mask per chunk and sign: the bare shell puts the run
+    # shell share a mask per chunk and image: the bare shell puts the run
     # on the whole ball's strip, where the full-turn set is evaluated
-    # once per chunk and the sector on gamma and on -gamma
+    # once per chunk and the sector on each image J^k gamma, k < 4
     monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 11)
     monkeypatch.setattr(balls, "_SL2_CHUNK_ELEMS", 29)
     cfg = ExperimentConfig(
@@ -751,13 +764,13 @@ def test_run_experiment_shared_sets_match_pointwise(p, v_inf, monkeypatch):
                         lambda self, w: calls.append(self) or contains(self, w))
     monkeypatch.setattr(
         equidist._ChunkEvaluator, "masks",
-        lambda self, level, mats, signs=False:
-            chunks.append(signs) or masks(self, level, mats, signs))
+        lambda self, level, mats, turns=False:
+            chunks.append(turns) or masks(self, level, mats, turns))
     rep = run_experiment(cfg)
     assert chunks and all(chunks)
     full, sector = cfg.tests[2], cfg.tests[4]
     assert calls.count(full) == len(chunks)
-    assert calls.count(sector) == len(calls) - len(chunks) == 2 * len(chunks)
+    assert calls.count(sector) == len(calls) - len(chunks) == 4 * len(chunks)
     monkeypatch.undo()
     ntests = len(cfg.tests)
     for i, t in enumerate(cfg.t_ladder):
@@ -946,24 +959,26 @@ def test_strip_route_matches_stream_sl2z(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 def test_strip_route_counts_negatives_of_non_invariant_tests(p,
                                                             monkeypatch):
-    # the strip holds one of each +-gamma; tests not invariant under
-    # negation count -gamma from masks of their own: a half turn, a
-    # sector across the branch cut, and boxes mod p and p^2 whose classes
-    # are not closed under u -> -u, next to invariant ones
+    # the strip holds one of each quarter-turn orbit {J^k gamma}; a test
+    # of period P under J counts the images J^k gamma, k < P, from masks
+    # of their own: a half turn, a sector across the branch cut, and boxes
+    # mod p and p^2 whose classes are closed under (a, b) -> (-b, a)
+    # (period 1), only under u -> -u (2) or under neither (4), next to
+    # full annuli and shells
     monkeypatch.setattr(balls, "_SL2_BLOCK_PAIRS", 97)
-    closed = {(2, 1): "1:0", (2, 2): "1:0|3:0|1:2|3:2",
-              (3, 1): "1:0|2:0", (3, 2): "1:4|8:5"}
-    opened = {(2, 1): None, (2, 2): "1:0|1:2",
-              (3, 1): "1:0|1:1", (3, 2): "1:4|8:4"}
+    by_period = {
+        (2, 1): ("1:1", "1:0", None),
+        (2, 2): ("1:0|0:1|3:0|0:3", "1:0|3:0|1:2|3:2", "1:0|1:2"),
+        (3, 1): ("1:0|0:1|2:0|0:2", "1:0|2:0", "1:0|1:1"),
+        (3, 2): ("1:4|5:1|8:5|4:8", "1:4|8:5", "1:4|8:4")}
     reals = ["annulus(0.5,3,0.3,3.4415926535897931)",
              "annulus(0.5,3,5,7)", "annulus(0.5,3)"]
     boxes = ["shell(0)", "shell(1)"]
     for s, m in ((0, 1), (1, 2)):
-        for units, invariant in ((closed, True), (opened, False)):
-            if units[p, m]:
-                boxes.append(f"shell({s},{m},{units[p, m]})")
-                assert parse_test(boxes[-1], p=p).negation_invariant \
-                    == invariant
+        for period, units in zip((1, 2, 4), by_period[p, m]):
+            if units:
+                boxes.append(f"shell({s},{m},{units})")
+                assert parse_test(boxes[-1], p=p).turn_period == period
     tokens = [f"product({real},{box})" for real in reals for box in boxes]
     v = OrbitVector.make(("1", "sqrt(2)"), fin=("1", "3"), p=p)
     for extra in ([], [reals[0], reals[1]]):
@@ -1276,9 +1291,9 @@ def test_strip_route_evaluates_invariant_sectors_once(monkeypatch):
         calls.append(self)
         return contains(self, w)
 
-    def counted_masks(self, level, mats, signs=False):
-        chunks.append(signs)
-        return masks(self, level, mats, signs)
+    def counted_masks(self, level, mats, turns=False):
+        chunks.append(turns)
+        return masks(self, level, mats, turns)
 
     monkeypatch.setattr(RealAnnulusSector, "contains", counted_contains)
     monkeypatch.setattr(equidist._ChunkEvaluator, "masks", counted_masks)
@@ -1292,3 +1307,26 @@ def test_strip_route_evaluates_invariant_sectors_once(monkeypatch):
     assert chunks and all(chunks)
     assert len(calls) == 2 * len(chunks)
     assert set(calls) == {f.real for f in tests}
+
+
+def test_a22_strip_builds_one_of_each_quarter_turn_orbit(monkeypatch):
+    # the a22 ladder T <= 32 of criterion 8: the strip caps each second
+    # column's interval at |r2| <= |r1|, so it builds about a quarter of
+    # the strip's elements rather than half (32,999 with one of each
+    # +-gamma), and the totals hold
+    built = [0]
+    assemble = balls._sl2_assemble
+
+    def counted(a, c, b0, d0, step_a, step_c, rep, *args):
+        built[0] += len(rep)
+        return assemble(a, c, b0, d0, step_a, step_c, rep, *args)
+
+    monkeypatch.setattr(balls, "_sl2_assemble", counted)
+    tests = tuple(parse_test(tok, p=2) for tok in (
+        "product(annulus(1,2),shell(0))", "product(annulus(1,3),shell(0))",
+        "product(annulus(1,2),shell(1))"))
+    rep = run_experiment(ExperimentConfig(
+        application="a22", v=A22_V, t_ladder=(4, 8, 16, 32), tests=tests,
+        capacity=10**9, workers=1))
+    assert [c for _, c in rep.totals] == [2484, 46916, 775988, 12548820]
+    assert 0 < built[0] <= 16500
