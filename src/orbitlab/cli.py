@@ -50,7 +50,7 @@ from .errors import (
     DivergenceError,
     InvariantError,
 )
-from .places import evaluate_symbolic, floor_log, is_prime, set_real_precision
+from .places import evaluate_symbolic, floor_log, is_prime
 from .volumes import (
     SqrtPower,
     StabilizerBall,
@@ -326,9 +326,9 @@ def _cross_checks(subcommand: str, settings: dict) -> list:
     if subcommand == "orbit" and settings["k"] != "1":
         problems.append(f"k: orbit runs count vector orbits, wedge degree 1 "
                         f"only; got {settings['k']}")
-    if subcommand == "orbit" and int(settings["precision"]) < 0:
-        problems.append(
-            f"precision: must be >= 0, got {settings['precision']}")
+    if subcommand == "orbit" and settings["precision"] != "0":
+        problems.append(f"precision: entries are always correctly rounded, "
+                        f"so only 0 is accepted; got {settings['precision']}")
     if "ladder" in settings:
         try:
             _parse_ladder(settings["ladder"])
@@ -660,33 +660,29 @@ def _cmd_asymptotics(config: RunConfig) -> None:
 
 def _cmd_orbit(config: RunConfig) -> None:
     s = config.settings
-    set_real_precision(config.integer("precision"))
-    try:
-        p = config.integer("p")
-        inf = _split_entries("v_inf", s["v_inf"], s["v_inf"].count(",") + 1)
-        fin = None
-        if s["v_fin"]:
-            fin = _split_entries("v_fin", s["v_fin"], s["v_fin"].count(",") + 1)
-        v = OrbitVector.make(tuple(inf), fin=fin and tuple(fin), p=p)
-        tests = tuple(
-            parse_test(tok.strip(), p=p)
-            for tok in s["tests"].split(";") if tok.strip()
-        )
-        window = _load_window(s["window"]) if s["window"] else None
-        experiment = ExperimentConfig(
-            application=s["application"],
-            v=v,
-            t_ladder=tuple(_parse_ladder(s["ladder"])),
-            tests=tests,
-            n=config.integer("n"),
-            norm=s["norm"],
-            window=window,
-            capacity=config.integer("capacity"),
-            workers=config.integer("workers") or None,
-        )
-        report = run_experiment(experiment, seed=config.integer("seed"))
-    finally:
-        set_real_precision(0)
+    p = config.integer("p")
+    inf = _split_entries("v_inf", s["v_inf"], s["v_inf"].count(",") + 1)
+    fin = None
+    if s["v_fin"]:
+        fin = _split_entries("v_fin", s["v_fin"], s["v_fin"].count(",") + 1)
+    v = OrbitVector.make(tuple(inf), fin=fin and tuple(fin), p=p)
+    tests = tuple(
+        parse_test(tok.strip(), p=p)
+        for tok in s["tests"].split(";") if tok.strip()
+    )
+    window = _load_window(s["window"]) if s["window"] else None
+    experiment = ExperimentConfig(
+        application=s["application"],
+        v=v,
+        t_ladder=tuple(_parse_ladder(s["ladder"])),
+        tests=tests,
+        n=config.integer("n"),
+        norm=s["norm"],
+        window=window,
+        capacity=config.integer("capacity"),
+        workers=config.integer("workers") or None,
+    )
+    report = run_experiment(experiment, seed=config.integer("seed"))
     # a field renamed in the report dataclasses renames its JSON key
     doc = asdict(report)
     doc["normalizer"] = doc.pop("normalizer_label")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +48,7 @@ from .balls import (
     norm_sq,
     sl2_ladder_totals,
 )
-from .errors import ConfigError, DegenerateSpanError
+from .errors import CapacityError, ConfigError, DegenerateSpanError
 from .places import (
     as_rational,
     evaluate_symbolic,
@@ -57,7 +57,7 @@ from .places import (
     is_prime,
     padic_valuation,
     parse_surd,
-    surd_value,
+    surd_float,
 )
 from .volumes import StabilizerBall, skew_ball_ratio_limit, slope_fit
 
@@ -302,7 +302,7 @@ def parse_test(text: str, p: int = 0):
     head = head.strip().lower()
     try:
         if head == "annulus":
-            vals = [float(evaluate_symbolic(a)) for a in args]
+            vals = [evaluate_symbolic(a) for a in args]
             if len(vals) == 2:
                 return RealAnnulusSector(vals[0], vals[1])
             if len(vals) == 4:
@@ -321,8 +321,8 @@ def parse_test(text: str, p: int = 0):
         if head == "wedge":
             if len(args) != 3:
                 raise ConfigError("wedge takes 3 arguments")
-            return RealWedgeAnnulus(float(evaluate_symbolic(args[0])),
-                                    float(evaluate_symbolic(args[1])),
+            return RealWedgeAnnulus(evaluate_symbolic(args[0]),
+                                    evaluate_symbolic(args[1]),
                                     int(args[2]))
         if head == "product":
             if len(args) != 2:
@@ -345,7 +345,7 @@ class OrbitVector:
     """Initial vector per place.
 
     ``inf`` holds the archimedean entries exactly, as parse_surd pairs
-    (coef, rad) for coef*sqrt(rad), evaluated only by inf_floats();
+    (coef, rad) for coef*sqrt(rad), and ``floats`` their nearest doubles;
     ``fin`` holds exact rationals at the finite place when one is
     present.
     """
@@ -353,10 +353,15 @@ class OrbitVector:
     inf: tuple
     fin: tuple | None = None
     p: int = 0
+    floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if all(coef == 0 or rad == 0 for coef, rad in self.inf):
-            raise ConfigError("v_inf must be nonzero")
+        try:
+            object.__setattr__(self, "floats", tuple(map(surd_float, self.inf)))
+        except ValueError as exc:
+            raise ConfigError(f"v_inf: {exc}") from None
+        if not any(self.floats):
+            raise ConfigError("v_inf must be nonzero: every entry rounds to 0")
         if self.fin is not None:
             if not is_prime(self.p):
                 raise ConfigError("finite-place entries need a prime p")
@@ -375,8 +380,7 @@ class OrbitVector:
         return cls(inf=inf_vals, fin=fin_vals, p=p)
 
     def inf_floats(self) -> np.ndarray:
-        return np.asarray([float(surd_value(e)) for e in self.inf],
-                          dtype=np.float64)
+        return np.asarray(self.floats, dtype=np.float64)
 
 
 def _rational_direction(entries):
@@ -816,9 +820,12 @@ def _ladder_cuts(config: ExperimentConfig):
     level cuts of each rung's ball (t_p = t_inf = T), -1 (level
     excluded) past them.  A rung T < 1 holds no element: it has no level
     with a finite place, and without one its cut floor(T^2) = 0 is below
-    every element's norm."""
+    every element's norm.  A cut past int64 raises CapacityError."""
     rows = [_level_cuts(r, config.p, r)
             for r in map(exact_radius, config.t_ladder)]
+    if max(map(max, filter(None, rows)), default=0) > np.iinfo(np.int64).max:
+        raise CapacityError("radius out of the supported int64 range: a "
+                            "norm_sq cut reaches 2^63")
     cuts = np.full((len(rows), max(map(len, rows), default=0)), -1,
                    dtype=np.int64)
     for i, row in enumerate(rows):

@@ -105,22 +105,7 @@ def floor_log(x, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# archimedean precision and symbolic entries
-
-_REAL_DPS = 0  # 0 = hardware doubles
-
-
-def set_real_precision(dps: int) -> None:
-    """Digits of working precision for archimedean evaluation.
-
-    0 restores hardware doubles; anything larger routes symbolic
-    entries through mpmath at that many digits.
-    """
-    global _REAL_DPS
-    if dps < 0:
-        raise ValueError("precision must be >= 0")
-    _REAL_DPS = dps
-
+# symbolic entries
 
 def parse_surd(text) -> tuple:
     """Exact parts (coef, rad) of a vector-entry literal coef*sqrt(rad).
@@ -145,26 +130,32 @@ def parse_surd(text) -> tuple:
     return coef * as_rational(s), Fraction(1)
 
 
-def surd_value(surd):
-    """coef*sqrt(rad) of a parse_surd pair: a Fraction when rad is a
-    rational square, else a float (mpmath.mpf under extended precision)."""
+def surd_float(surd) -> float:
+    """The double nearest coef*sqrt(rad) of a parse_surd pair, or
+    ValueError past the float range.  With x^2 = n/d, q = isqrt(n 4^k
+    // d) = floor(|x| 2^k) has at least 55 bits, and its low bit is set
+    where q^2 d != n 4^k, so q rounds to 53 bits as x does.  One
+    correctly rounded division by 2^k (a product for k < 0) then gives
+    the nearest double, subnormals included, and float(x) for rational x."""
     coef, rad = surd
-    root = exact_sqrt(rad)
-    if root is not None:
-        return coef * root
-    if _REAL_DPS > 0:
-        import mpmath  # loaded only under extended precision
+    n = coef.numerator ** 2 * rad.numerator
+    d = coef.denominator ** 2 * rad.denominator
+    k = (110 + d.bit_length() - n.bit_length()) // 2
+    num, den = (n << 2 * k, d) if k >= 0 else (n, d << -2 * k)
+    q = math.isqrt(num // den)
+    if q * q * den != num:
+        q |= 1
+    try:
+        x = q / (1 << k) if k >= 0 else float(q << -k)
+    except OverflowError:
+        raise ValueError("value past the float range") from None
+    return -x if coef < 0 else x
 
-        with mpmath.workdps(_REAL_DPS):
-            return mpmath.mpf(coef.numerator) / coef.denominator * mpmath.sqrt(
-                mpmath.mpf(rad.numerator) / rad.denominator
-            )
-    return float(coef) * math.sqrt(rad)
 
-
-def evaluate_symbolic(text):
-    """The value of a vector-entry literal (see parse_surd, surd_value)."""
-    return surd_value(parse_surd(text))
+def evaluate_symbolic(text) -> float:
+    """The double nearest a vector-entry literal (see parse_surd,
+    surd_float)."""
+    return surd_float(parse_surd(text))
 
 
 def exact_sqrt(q: Fraction):

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateSpanError
-from .places import as_rational, floor_log, padic_abs
+from .places import as_rational, floor_log, padic_abs, surd_float
 
 __all__ = [
     "SqrtPower",
@@ -94,7 +94,7 @@ class SqrtPower:
                               other.p, self.k + 1)
 
     def __float__(self):
-        return float(self.mantissa) * (math.sqrt(self.p) if self.k else 1.0)
+        return surd_float((self.mantissa, self.p if self.k else 1))
 
     def __eq__(self, other):
         if isinstance(other, SqrtPower):

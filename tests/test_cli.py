@@ -277,6 +277,8 @@ def test_volume_unipair_table_matches_library(tmp_path):
       "--params", "t_p=-1"], "t_p: must be positive"),
     (["volume", "--case", "example31", "--p", 4, "--ladder", "4,4,3"],
      "p: a prime is required"),
+    (["volume", "--case", "stab2", "--ladder", "4,2,3", "--params",
+      "v=1e400,1"], "v: value past the float range"),
     (["asymptotics", "--in", "short.csv", "--p", 3], "short.csv:3: 2 cells"),
     (["asymptotics", "--in", "vols.csv", "--p", 1], "p: a prime is required"),
     (["asymptotics", "--in", "vols.csv", "--p", 0], "p: a prime is required"),
@@ -297,6 +299,7 @@ def test_volume_unipair_table_matches_library(tmp_path):
      "min_per_class: must be at least 1"),
 ], ids=["stab2-v-zero", "unipair-v-zero", "unipair-v_fin-zero",
         "unipair-t_p-zero", "unipair-t_p-negative", "example31-p-composite",
+        "stab2-v-past-float-range",
         "asymptotics-short-row", "asymptotics-p-1", "asymptotics-p-0",
         "asymptotics-p-composite", "asymptotics-tol-negative",
         "asymptotics-tol-inf", "asymptotics-moduli-0",
@@ -432,7 +435,12 @@ def test_orbit_undefined_ratios_write_null(conf, monkeypatch, tmp_path):
     ("tests", "shell(x)"), ("tests", "wedge(1,2,x)"),
     ("tests", "shell(0,1,1:x)"),
     ("n", "3"),  # a22 orbits live in SL(2)
-    ("precision", "-1"),
+    # past the float range: a configuration error, not an OverflowError
+    ("v_inf", "1e400,1"), ("v_inf", "1,sqrt(3e700)"),
+    ("v_inf", "1e-400,0"),  # nonzero, but every double is 0
+    ("tests", "annulus(1,1e400)"),
+    # entries are always correctly rounded: precision accepts only 0
+    ("precision", "-1"), ("precision", "5"),
 ])
 def test_orbit_bad_value_exit_code(key, value, capsys, monkeypatch, tmp_path):
     # each pair replaces one key of a valid a22 config
@@ -484,6 +492,25 @@ def test_orbit_rejects_wedge_degree_above_one(capsys, tmp_path):
     assert "k:" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
     assert run("orbit", "--config", conf, "--set", "k=1") == 0
+
+
+@pytest.mark.parametrize("conf", [
+    "application = a21\nv_inf = 1,sqrt(2)\nladder = 3e9,2,2\n"
+    "tests = annulus(1,2)\n",
+    "application = a22\nv_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2\n"
+    "ladder = 4e9,2,2\ntests = shell(0)\n",
+    "application = wedge\nn = 3\nv_inf = 1,sqrt(2),sqrt(3)\n"
+    "ladder = 4e9,2,2\ntests = wedge(1,2,3)\n"], ids=["a21", "a22", "wedge"])
+def test_orbit_ladder_cut_past_int64_exit_code(conf, capsys, monkeypatch,
+                                               tmp_path):
+    # a rung's norm_sq cut past the int64 range is over capacity, found
+    # before the int64 cut matrix is built
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(
+        conf + "out_json = o.json\nout_csv = o.csv\n")
+    assert run("orbit", "--config", "run.conf") == 3
+    assert "int64" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_capacity_exit_code(tmp_path):

@@ -4,7 +4,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from orbitlab.places import (
@@ -14,9 +13,9 @@ from orbitlab.places import (
     padic_abs,
     padic_valuation,
     parse_surd,
-    set_real_precision,
-    surd_value,
+    surd_float,
 )
+from orbitlab.volumes import SqrtPower
 
 
 def test_valuation_basics():
@@ -86,7 +85,7 @@ def test_evaluate_symbolic():
     assert evaluate_symbolic("3/4") == Fraction(3, 4)
     assert evaluate_symbolic("sqrt(2)") == pytest.approx(math.sqrt(2))
     assert evaluate_symbolic("2*sqrt(2)") == pytest.approx(2 * math.sqrt(2))
-    # perfect squares stay exact
+    # perfect squares give their exact value
     assert evaluate_symbolic("sqrt(9/4)") == Fraction(3, 2)
     assert evaluate_symbolic(5) == 5
 
@@ -100,10 +99,13 @@ def test_parse_surd_exact_parts():
     assert parse_surd(5) == (5, 1)
     # a float is its exact binary value, a dyadic rational
     assert parse_surd(0.1) == (F(3602879701896397, 2**55), 1)
-    assert surd_value(parse_surd(0.1)) == F(0.1)
-    # the float value is the product of two roundings, as before the split
-    coef, rad = parse_surd("12345*sqrt(7)")
-    assert surd_value((coef, rad)) == 12345.0 * math.sqrt(7.0)
+    assert surd_float(parse_surd(0.1)) == 0.1
+    # the float value is the one rounding of the exact value, which the
+    # product of two roundings misses for 3*sqrt(2) by one ulp
+    coef, rad = parse_surd("3*sqrt(2)")
+    x = surd_float((coef, rad))
+    assert x == 4.242640687119285 != 3.0 * math.sqrt(2.0)
+    assert _rounds_to(x, coef * coef * rad)
 
 
 @pytest.mark.parametrize("text", ["sqrt(2)*3", "abc", "1/0", "sqrt(-2)",
@@ -113,15 +115,65 @@ def test_parse_surd_rejects_malformed_literals(text):
         parse_surd(text)
 
 
-def test_precision_toggle():
-    # hardware doubles by default, mpmath at the set precision, and
-    # doubles again once the precision is reset
-    assert isinstance(evaluate_symbolic("sqrt(2)"), float)
-    set_real_precision(50)
-    try:
-        x = evaluate_symbolic("sqrt(2)")
-        assert isinstance(x, mpmath.mpf)
-        assert abs(x * x - 2) < mpmath.mpf(10) ** -45
-    finally:
-        set_real_precision(0)
-    assert isinstance(evaluate_symbolic("sqrt(2)"), float)
+def _rounds_to(x, sq):
+    """Whether the float x is the double nearest the number of sign x
+    whose square is the Fraction sq: sq lies between the squared
+    midpoints from x to its neighbours, checked exactly in Fractions."""
+    a = abs(x)
+    lo = (Fraction(a) + Fraction(math.nextafter(a, 0.0))) / 2 if a else 0
+    hi = (Fraction(a) + Fraction(math.nextafter(a, math.inf))) / 2
+    return lo * lo <= sq <= hi * hi
+
+
+def test_surd_float_is_the_nearest_double():
+    # seeded literals a/b*sqrt(c/d): negative coefficients, radicands
+    # above 2^53 and rational radicands
+    rng = random.Random(20261020)
+    for _ in range(12000):
+        top = 10**rng.randint(1, 18)
+        coef = Fraction(rng.randint(-top, top),
+                        rng.randint(1, 10**rng.randint(1, 12)))
+        rad = Fraction(rng.randint(1, 2**rng.randint(1, 80)),
+                       rng.choice([1, rng.randint(1, 10**rng.randint(1, 20))]))
+        x = surd_float((coef, rad))
+        assert math.copysign(1.0, x) == (-1.0 if coef < 0 else 1.0)
+        assert _rounds_to(x, coef * coef * rad), (coef, rad, x)
+        if rad == 1:
+            assert x == float(coef)
+
+
+def test_surd_float_unit_coefficient_is_ieee_sqrt():
+    # IEEE sqrt rounds correctly, and integers below 2^53 are exact
+    rng = random.Random(5)
+    for m in [0, 1, 2, 3, 2**52 + 1, 2**53 - 1,
+              *(rng.randint(1, 2**53 - 1) for _ in range(3000))]:
+        got = surd_float((Fraction(1), Fraction(m)))
+        assert got == math.sqrt(m) and type(got) is float
+
+
+def test_surd_float_range():
+    assert surd_float((Fraction(0), Fraction(2))) == 0.0
+    assert surd_float(parse_surd("sqrt(1e-640)")) == 1e-320  # subnormal
+    assert surd_float(parse_surd("1e-400")) == 0.0
+    # subnormal results round once: scaling a rounded q by ldexp would
+    # round twice
+    rng = random.Random(3)
+    for _ in range(4000):
+        x = Fraction(rng.randint(1, 10**30),
+                     rng.randint(1, 10**30) << rng.randint(1022, 1074))
+        assert surd_float((x, Fraction(1))) == float(x)
+    assert surd_float(parse_surd("-1e308")) == -1e308
+    for text in ["1e400", "sqrt(3e700)", "-1e309"]:
+        with pytest.raises(ValueError, match="float range"):
+            surd_float(parse_surd(text))
+
+
+def test_sqrt_power_float_is_the_rule():
+    rng = random.Random(11)
+    for _ in range(2000):
+        m = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+        p = rng.choice([2, 3, 5, 7, 11, 97])
+        x = SqrtPower(m, p, 1)
+        assert float(x) == surd_float((m, Fraction(p)))
+        assert _rounds_to(float(x), m * m * p)
+    assert float(SqrtPower(Fraction(3, 4), 5, 0)) == 0.75
