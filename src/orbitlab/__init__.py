@@ -6,7 +6,6 @@ The package is organized by layer:
 * :mod:`orbitlab.places` -- exact rational scalars with per-place
   absolute values (one archimedean place, finite places indexed by a
   prime p).
-* :mod:`orbitlab.linalg` -- small exact matrices and wedge powers.
 * :mod:`orbitlab.balls` -- the size function as an exact squared-norm
   kernel, and enumeration of norm balls in SL(2,Z), SL(2,Z[1/p]) and
   SL(n,Z), with congruence windows.

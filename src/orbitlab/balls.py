@@ -111,19 +111,18 @@ def _level_cuts(t_inf: Fraction, p: int, t_p: Fraction) -> list:
 
 
 def resolve_workers(workers=None) -> int:
-    """Worker count: explicit arg, else ORBITLAB_THREADS, else all cores."""
+    """Worker count: explicit arg, else ORBITLAB_THREADS, else all cores;
+    never more than the cores, so a large value starts no more threads."""
+    cores = os.cpu_count() or 1
     if workers is None:
-        env = os.environ.get("ORBITLAB_THREADS", "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigError(f"ORBITLAB_THREADS must be an integer, got {env!r}")
-        else:
-            workers = os.cpu_count() or 1
+        env = os.environ.get("ORBITLAB_THREADS", "").strip() or str(cores)
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(f"ORBITLAB_THREADS must be an integer, got {env!r}")
     if workers < 1:
         raise ConfigError("worker count must be >= 1")
-    return workers
+    return min(workers, cores)
 
 
 @dataclass(frozen=True)
@@ -568,8 +567,7 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
         if strip is not None:
             vec, width, nums, p, k = strip
             j = int(abs(vec[1]) > abs(vec[0]))
-            lo, hi = _widened_interval((-width - major * vec[1 - j]) / vec[j],
-                                       (width - major * vec[1 - j]) / vec[j],
+            lo, hi = _widened_interval(major * vec[1 - j], width, vec[j],
                                        -half, half)
             lo[0] = max(lo[0], 1)  # row major = 0: minor > 0 only
             ok, r, step = _linear_classes(np.full(len(major), nums[j]),
@@ -913,9 +911,13 @@ def _progression_starts(lo, hi, ok, r, step):
     return first, count
 
 
-def _widened_interval(e1, e2, lo, hi):
-    """The integers between the float ends e1, e2 (in either order),
-    widened by one on each side and clipped to [lo, hi]."""
+def _widened_interval(offset, width, slope, lo, hi):
+    """The integers t with |offset + t slope| <= width (slope nonzero), by
+    float ends widened by one on each side and clipped to [lo, hi].  An
+    end past the float range (slope tiny against width, as from a tiny
+    vector entry) clips to [lo, hi]: a superset, which loses no element."""
+    with np.errstate(over="ignore"):
+        e1, e2 = (-width - offset) / slope, (width - offset) / slope
     low = np.clip(np.minimum(e1, e2), lo - 2, hi + 2)
     high = np.clip(np.maximum(e1, e2), lo - 2, hi + 2)
     return (np.maximum(lo, np.ceil(low).astype(np.int64) - 1),
@@ -934,9 +936,8 @@ def _strip_progressions(strip, b0, d0, step_a, step_c, tlo, thi):
     offset = b0 * vec[0] + d0 * vec[1]
     slope = step_a * vec[0] + step_c * vec[1]
     flat = slope == 0
-    div = np.where(flat, 1.0, slope)
-    t0, t1 = _widened_interval((-width - offset) / div,
-                               (width - offset) / div, tlo, thi)
+    t0, t1 = _widened_interval(offset, width, np.where(flat, 1.0, slope),
+                               tlo, thi)
     # a first column with col . vec = 0 keeps its whole interval exactly
     # when the constant offset lies in the strip
     t0 = np.where(flat, tlo, t0)

@@ -330,6 +330,12 @@ def sym2_mass_oracle(p, n, e_inf=(0, 0, 0), f_p=(0, 0, 0)):
     return real * p ** float(-v)
 
 
+def mat_mul(a, b):
+    """Plain product of two matrices given as lists of rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
 def minors_matrix(a, k):
     """k-minor matrix with rows/cols in lex subset order, via Laplace."""
     n = len(a)

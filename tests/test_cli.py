@@ -13,8 +13,15 @@ from fractions import Fraction
 import pytest
 
 import orbitlab
-from orbitlab.balls import BallSpec, enum_sl2_zinvp, enum_sl2z
+from orbitlab.balls import (
+    BallSpec,
+    ball_count,
+    enum_sl2_zinvp,
+    enum_sl2z,
+    iter_ball_chunks,
+)
 from orbitlab.cli import emit_report, main, parse_config
+from orbitlab.equidist import OrbitVector, orbit_sum, parse_test
 from orbitlab.errors import ConfigError
 from orbitlab.volumes import (
     SqrtPower,
@@ -453,6 +460,42 @@ def test_orbit_bad_value_exit_code(key, value, capsys, monkeypatch, tmp_path):
     assert run("orbit", "--config", "run.conf") == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("application,v_inf,test", [
+    # every orbit point is subnormal, none in annulus(1,2)
+    ("a21", "1e-320,0", "annulus(1e-321,1)"),
+    ("a21", "0,1e-320", "annulus(1e-321,1)"),
+    ("a21", "1e-320,1", "annulus(1,2)"), ("a21", "1/3,1e-310", "annulus(1,2)"),
+    ("a21", "1e-400,1", "annulus(1,2)"),  # its double is 0: the same rule
+    # a normal entry, tiny against the radius of the test
+    ("a21", "1e-300,1", "annulus(1,1e10)"),
+    ("a22", "1e-320,1", "shell(0)")])
+@pytest.mark.parametrize("norm", ["frobenius", "max"])
+def test_orbit_tiny_entry_loses_no_hit(application, v_inf, test, norm,
+                                         monkeypatch, tmp_path):
+    # every entry runs at its nearest double, 0 or subnormal; a strip
+    # interval divided by it past the float range widens to its whole
+    # row, so the run warns of no overflow and counts what the whole
+    # ball gives
+    monkeypatch.chdir(tmp_path)
+    fin = "v_fin = 1,3\np = 2\n" if application == "a22" else ""
+    (tmp_path / "run.conf").write_text(
+        f"application = {application}\nv_inf = {v_inf}\n{fin}norm = {norm}\n"
+        f"ladder = 4,2,2\ntests = {test}\nout_json = o.json\n"
+        "out_csv = o.csv\n")
+    assert run("orbit", "--config", "run.conf") == 0
+    doc = json.loads((tmp_path / "o.json").read_text())
+    p = 2 if fin else 0
+    v = OrbitVector.make(v_inf.split(","), fin=("1", "3") if p else None, p=p)
+    for (t, total), row in zip(doc["totals"], doc["rows"]):
+        spec = BallSpec("sl2zp" if p else "sl2z", p=p, t_inf=t,
+                        t_p=t if p else None, norm=norm)
+        assert total == ball_count(spec)
+        assert row["count"] == orbit_sum(iter_ball_chunks(spec), v,
+                                         parse_test(test, p=p), 1.0)
+    assert any(row["count"] for row in doc["rows"])
 
 
 def test_orbit_flags_rational_direction_exactly(monkeypatch, tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
 import random
 import threading
 import tracemalloc
@@ -1223,6 +1224,7 @@ def test_window_filter_and_validation():
 
 
 def test_workers_env(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("ORBITLAB_THREADS", "2")
     assert resolve_workers() == 2
     spec = BallSpec("sl2z", t_inf=9.5)
@@ -1232,6 +1234,25 @@ def test_workers_env(monkeypatch):
     monkeypatch.setenv("ORBITLAB_THREADS", "zero")
     with pytest.raises(ConfigError):
         resolve_workers()
+
+
+def test_workers_never_exceed_the_cores(monkeypatch):
+    # the SL(3) plan at T = 6.96 lays out about one block per worker
+    # (1,356 at a million workers), and a pool keeps workers + 2 blocks
+    # in flight: past the cores, the count is clamped.  Only plans are
+    # built here; no thread is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert resolve_workers(10**6) == 3
+    assert resolve_workers(2) == 2
+    monkeypatch.setenv("ORBITLAB_THREADS", str(10**6))
+    assert resolve_workers() == 3
+    spec = BallSpec("slnz", n=3, t_inf=6.96)
+    assert (balls._SlnzPlan(spec, workers=resolve_workers(10**6)).blocks
+            == balls._SlnzPlan(spec, workers=3).blocks)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers(10**6) == 1
+    with pytest.raises(ConfigError):
+        resolve_workers(0)
 
 
 def test_chunk_stream_matches_batch():

@@ -19,6 +19,7 @@ DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos")
                .glob("*.py"))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(orbitlab.__path__,
                                                       "orbitlab."))
+SOURCES = sorted(pathlib.Path(orbitlab.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", ["orbitlab", *MODULES])
@@ -39,15 +40,39 @@ def test_demo_imports(path):
     assert callable(module.main)
 
 
-@pytest.mark.parametrize("path", sorted(pathlib.Path(orbitlab.__file__)
-                                        .parent.glob("*.py")),
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_source_has_no_assert(path):
     # invariants raise typed errors: python -O strips assert statements
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def _imported_names(path):
+    """Every module name an import statement of ``path`` names, at any
+    depth (an import inside a function counts), relative ones resolved
+    in the flat orbitlab package; ``from m import x`` names m and m.x."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("orbitlab" if node.level else "",
+                                          node.module)))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_module_is_imported_by_another():
+    # the cli is the entry point; any other module that no src module
+    # imports is reached by no command, only by its own tests
+    imported = {path.stem: _imported_names(path) for path in SOURCES}
+    orphans = [name for name in MODULES if name != "orbitlab.cli"
+               and not any(name in names for stem, names in imported.items()
+                           if f"orbitlab.{stem}" != name)]
+    assert not orphans, f"no other src module imports {orphans}"
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +112,6 @@ def test_import_leaves_environment_unchanged(env):
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    # mpmath is loaded only for precision > 0
+    # mpmath is no dependency: entries are rounded with integers alone
     assert _fresh("import json, sys, orbitlab.cli\n"
                   "print(json.dumps('mpmath' in sys.modules))") is False
