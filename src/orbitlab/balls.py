@@ -288,6 +288,19 @@ def _box_interval(base, step, bound):
     return tlo, np.maximum(thi, tlo - 1)
 
 
+def _quadratic_interval(qa, qb, qc):
+    """Exact ends tlo, thi of {t in Z : qa t^2 + 2 qb t + qc <= 0} for
+    int64 arrays with qa > 0; thi = tlo - 1 where it is empty: the exact
+    interval of the SL(2) engine's Frobenius norm and of the last-row
+    solver.  Times qa the inequality reads (qa t + qb)^2 <= disc = qb^2 -
+    qa qc, and qa t + qb is an integer, so it holds exactly when |qa t +
+    qb| <= isqrt(disc)."""
+    disc = qb * qb - qa * qc
+    s = _isqrt_array(np.maximum(disc, 0))
+    tlo = -np.floor_divide(qb + s, qa)
+    return tlo, np.where(disc >= 0, np.floor_divide(s - qb, qa), tlo - 1)
+
+
 def _ragged_arange(lengths):
     """(index, offset) pairs enumerating range(lengths[i]) for each i."""
     lengths = lengths.astype(np.int64)
@@ -296,6 +309,40 @@ def _ragged_arange(lengths):
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     offs = np.arange(total) - starts[idx]
     return idx, offs
+
+
+def _ragged_layout(start, lengths, stride=1, skip=None, p=None):
+    """The one (line, t) layout: the number of ragged pairs in line order,
+    and a function laying out the pairs lo <= i < hi (lo < hi <= that
+    number), which may begin and end inside a line.  Line r holds the t =
+    start[r] + stride o (stride one or one per line) over the offsets 0
+    <= o < lengths[r], less, where skip[r] >= 0, the o = skip[r] (mod p).
+    It lays out the first-column rows and second columns of the SL(2)
+    engine and the last rows of SL(n)."""
+    lengths = lengths.copy()
+    vanish = np.flatnonzero(skip >= 0) if skip is not None else ()
+    if len(vanish):
+        lengths[vanish] -= (lengths[vanish] + p - 1 - skip[vanish]) // p
+    ends = np.cumsum(lengths)
+
+    def window(lo, hi):  # lines c0..c1 hold the pairs lo..hi-1
+        c0, c1 = np.searchsorted(ends, (lo, hi - 1), side="right")
+        head = lo - int(ends[c0] - lengths[c0])
+        sub = lengths[c0:c1 + 1].copy()
+        sub[0] -= head
+        sub[-1] -= int(ends[c1]) - hi
+        rep, off = _ragged_arange(sub)
+        rep += c0
+        off[:sub[0]] += head
+        if len(vanish):
+            # the j-th offset kept sits at j + (j + p - 1 - skip) // (p - 1)
+            sel = np.flatnonzero(skip[rep] >= 0)
+            j = off[sel]
+            off[sel] = j + (j + p - 1 - skip[rep[sel]]) // (p - 1)
+        return rep, start[rep] + off * (stride if np.isscalar(stride)
+                                        else stride[rep])
+
+    return int(ends[-1]) if len(ends) else 0, window
 
 
 def _pool_map(fn, args_list, workers):
@@ -360,9 +407,14 @@ def _check_sl2_headroom(det, bound, sq_int):
     coefficients |x| <= max(|c/g|, 1), |y| <= max(|a/g|, 1), the largest
     intermediates are the shift numerator |(a/g) b0| + |(c/g) d0| <= 2 S
     det (the shifted b0, d0 stay below three times that) and, under the
-    Frobenius norm, disc = q rem - (det/g)^2 with q rem <= S^2/4 and
-    (det/g)^2 <= det^2.  All stay below 2^62, where _isqrt_array is exact
-    too."""
+    Frobenius norm, the products of _quadratic_interval(q, rr, |b0, d0|^2
+    - rem), with q = (a^2 + c^2)/g^2 <= S and |rr| <= q/2 after the
+    shift: rr^2 <= S^2/4 and q (|b0, d0|^2 - rem), where q |b0, d0|^2 =
+    rr^2 + (det/g)^2 <= S^2/4 + det^2 (Lagrange's identity) and 0 < q
+    rem <= S^2/4, so each lies within 2^63 while S^2/4 and det^2 are below
+    2^62.  Their difference, the discriminant q rem - (det/g)^2, is below
+    2^62, where _isqrt_array is exact.  The checked terms, 2 S det, S^2/4
+    and det^2, stay below 2^62."""
     frob = sq_int is not None
     span = sq_int if frob else 2 * bound * bound
     worst = 2 * span * det
@@ -381,9 +433,8 @@ def _sl2_columns(a, c, det, bound, sq_int, prim_p=None, major=None):
     [[a, b0 + t step_a], [c, d0 + t step_c]], tlo <= t <= thi, are
     exactly those of det ``det`` in the ball.  Frobenius: with q =
     step_a^2 + step_c^2 and rr = step_a b0 + step_c d0, the norm bound is
-    q t^2 + 2 rr t + |b0, d0|^2 <= rem, whose discriminant is q rem -
-    (det/g)^2 by Lagrange's identity; q t is an integer, so the integer
-    square root s gives the interval exactly.  Max norm: _box_interval.
+    q t^2 + 2 rr t + |b0, d0|^2 - rem <= 0 (_quadratic_interval).  Max
+    norm: _box_interval.
 
     ``major`` (a strip's major coordinate, 0 or 1) keeps only the second
     columns x with |x|^2 < q1 = a^2 + c^2, or |x|^2 = q1 and x in the
@@ -423,10 +474,7 @@ def _sl2_columns(a, c, det, bound, sq_int, prim_p=None, major=None):
         rem = sq_int - q1
         if major is not None:
             rem = np.minimum(rem, q1)
-        disc = q * rem - scale * scale
-        s = _isqrt_array(np.maximum(disc, 0))
-        tlo = -np.floor_divide(rr + s, q)
-        thi = np.where(disc >= 0, np.floor_divide(s - rr, q), tlo - 1)
+        tlo, thi = _quadratic_interval(q, rr, b0 * b0 + d0 * d0 - rem)
     else:
         tlo, thi = _box_interval((b0, d0), (step_a, step_c), bound)
         if major is not None:
@@ -454,43 +502,6 @@ def _sl2_columns(a, c, det, bound, sq_int, prim_p=None, major=None):
                    + (y[vanish] % p) * (d0[vanish] % p))
         skip[vanish] = (t_star - tlo[vanish]) % p
     return b0, d0, step_a, step_c, tlo, thi, skip
-
-
-def _column_ts(start, lengths, stride=1, skip=None, p=None):
-    """The number of ragged (column index, t) pairs in column order, and
-    a function laying out the pairs lo <= i < hi: for column i the t =
-    start[i] + stride[i] o over the offsets 0 <= o < lengths[i], less,
-    where skip[i] >= 0, the o = skip[i] (mod p).  CapacityError, before
-    any is laid out, past _SL2_BLOCK_WORK pairs."""
-    lengths = lengths.copy()
-    vanish = np.flatnonzero(skip >= 0) if skip is not None else ()
-    if len(vanish):
-        lengths[vanish] -= (lengths[vanish] + p - 1 - skip[vanish]) // p
-    ends = np.cumsum(lengths)
-    work = int(ends[-1]) if len(ends) else 0
-    if work > _SL2_BLOCK_WORK:
-        raise CapacityError(
-            f"work guard: one block of first columns would build {work} "
-            f"matrices, over the limit {_SL2_BLOCK_WORK}")
-
-    def window(lo, hi):  # columns c0..c1 hold the pairs lo..hi-1
-        c0, c1 = np.searchsorted(ends, (lo, hi - 1), side="right")
-        head = lo - int(ends[c0] - lengths[c0])
-        sub = lengths[c0:c1 + 1].copy()
-        sub[0] -= head
-        sub[-1] -= int(ends[c1]) - hi
-        rep, off = _ragged_arange(sub)
-        rep += c0
-        off[:sub[0]] += head
-        if len(vanish):
-            # the j-th offset kept sits at j + (j + p - 1 - skip) // (p - 1)
-            sel = np.flatnonzero(skip[rep] >= 0)
-            j = off[sel]
-            off[sel] = j + (j + p - 1 - skip[rep[sel]]) // (p - 1)
-        return rep, start[rep] + off * (stride if np.isscalar(stride)
-                                        else stride[rep])
-
-    return work, window
 
 
 def _sl2_assemble(a, c, b0, d0, step_a, step_c, rep, tt, det, bound, sq_int,
@@ -532,9 +543,10 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
     >= 1 of SL(2,Z[1/p])).  First columns run over the disk a^2 + c^2 <=
     sq_int - 1 or the max-norm square |a|, |c| <= bound in rows of the
     major coordinate, each a progression (first, count, step) of the minor
-    one, in blocks of _SL2_BLOCK_PAIRS pairs (a square without a strip is
-    indexed by divmod).  Without a strip a is major and c runs with step
-    1: the sl2z order.
+    one, in blocks of _SL2_BLOCK_PAIRS pairs laid out as the second
+    columns are, by _ragged_layout (a square without a strip is indexed
+    by divmod).  Without a strip a is major and c runs with step 1: the
+    sl2z order.
     Only the matrices that belong to the ball are built: the exact
     t-intervals of _sl2_columns without their residue class mod p that
     vanishes.  Every row is checked all the same (in the ball, det,
@@ -542,9 +554,10 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
 
     ``strip = (vec, width, nums, p, k)`` keeps a superset of the N whose
     columns x have |x . vec| <= width and x . nums = 0 (mod p^k): the
-    minor coordinate is the one of the larger |vec_j|, and each row and
-    each t-interval is cut to its widened float strip interval and its
-    congruence progression (_strip_progressions).  All of these are
+    minor coordinate is the one of the larger |vec_j|, and each row, a
+    line of unit step in the minor coordinate, and each t-interval is cut
+    to its widened float strip interval and its congruence progression
+    by the one call _strip_progressions.  All of these are
     invariant under the quarter turn N -> N J^T, which maps the columns
     (x1, x2) to (-x2, x1), so the strip keeps one N of each orbit {N J^k}:
     the first column in the half-plane H, major > 0 or major = 0 < minor,
@@ -563,33 +576,25 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
                           dtype=np.int64)
         half = (np.full(len(major), bound) if sq_int is None
                 else _isqrt_array(sq_int - 1 - major * major))
-        first, count = -half, 2 * half + 1
+        rows = -half, 2 * half + 1
         if strip is not None:
-            vec, width, nums, p, k = strip
-            j = int(abs(vec[1]) > abs(vec[0]))
-            lo, hi = _widened_interval(major * vec[1 - j], width, vec[j],
-                                       -half, half)
-            lo[0] = max(lo[0], 1)  # row major = 0: minor > 0 only
-            ok, r, step = _linear_classes(np.full(len(major), nums[j]),
-                                          -(major % p**k) * nums[1 - j], p, k)
-            first, count = _progression_starts(lo, hi, ok, r, step)
-        row_end = np.cumsum(count)
-        row_start = row_end - count
-        npairs = int(row_end[-1])
+            j = int(abs(strip[0][1]) > abs(strip[0][0]))
+            # the row is the line (a, c) = base + t unit, t its minor
+            # coordinate, from 1 in the row major = 0
+            rows = _strip_progressions(
+                strip, j * major, (1 - j) * major, np.full_like(major, 1 - j),
+                np.full_like(major, j), np.where(major, -half, 1), half)
+        npairs, rows = _ragged_layout(*rows)
 
     def run(lo):
-        idx = np.arange(lo, min(lo + _SL2_BLOCK_PAIRS, npairs), dtype=np.int64)
+        hi = min(lo + _SL2_BLOCK_PAIRS, npairs)
         if sq_int is None and strip is None:
-            x, y = np.divmod(idx, side)
+            x, y = np.divmod(np.arange(lo, hi, dtype=np.int64), side)
             x -= bound
             y -= bound
         else:
-            row = np.searchsorted(row_end, idx, side="right")
+            row, y = rows(lo, hi)
             x = major[row]
-            y = idx - row_start[row]
-            if strip is not None:
-                y *= step[row]
-            y += first[row]
         a, c = (x, y) if j else (y, x)
         g = np.gcd(a, c)
         keep = (g > 0) & (det % np.where(g > 0, g, 1) == 0)
@@ -597,12 +602,13 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
         b0, d0, step_a, step_c, tlo, thi, skip = _sl2_columns(
             a, c, det, bound, sq_int, prim_p,
             None if strip is None else 1 - j)
-        if strip is None:
-            work, window = _column_ts(tlo, np.maximum(thi - tlo + 1, 0), 1,
-                                      skip, prim_p)
-        else:
-            work, window = _column_ts(*_strip_progressions(
-                strip, b0, d0, step_a, step_c, tlo, thi))
+        cols = ((tlo, thi - tlo + 1, 1, skip, prim_p) if strip is None else
+                _strip_progressions(strip, b0, d0, step_a, step_c, tlo, thi))
+        work, window = _ragged_layout(*cols)
+        if work > _SL2_BLOCK_WORK:
+            raise CapacityError(
+                f"work guard: one block of first columns would build {work} "
+                f"matrices, over the limit {_SL2_BLOCK_WORK}")
         size = _STRIP_CHUNK_ELEMS if strip else _SL2_CHUNK_ELEMS
         chunks = (_sl2_assemble(a, c, b0, d0, step_a, step_c,
                                 *window(lo, min(lo + size, work)), det, bound,
@@ -903,49 +909,38 @@ def _linear_classes(coef, rhs, p, k):
     return rhs % pf == 0, r, step
 
 
-def _progression_starts(lo, hi, ok, r, step):
-    """First t >= lo with t = r (mod step), and the count of such t <= hi
-    (0 where not ok)."""
-    first = lo + (r - lo) % step
-    count = np.where(ok & (hi >= first), (hi - first) // step + 1, 0)
-    return first, count
-
-
-def _widened_interval(offset, width, slope, lo, hi):
-    """The integers t with |offset + t slope| <= width (slope nonzero), by
-    float ends widened by one on each side and clipped to [lo, hi].  An
-    end past the float range (slope tiny against width, as from a tiny
-    vector entry) clips to [lo, hi]: a superset, which loses no element."""
-    with np.errstate(over="ignore"):
-        e1, e2 = (-width - offset) / slope, (width - offset) / slope
-    low = np.clip(np.minimum(e1, e2), lo - 2, hi + 2)
-    high = np.clip(np.maximum(e1, e2), lo - 2, hi + 2)
-    return (np.maximum(lo, np.ceil(low).astype(np.int64) - 1),
-            np.minimum(hi, np.floor(high).astype(np.int64) + 1))
-
-
 def _strip_progressions(strip, b0, d0, step_a, step_c, tlo, thi):
-    """(first t, count, stride) per column of the second columns (b0 + t
-    step_a, d0 + t step_c) whose t lies in the exact interval tlo <= t <=
-    thi and in the strip (vec, width, nums, p, k): the float interval of
-    |col . vec| <= width widened by one step on each side, and the
-    progression of col . nums = 0 (mod p^k)."""
+    """The one strip cut: (first t, count, stride) per line of columns
+    (b0 + t step_a, d0 + t step_c), the rows of first columns or the
+    second columns, of the t in the exact interval tlo <= t <= thi and in
+    the strip (vec, width, nums, p, k).  |col . vec| <= width is solved
+    in float and widened by one step on each side; an end past the float
+    range (slope tiny against width, as from a tiny vector entry) clips
+    to [tlo, thi], a superset, which loses no element, and a line with
+    col . vec constant keeps its whole interval exactly when the constant
+    lies in the strip.  In it, t runs over the progression of col . nums
+    = 0 (mod p^k) (_linear_classes)."""
     vec, width, nums, p, k = strip
     mod = p**k
-    # the second column . vec = offset + t slope
+    # the column . vec = offset + t slope
     offset = b0 * vec[0] + d0 * vec[1]
     slope = step_a * vec[0] + step_c * vec[1]
     flat = slope == 0
-    t0, t1 = _widened_interval(offset, width, np.where(flat, 1.0, slope),
-                               tlo, thi)
-    # a first column with col . vec = 0 keeps its whole interval exactly
-    # when the constant offset lies in the strip
-    t0 = np.where(flat, tlo, t0)
-    t1 = np.where(flat, np.where(np.abs(offset) > width, tlo - 1, thi), t1)
+    slope[flat] = 1.0
+    with np.errstate(over="ignore"):
+        e1, e2 = (-width - offset) / slope, (width - offset) / slope
+    low = np.clip(np.minimum(e1, e2), tlo - 2, thi + 2)
+    high = np.clip(np.maximum(e1, e2), tlo - 2, thi + 2)
+    t0 = np.where(flat, tlo,
+                  np.maximum(tlo, np.ceil(low).astype(np.int64) - 1))
+    t1 = np.where(flat, np.where(np.abs(offset) > width, tlo - 1, thi),
+                  np.minimum(thi, np.floor(high).astype(np.int64) + 1))
     ok, r, tstep = _linear_classes(
         step_a % mod * nums[0] + step_c % mod * nums[1],
         -(b0 % mod * nums[0] + d0 % mod * nums[1]), p, k)
-    return (*_progression_starts(t0, t1, ok, r, tstep), tstep)
+    first = t0 + (r - t0) % tstep
+    count = np.where(ok & (t1 >= first), (t1 - first) // tstep + 1, 0)
+    return first, count, tstep
 
 
 def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
@@ -982,7 +977,11 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
         raise CapacityError("max-norm strip: over 2^16 rows of first columns")
     if not levels:
         return iter(())
-    vec = np.asarray(vec, dtype=np.float64)
+    # one power of two takes the largest |vec_j| below 2 and radius with
+    # it, an exact scaling of the strip (bar the rounding of a subnormal
+    # entry, far below the absolute margin), so no product of it overflows
+    shift = max(math.frexp(max(map(abs, vec)))[1] - 1, 0)
+    vec, radius = np.ldexp(vec, -shift), math.ldexp(radius, -shift)
     p, top = spec.p or 1, len(levels) - 1
     det, bound, sq, _ = levels[top]
     # every row entry, every (b0, d0) with a nonempty t interval and every
@@ -1138,23 +1137,6 @@ def _size_reduce_basis(ws):
     return ws
 
 
-def _quadratic_interval(qa, qb, qc):
-    """Exact ends tlo, thi of {t in Z : qa t^2 + 2 qb t + qc <= 0} for
-    qa > 0; thi = tlo - 1 where it is empty.
-
-    With the exact integer isqrt of the discriminant, each division
-    candidate is off by at most one and a single polynomial-sign fix
-    per endpoint is enough; the candidates are ordered, so thi >= tlo -
-    1 always."""
-    s = _isqrt_array(np.maximum(qb * qb - qa * qc, 0))
-    tlo = np.floor_divide(-qb - s, qa)
-    thi = np.floor_divide(-qb + s, qa)
-    tlo += tlo * (qa * tlo + 2 * qb) + qc > 0
-    t1 = thi + 1
-    thi += t1 * (qa * t1 + 2 * qb) + qc <= 0
-    return tlo, thi
-
-
 def _last_row_lines(prefix, budget, limit, bound=None, slack=None):
     """The one last-row solver of SL(n): the rows x with det(prefix
     stacked over x) = 1, |x|^2 <= budget and |x_i| <= bound (max norm;
@@ -1266,33 +1248,28 @@ def _last_row_lines(prefix, budget, limit, bound=None, slack=None):
 def _complete_last_row(prefix, budget, bound, limit):
     """All matrices (prefix rows stacked over x) of det 1 in the ball,
     built from the solver's lines (at most ``limit`` per level) in
-    sub-batches of about _CHUNK_PAIRS rows, split by the exact line
-    lengths.  The lines (budget and bound as in _last_row_lines) hold
-    exactly the ball's rows, and every row is checked (in the ball, det
-    1)."""
+    sub-batches of _CHUNK_PAIRS rows (_ragged_layout).  The lines (budget
+    and bound as in _last_row_lines) hold exactly the ball's rows, and
+    every row is checked (in the ball, det 1)."""
     (keep, m, ws, x0), (rep, ys, tlo, thi), _ = _last_row_lines(
         prefix, budget, limit, bound)
     prefix, budget = prefix[keep], budget[keep]
-    lengths = thi - tlo + 1
-    total = int(lengths.sum())
     base = x0[rep] + sum(y[:, None] * ws[rep, j] for j, y in enumerate(ys))
-    step = ws[rep, -1]
-    splits = np.searchsorted(np.cumsum(lengths), np.arange(
-        _CHUNK_PAIRS, total, _CHUNK_PAIRS), side="right")
-    outs = []
-    for sel in np.split(np.arange(len(rep)), splits):
-        line, off = _ragged_arange(lengths[sel])
-        line = sel[line]
-        x = base[line] + (tlo[line] + off)[:, None] * step[line]
+    total, window = _ragged_layout(tlo, thi - tlo + 1)
+    out = np.empty((total, prefix.shape[2], prefix.shape[2]), dtype=np.int64)
+    for lo in range(0, total, _CHUNK_PAIRS):
+        hi = min(lo + _CHUNK_PAIRS, total)
+        line, t = window(lo, hi)
         own = rep[line]
+        x = base[line] + t[:, None] * ws[own, -1]
         outside = (_dot(x, x) > budget[own] if bound is None
                    else np.abs(x) > bound)
         if np.any(outside):
             raise InvariantError("completed last row lies outside the ball")
         if not np.all(_dot(m[own], x) == 1):
             raise InvariantError("completed last row gives det != 1")
-        outs.append(np.concatenate([prefix[own], x[:, None, :]], axis=1))
-    return np.concatenate(outs)
+        out[lo:hi, :-1], out[lo:hi, -1] = prefix[own], x
+    return out
 
 
 class _SlnzPlan:

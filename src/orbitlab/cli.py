@@ -520,12 +520,20 @@ def _volume_rows_stab2(config: RunConfig, ladder):
     g = _matrix2("g", s["g"] or "1,0,0,1")
     rows = []
     for t in ladder:
-        tf = float(t)
+        tf = _float_rung(t)
         skew = ball.skew_volume(g, tf)
         plain = ball.ball_volume(tf)
         ratio = skew / plain if plain else None
         rows.append([t, 0, skew, ratio])
     return rows
+
+
+def _float_rung(t) -> float:
+    """A rung of a float volume case; past the float range, a ConfigError."""
+    try:
+        return float(t)
+    except OverflowError:
+        raise ConfigError("ladder: a rung past the float range") from None
 
 
 def _volume_rows_example31(config: RunConfig, ladder):
@@ -558,8 +566,9 @@ def _volume_rows_unipair(config: RunConfig, ladder):
     rows = []
     for t in ladder:
         t_p = t_p_fixed if t_p_fixed is not None else t
-        skew = ball.skew_volume(g_inf, g_p, float(t), t_p)
-        plain = ball.ball_volume(float(t), t_p)
+        tf = _float_rung(t)
+        skew = ball.skew_volume(g_inf, g_p, tf, t_p)
+        plain = ball.ball_volume(tf, t_p)
         ratio = skew / plain if plain else None
         rows.append([t, floor_log(t_p, p) % 2, skew, ratio])
     return rows
@@ -634,7 +643,7 @@ def _cmd_asymptotics(config: RunConfig) -> None:
             raise ConfigError(f"{s['input']}:{lineno}: {len(row)} cells, "
                               f"the header has {len(header)}")
         ts.append(_parse_number("t", row[it]))
-        vols.append(float(_parse_exact_value(row[iv])))
+        vols.append(_parse_exact_value(row[iv]))
     try:
         profile = fit_asymptotics(ts, vols, p, moduli=moduli, tol=float(tol),
                                   min_per_class=min_per_class)

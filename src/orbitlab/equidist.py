@@ -565,8 +565,9 @@ class _ChunkEvaluator:
     """Per-chunk orbit points and test masks for one fixed vector.
 
     ``entry_bound`` bounds |entry| of every matrix to come; it is
-    checked once here against the int64 headroom of the finite-place
-    action.  Without it, each chunk is checked as it arrives."""
+    checked once here against the float range of the real place and the
+    int64 headroom of the finite-place action (_check_headroom).
+    Without it, each chunk is checked as it arrives."""
 
     def __init__(self, v: OrbitVector, tests, entry_bound=None):
         self.v = v
@@ -578,15 +579,22 @@ class _ChunkEvaluator:
             if v.fin is None:
                 raise ConfigError("p-adic tests need a finite-place vector")
             self.fin = _FinAction.for_vector(v)
-            if entry_bound is not None:
-                self._check_headroom(entry_bound)
         self.entry_bound = entry_bound
         self.vec = v.inf_floats()
+        if entry_bound is not None:
+            self._check_headroom(entry_bound)
 
     def _check_headroom(self, bound):
-        """|(mats @ nums)_i| <= n * bound * max|nums| must fit in int64."""
-        top = max(abs(int(x)) for x in self.fin.nums)
-        if len(self.fin.nums) * int(bound) * top > _INT64_MAX:
+        """Orbit points of n x n matrices with entries up to ``bound``:
+        each sum of _column_sums is at most bound sum|v_j|, and n times
+        that (which bounds np.hypot of two of them) must be a float;
+        |(mats @ nums)_i| <= n bound max|nums| must fit in int64."""
+        if self.need_real and math.isinf(
+                len(self.vec) * int(bound) * sum(map(abs, self.vec.tolist()))):
+            raise ConfigError(f"v_inf: orbit points past the float range "
+                              f"at matrix entries up to {bound}")
+        top = max(abs(int(x)) for x in self.fin.nums) if self.need_fin else 0
+        if len(self.vec) * int(bound) * top > _INT64_MAX:
             raise ConfigError(
                 f"finite-place action overflows int64: matrix entries up to "
                 f"{bound} times v_fin numerators up to {top}")
@@ -605,13 +613,13 @@ class _ChunkEvaluator:
         shifted (an exact quotient)."""
         if mats.shape[1] != len(self.vec):
             raise ConfigError("vector and matrix dimensions disagree")
+        if self.entry_bound is None:
+            self._check_headroom(np.abs(mats).max())
         if self.need_real:
             w = _column_sums(mats, self.vec)
             if levels.any():  # p^m is exact in int64 and in float64
                 w = w / np.power(self.v.p, levels)[:, None]
         if self.need_fin:
-            if self.entry_bound is None:
-                self._check_headroom(np.abs(mats).max())
             p = self.v.p
             nums = _column_sums(mats, self.fin.nums)
             minv = _content_valuation(nums.T, p)

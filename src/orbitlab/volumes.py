@@ -454,8 +454,10 @@ def fit_asymptotics(ts, vols, p, moduli=(1, 2), e_candidates=(0, 1, 2),
     """
     # class labels come from the exact radii; only the regression uses floats
     js = [floor_log(t, p) for t in ts]
-    ts = [float(t) for t in ts]
-    vols = [float(v) for v in vols]
+    try:
+        ts, vols = [float(t) for t in ts], [float(v) for v in vols]
+    except OverflowError:
+        raise ValueError("radii or volumes past the float range") from None
     if len(ts) != len(vols) or not ts:
         raise ValueError("need matching nonempty samples")
     if min(ts) <= 1.0 or min(vols) <= 0.0:

@@ -286,6 +286,15 @@ def test_volume_unipair_table_matches_library(tmp_path):
      "p: a prime is required"),
     (["volume", "--case", "stab2", "--ladder", "4,2,3", "--params",
       "v=1e400,1"], "v: value past the float range"),
+    # the float cases need float rungs; the exact ones take any ladder
+    (["volume", "--case", "stab2", "--ladder", "1e200,1e200,3"],
+     "ladder: a rung past the float range"),
+    (["volume", "--case", "stab2", "--ladder", "1e300,1e10,3"],
+     "ladder: a rung past the float range"),
+    (["volume", "--case", "unipair", "--p", 2, "--ladder", "1e200,1e200,3"],
+     "ladder: a rung past the float range"),
+    (["volume", "--case", "unipair", "--p", 2, "--ladder", "1e300,1e10,3"],
+     "ladder: a rung past the float range"),
     (["asymptotics", "--in", "short.csv", "--p", 3], "short.csv:3: 2 cells"),
     (["asymptotics", "--in", "vols.csv", "--p", 1], "p: a prime is required"),
     (["asymptotics", "--in", "vols.csv", "--p", 0], "p: a prime is required"),
@@ -306,7 +315,8 @@ def test_volume_unipair_table_matches_library(tmp_path):
      "min_per_class: must be at least 1"),
 ], ids=["stab2-v-zero", "unipair-v-zero", "unipair-v_fin-zero",
         "unipair-t_p-zero", "unipair-t_p-negative", "example31-p-composite",
-        "stab2-v-past-float-range",
+        "stab2-v-past-float-range", "stab2-ladder-1e200", "stab2-ladder-1e300",
+        "unipair-ladder-1e200", "unipair-ladder-1e300",
         "asymptotics-short-row", "asymptotics-p-1", "asymptotics-p-0",
         "asymptotics-p-composite", "asymptotics-tol-negative",
         "asymptotics-tol-inf", "asymptotics-moduli-0",
@@ -324,6 +334,28 @@ def test_degenerate_volume_inputs_exit_code(argv, message, capsys,
     assert run(*argv, "--out", "x.out") == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("column", [0, 2], ids=["t", "volume"])
+def test_asymptotics_past_float_range_exit_code(column, capsys, tmp_path):
+    # exact cells past the float range are a configuration error
+    table = [["t", "class", "volume", "ratio"]] + [
+        [str(3**k), str(k % 2), str(9**k), "1"] for k in range(16)]
+    table[5][column] = "1e400"
+    vols, fit = tmp_path / "vols.csv", tmp_path / "fit.json"
+    vols.write_text("".join(",".join(row) + "\n" for row in table))
+    assert run("asymptotics", "--in", vols, "--p", 3, "--out", fit) == 2
+    assert ("error: radii or volumes past the float range"
+            in capsys.readouterr().err)
+    assert not fit.exists()
+
+
+@pytest.mark.parametrize("case", ["example31", "padicball"])
+def test_exact_volume_cases_take_rungs_past_the_float_range(case, tmp_path):
+    out = tmp_path / "v.csv"
+    assert run("volume", "--case", case, "--p", 3, "--ladder", "3,3,700",
+               "--out", out) == 0
+    assert _csv_body(out)[-1][0] == str(3**700)
 
 
 def test_asymptotics_divergence_exit_code(tmp_path):
@@ -471,14 +503,17 @@ def test_orbit_bad_value_exit_code(key, value, capsys, monkeypatch, tmp_path):
     ("a21", "1e-400,1", "annulus(1,2)"),  # its double is 0: the same rule
     # a normal entry, tiny against the radius of the test
     ("a21", "1e-300,1", "annulus(1,1e10)"),
-    ("a22", "1e-320,1", "shell(0)")])
+    ("a22", "1e-320,1", "shell(0)"),
+    # entries near the float maximum: a p-adic test forms no float orbit
+    # point, and the strip scales v by a power of two
+    ("a22", "1e308,1e308", "shell(0)"), ("a22", "1e308,1", "shell(0)")])
 @pytest.mark.parametrize("norm", ["frobenius", "max"])
 def test_orbit_tiny_entry_loses_no_hit(application, v_inf, test, norm,
                                          monkeypatch, tmp_path):
     # every entry runs at its nearest double, 0 or subnormal; a strip
     # interval divided by it past the float range widens to its whole
-    # row, so the run warns of no overflow and counts what the whole
-    # ball gives
+    # row, and entries near the float maximum scale the strip down, so
+    # the run warns of no overflow and counts what the whole ball gives
     monkeypatch.chdir(tmp_path)
     fin = "v_fin = 1,3\np = 2\n" if application == "a22" else ""
     (tmp_path / "run.conf").write_text(
@@ -496,6 +531,26 @@ def test_orbit_tiny_entry_loses_no_hit(application, v_inf, test, norm,
         assert row["count"] == orbit_sum(iter_ball_chunks(spec), v,
                                          parse_test(test, p=p), 1.0)
     assert any(row["count"] for row in doc["rows"])
+
+
+@pytest.mark.parametrize("application,test", [
+    ("a21", "annulus(1,2)"), ("a22", "product(annulus(1,2),shell(0))")])
+@pytest.mark.parametrize("v_inf", ["1e308,1e308", "1e308,1"])
+@pytest.mark.parametrize("norm", ["frobenius", "max"])
+def test_orbit_huge_entry_exit_code(application, test, v_inf, norm, capsys,
+                                    monkeypatch, tmp_path):
+    # a float orbit point of the ball (entries up to 8) would overflow: a
+    # configuration error before any chunk, not an overflow warning
+    monkeypatch.chdir(tmp_path)
+    fin = "v_fin = 1,3\np = 2\n" if application == "a22" else ""
+    (tmp_path / "run.conf").write_text(
+        f"application = {application}\nv_inf = {v_inf}\n{fin}norm = {norm}\n"
+        f"ladder = 4,2,2\ntests = {test}\nout_json = o.json\n"
+        "out_csv = o.csv\n")
+    assert run("orbit", "--config", "run.conf") == 2
+    assert "error: v_inf: orbit points past the float range" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_orbit_flags_rational_direction_exactly(monkeypatch, tmp_path):

@@ -315,6 +315,34 @@ def test_sl3_counts_pinned(t, count):
     assert ball_count(spec, workers=2) == count
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ragged_layout_matches_plain_pairs(p):
+    # the one (line, t) layout against a plain list of its pairs: random
+    # lengths with zeros, one stride or one per line, skipped residues
+    # mod p or none, and windows that begin and end inside lines
+    rng = np.random.default_rng(p)
+    for trial in range(60):
+        n = int(rng.integers(1, 12))
+        lengths = rng.integers(0, 9, n)
+        lengths[rng.random(n) < 0.3] = 0
+        start = rng.integers(-20, 20, n)
+        stride = (int(rng.integers(1, 4)) if trial % 2
+                  else rng.integers(1, 5, n))
+        skip = (None if trial % 3 == 0 else
+                np.where(rng.random(n) < 0.5, rng.integers(0, p, n), -1))
+        steps = np.broadcast_to(stride, n)
+        pairs = [(r, int(start[r] + steps[r] * o))
+                 for r in range(n) for o in range(lengths[r])
+                 if skip is None or skip[r] < 0 or o % p != skip[r]]
+        before = lengths.copy()
+        total, window = balls._ragged_layout(start, lengths, stride, skip, p)
+        assert total == len(pairs) and np.array_equal(lengths, before)
+        cuts = sorted({0, total, *rng.integers(0, total + 1, 5).tolist()})
+        for lo, hi in zip(cuts, cuts[1:]):
+            rep, t = window(lo, hi)
+            assert list(zip(rep.tolist(), t.tolist())) == pairs[lo:hi]
+
+
 def test_quadratic_interval_is_exact():
     rng = np.random.default_rng(8)
     qa = rng.integers(1, 40, 3000)
@@ -868,20 +896,19 @@ def _column_order(entries):
 
 
 def _count_built(monkeypatch):
-    """Counter of the matrices the SL(2) engine lays out (one
-    _ragged_arange call per block).  The worker threads add to it under a
-    lock: a bare += may lose the count of a block."""
+    """Counter of the matrices the SL(2) engine builds: the columns
+    ``rep`` of each _sl2_assemble call.  The worker threads add to it
+    under a lock: a bare += may lose the count of a chunk."""
     built = [0]
-    real = balls._ragged_arange
+    real = balls._sl2_assemble
     lock = threading.Lock()
 
-    def counting(lengths):
-        n = int(np.sum(lengths))
+    def counting(a, c, b0, d0, step_a, step_c, rep, *args):
         with lock:
-            built[0] += n
-        return real(lengths)
+            built[0] += len(rep)
+        return real(a, c, b0, d0, step_a, step_c, rep, *args)
 
-    monkeypatch.setattr(balls, "_ragged_arange", counting)
+    monkeypatch.setattr(balls, "_sl2_assemble", counting)
     return built
 
 

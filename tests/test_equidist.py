@@ -619,19 +619,19 @@ def test_run_experiment_window_binning():
 def test_windowed_run_builds_level_zero_only(monkeypatch):
     # a window keeps level 0 alone, so a windowed SL(2,Z[1/p]) run lays
     # out the level-0 ball (6,180 matrices at T = 32) and not every level
-    # (12,548,820).  Counted as the SL(2) engine lays them out: one
-    # _ragged_arange per block, on one worker.  Totals and hits are those
-    # of orbit_sum(window=) over the full stream of every level, checked
-    # here up to T = 16; the T = 32 values are those of the full stream
-    # too, pinned because it takes seconds per test.
+    # (12,548,820).  Counted as the SL(2) engine builds them: the columns
+    # of each _sl2_assemble call, on one worker.  Totals and hits are
+    # those of orbit_sum(window=) over the full stream of every level,
+    # checked here up to T = 16; the T = 32 values are those of the full
+    # stream too, pinned because it takes seconds per test.
     built = [0]
-    ragged = balls._ragged_arange
+    assemble = balls._sl2_assemble
 
-    def counting(lengths):
-        built[0] += int(np.sum(lengths))
-        return ragged(lengths)
+    def counting(a, c, b0, d0, step_a, step_c, rep, *args):
+        built[0] += len(rep)
+        return assemble(a, c, b0, d0, step_a, step_c, rep, *args)
 
-    monkeypatch.setattr(balls, "_ragged_arange", counting)
+    monkeypatch.setattr(balls, "_sl2_assemble", counting)
     win = CongruenceWindow(2, 1, reps=((1, 0, 0, 1),))
     tests = tuple(parse_test(tok, p=2) for tok in (
         "product(annulus(1,2),shell(0))", "product(annulus(1,3),shell(0))",
