@@ -125,6 +125,10 @@ def resolve_workers(workers=None) -> int:
     return min(workers, cores)
 
 
+GROUPS = ("sl2z", "sl2zp", "slnz")
+NORMS = ("frobenius", "max")
+
+
 @dataclass(frozen=True)
 class BallSpec:
     """What to enumerate: group, size, radii, norm kind, capacity."""
@@ -139,7 +143,7 @@ class BallSpec:
 
     def __post_init__(self):
         problems = []
-        if self.group not in ("sl2z", "sl2zp", "slnz"):
+        if self.group not in GROUPS:
             problems.append(f"unknown group {self.group!r}")
         if self.group in ("sl2z", "sl2zp") and self.n != 2:
             problems.append("sl2 groups are 2x2")
@@ -150,7 +154,7 @@ class BallSpec:
                 problems.append(f"sl2zp needs a prime p, got {self.p}")
         elif self.p:
             problems.append("p is only meaningful for sl2zp")
-        if self.norm not in ("frobenius", "max"):
+        if self.norm not in NORMS:
             problems.append(f"unknown norm {self.norm!r}")
         if self.capacity < 1:
             problems.append("capacity must be positive")

@@ -6,15 +6,15 @@ geometric ladder, ``asymptotics`` fits residue-class growth laws to a
 volume table, ``orbit`` runs a distribution experiment, and ``report``
 merges compatible CSV tables.
 
-Configuration is a flat key-value namespace per subcommand, declared
-once in ``_SCHEMAS``.  Values come from a config file (``--config``),
-generic ``--set key=value`` pairs, or dedicated flags; any command line
-value wins over the file with a recorded warning, and dedicated flags
-win over ``--set``.  ``_SUBCOMMANDS`` maps each dedicated flag to its
-schema key, whose choices the flag offers; one loop over argv reads
-them (flags are spelled out in full), and parse_config checks every
-value.  Unknown keys are rejected by name, and every violation is
-reported in one pass.
+Configuration is a flat key-value namespace per subcommand.
+``_SUBCOMMANDS`` declares each subcommand once: its help line, its
+handler and its keys, each a ``_Key`` with its kind, default, flag and
+value rule.  Values come from a config file (``--config``), ``--set
+key=value`` pairs, or dedicated flags (spelled out in full); a command
+line value wins over the file with a recorded warning, and a flag wins
+over ``--set``.  parse_config checks every key in one pass and reports
+every violation together; checks across keys follow once each key
+passes, and the handlers check files, primes, vectors and tests.
 
 The orbit JSON report is its ``DistributionReport`` dataclass as
 written, with ``normalizer_label`` named ``normalizer`` and each row's
@@ -37,12 +37,20 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .balls import (
+    GROUPS,
+    NORMS,
     BallSpec,
     CongruenceWindow,
     iter_ball_chunks,
     norm_sq,
 )
-from .equidist import ExperimentConfig, OrbitVector, parse_test, run_experiment
+from .equidist import (
+    APPLICATIONS,
+    ExperimentConfig,
+    OrbitVector,
+    parse_test,
+    run_experiment,
+)
 from .errors import (
     CapacityError,
     ConfigError,
@@ -154,67 +162,15 @@ def _write_text(text: str, path: str) -> str:
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str                    # int | num | str | path | choice
-    default: str | None = None   # None = required
+    """One config key of a subcommand: its kind, its default (None:
+    required), its dedicated flag, and its value rule: the values it
+    accepts, or the least value of a number (of each entry of a list)."""
+
+    kind: str            # int | ints | num | ladder | str | path | out
+    default: str | None = None
     choices: tuple = ()
-
-
-_SCHEMAS = {
-    "enumerate": dict(
-        group=_Key("choice", None, ("sl2z", "sl2zp", "slnz")),
-        n=_Key("int", "2"),
-        p=_Key("int", "0"),
-        t_inf=_Key("num"),
-        t_p=_Key("str", ""),
-        norm=_Key("choice", "frobenius", ("frobenius", "max")),
-        window=_Key("path", ""),
-        out=_Key("path"),
-        capacity=_Key("int", "100000000"),
-        workers=_Key("int", "0"),
-    ),
-    "volume": dict(
-        case=_Key("choice", None, ("stab2", "example31", "unipair", "padicball")),
-        ladder=_Key("str"),
-        out=_Key("path"),
-        p=_Key("int", "0"),
-        v=_Key("str", ""),
-        v_fin=_Key("str", ""),
-        g=_Key("str", ""),
-        g_inf=_Key("str", ""),
-        g_p=_Key("str", ""),
-        t_p=_Key("str", ""),
-    ),
-    "asymptotics": dict(
-        input=_Key("path"),
-        p=_Key("int"),
-        out=_Key("path"),
-        moduli=_Key("str", "1,2"),
-        tol=_Key("num", "1/1000000"),
-        min_per_class=_Key("int", "8"),
-    ),
-    "orbit": dict(
-        application=_Key("choice", None, ("ledrappier", "a21", "a22", "wedge")),
-        v_inf=_Key("str"),
-        v_fin=_Key("str", ""),
-        p=_Key("int", "0"),
-        ladder=_Key("str"),
-        tests=_Key("str", ""),
-        window=_Key("path", ""),
-        n=_Key("int", "2"),
-        k=_Key("int", "1"),
-        norm=_Key("choice", "frobenius", ("frobenius", "max")),
-        capacity=_Key("int", "100000000"),
-        workers=_Key("int", "0"),
-        seed=_Key("int", "7"),
-        precision=_Key("int", "0"),
-        out_json=_Key("path"),
-        out_csv=_Key("path"),
-    ),
-    "report": dict(
-        inputs=_Key("str"),
-        out=_Key("path"),
-    ),
-}
+    flag: str = ""
+    low: int | None = None
 
 
 @dataclass(frozen=True)
@@ -256,20 +212,34 @@ def _parse_number(name: str, raw: str) -> Fraction:
 
 
 def _canon(name: str, spec: _Key, raw: str) -> str:
+    """``raw`` in canonical form, checked against the key's kind and
+    rule; a list of integers keeps its spelling in the config echo."""
     raw = raw.strip()
-    if spec.kind == "int":
-        try:
-            return str(int(raw))
-        except ValueError:
-            raise ConfigError(f"{name}: expected an integer, got {raw!r}")
-    if spec.kind == "num":
-        return str(_parse_number(name, raw))
-    if spec.kind == "choice":
-        if raw not in spec.choices:
-            raise ConfigError(
-                f"{name}: expected one of {', '.join(spec.choices)}, got {raw!r}")
+    if raw == spec.default == "":  # an optional key left empty
         return raw
-    return raw
+    if spec.kind == "ladder":
+        _parse_ladder(raw)
+    numbers = []
+    if spec.kind == "num":
+        numbers = [_parse_number(name, raw)]
+    elif spec.kind in ("int", "ints"):
+        try:
+            numbers = [int(x) for x in
+                       (raw.split(",") if spec.kind == "ints" else [raw])]
+        except ValueError:
+            what = {"int": "an integer", "ints": "integers"}[spec.kind]
+            raise ConfigError(f"{name}: expected {what}, got {raw!r}")
+    if spec.low is not None and min(numbers) < spec.low:
+        each = "each " if spec.kind == "ints" else ""
+        raise ConfigError(
+            f"{name}: {each}must be at least {spec.low}, got {raw!r}")
+    value = str(numbers[0]) if spec.kind in ("int", "num") else raw
+    if spec.choices and value not in spec.choices:
+        raise ConfigError(
+            f"{name}: expected one of {', '.join(spec.choices)}, got {raw!r}")
+    if spec.kind == "out" and (problem := _writable_problem(value)):
+        raise ConfigError(f"{name}: {problem}")
+    return value
 
 
 def _read_kv_file(path: str) -> dict:
@@ -310,30 +280,9 @@ def _writable_problem(path: str) -> str:
 
 def _cross_checks(subcommand: str, settings: dict) -> list:
     problems = []
-    for key in ("out", "out_json", "out_csv"):
-        if key in settings:
-            msg = _writable_problem(settings[key])
-            if msg:
-                problems.append(f"{key}: {msg}")
-    if subcommand == "enumerate":
-        if settings["group"] == "sl2zp" and not settings["t_p"]:
+    if subcommand == "enumerate" and settings["group"] == "sl2zp":
+        if not settings["t_p"]:
             problems.append("t_p: required for group sl2zp")
-        if settings["t_p"]:
-            try:
-                _parse_number("t_p", settings["t_p"])
-            except ConfigError as exc:
-                problems.extend(exc.problems)
-    if subcommand == "orbit" and settings["k"] != "1":
-        problems.append(f"k: orbit runs count vector orbits, wedge degree 1 "
-                        f"only; got {settings['k']}")
-    if subcommand == "orbit" and settings["precision"] != "0":
-        problems.append(f"precision: entries are always correctly rounded, "
-                        f"so only 0 is accepted; got {settings['precision']}")
-    if "ladder" in settings:
-        try:
-            _parse_ladder(settings["ladder"])
-        except ConfigError as exc:
-            problems.extend(exc.problems)
     if subcommand == "report" and not [s for s in settings["inputs"].split(";") if s]:
         problems.append("inputs: at least one CSV file is required")
     return problems
@@ -343,12 +292,12 @@ def parse_config(subcommand: str, flags=None, path: str | None = None) -> RunCon
     """Merge file and flag values into a validated RunConfig.
 
     Flags win over the file; each overridden key is recorded as a
-    warning.  Every unknown key, missing required key, and type
-    mismatch is reported together.
+    warning.  Every unknown key, missing required key, and value that
+    breaks its key's kind or rule is reported together.
     """
-    schema = _SCHEMAS.get(subcommand)
-    if schema is None:
+    if subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    schema = _SUBCOMMANDS[subcommand][2]
     merged = _read_kv_file(path) if path else {}
     warnings = []
     for key, value in dict(flags or {}).items():
@@ -494,7 +443,7 @@ def _cmd_enumerate(config: RunConfig) -> None:
         n=config.integer("n"),
         p=p,
         t_inf=config.number("t_inf"),
-        t_p=_parse_number("t_p", s["t_p"]) if s["t_p"] else None,
+        t_p=config.number("t_p") if s["t_p"] else None,
         norm=s["norm"],
         capacity=config.integer("capacity"),
     )
@@ -595,35 +544,23 @@ def _require_prime(config: RunConfig) -> int:
     return p
 
 
+_VOLUME_CASES = {
+    "stab2": _volume_rows_stab2,
+    "example31": _volume_rows_example31,
+    "unipair": _volume_rows_unipair,
+    "padicball": _volume_rows_padicball,
+}
+
+
 def _cmd_volume(config: RunConfig) -> None:
     s = config.settings
-    ladder = _parse_ladder(s["ladder"])
-    builders = {
-        "stab2": _volume_rows_stab2,
-        "example31": _volume_rows_example31,
-        "unipair": _volume_rows_unipair,
-        "padicball": _volume_rows_padicball,
-    }
-    rows = builders[s["case"]](config, ladder)
+    rows = _VOLUME_CASES[s["case"]](config, _parse_ladder(s["ladder"]))
     emit_report((["t", "class", "volume", "ratio"], rows), "csv", s["out"])
 
 
 def _cmd_asymptotics(config: RunConfig) -> None:
     s = config.settings
     p = _require_prime(config)
-    try:
-        moduli = tuple(int(x) for x in s["moduli"].split(","))
-    except ValueError:
-        raise ConfigError(f"moduli: expected integers, got {s['moduli']!r}")
-    if min(moduli) < 1:
-        raise ConfigError(
-            f"moduli: each must be at least 1, got {s['moduli']!r}")
-    tol, min_per_class = config.number("tol"), config.integer("min_per_class")
-    if tol < 0:
-        raise ConfigError(f"tol: must be >= 0, got {tol}")
-    if min_per_class < 1:
-        raise ConfigError(
-            f"min_per_class: must be at least 1, got {min_per_class}")
     try:
         with open(s["input"], newline="") as fh:
             table = list(csv.reader(fh))
@@ -645,8 +582,10 @@ def _cmd_asymptotics(config: RunConfig) -> None:
         ts.append(_parse_number("t", row[it]))
         vols.append(_parse_exact_value(row[iv]))
     try:
-        profile = fit_asymptotics(ts, vols, p, moduli=moduli, tol=float(tol),
-                                  min_per_class=min_per_class)
+        profile = fit_asymptotics(
+            ts, vols, p, moduli=tuple(map(int, s["moduli"].split(","))),
+            tol=float(config.number("tol")),
+            min_per_class=config.integer("min_per_class"))
     except ValueError as exc:
         raise ConfigError(str(exc))
     doc = {
@@ -737,31 +676,68 @@ def _cmd_report(config: RunConfig) -> None:
     _write_text("\n".join([header, *body]) + "\n", s["out"])
 
 
-_DISPATCH = {
-    "enumerate": _cmd_enumerate,
-    "volume": _cmd_volume,
-    "asymptotics": _cmd_asymptotics,
-    "orbit": _cmd_orbit,
-    "report": _cmd_report,
-}
-
-
 # ---------------------------------------------------------------------------
-# argument parser
+# subcommands and their config keys
 
-# subcommand -> (help line, {dedicated flag: schema key})
+# subcommand -> (help line, handler, {config key: _Key})
 _SUBCOMMANDS = {
-    "enumerate": ("stream a lattice ball to CSV", {
-        "--group": "group", "--n": "n", "--p": "p", "--T-inf": "t_inf",
-        "--T-p": "t_p", "--norm": "norm", "--window": "window",
-        "--out": "out", "--capacity": "capacity", "--workers": "workers"}),
-    "volume": ("tabulate ball and skew-ball volumes", {
-        "--case": "case", "--ladder": "ladder", "--p": "p", "--out": "out"}),
-    "asymptotics": ("fit residue-class growth laws to a volume CSV", {
-        "--in": "input", "--p": "p", "--out": "out", "--moduli": "moduli",
-        "--tol": "tol", "--min-per-class": "min_per_class"}),
-    "orbit": ("run a distribution experiment", {}),
-    "report": ("merge compatible CSV tables", {"--out": "out"}),
+    "enumerate": ("stream a lattice ball to CSV", _cmd_enumerate, dict(
+        group=_Key("str", None, GROUPS, "--group"),
+        n=_Key("int", "2", flag="--n"),
+        p=_Key("int", "0", flag="--p"),
+        t_inf=_Key("num", flag="--T-inf"),
+        t_p=_Key("num", "", flag="--T-p"),
+        norm=_Key("str", "frobenius", NORMS, "--norm"),
+        window=_Key("path", "", flag="--window"),
+        out=_Key("out", flag="--out"),
+        capacity=_Key("int", "100000000", flag="--capacity"),
+        workers=_Key("int", "0", flag="--workers"),
+    )),
+    "volume": ("tabulate ball and skew-ball volumes", _cmd_volume, dict(
+        case=_Key("str", None, tuple(_VOLUME_CASES), "--case"),
+        ladder=_Key("ladder", flag="--ladder"),
+        p=_Key("int", "0", flag="--p"),
+        out=_Key("out", flag="--out"),
+        v=_Key("str", ""),
+        v_fin=_Key("str", ""),
+        g=_Key("str", ""),
+        g_inf=_Key("str", ""),
+        g_p=_Key("str", ""),
+        t_p=_Key("str", ""),
+    )),
+    "asymptotics": ("fit residue-class growth laws to a volume CSV",
+                    _cmd_asymptotics, dict(
+        input=_Key("path", flag="--in"),
+        p=_Key("int", flag="--p"),
+        out=_Key("out", flag="--out"),
+        moduli=_Key("ints", "1,2", flag="--moduli", low=1),
+        tol=_Key("num", "1/1000000", flag="--tol", low=0),
+        min_per_class=_Key("int", "8", flag="--min-per-class", low=1),
+    )),
+    "orbit": ("run a distribution experiment", _cmd_orbit, dict(
+        application=_Key("str", None, tuple(APPLICATIONS)),
+        v_inf=_Key("str"),
+        v_fin=_Key("str", ""),
+        p=_Key("int", "0"),
+        ladder=_Key("ladder"),
+        tests=_Key("str", ""),
+        window=_Key("path", ""),
+        n=_Key("int", "2"),
+        # orbit runs count vector orbits: wedge degree 1
+        k=_Key("int", "1", ("1",)),
+        # entries are always correctly rounded: no precision to set
+        precision=_Key("int", "0", ("0",)),
+        norm=_Key("str", "frobenius", NORMS),
+        capacity=_Key("int", "100000000"),
+        workers=_Key("int", "0"),
+        seed=_Key("int", "7"),
+        out_json=_Key("out"),
+        out_csv=_Key("out"),
+    )),
+    "report": ("merge compatible CSV tables", _cmd_report, dict(
+        inputs=_Key("str"),
+        out=_Key("out", flag="--out"),
+    )),
 }
 
 
@@ -769,11 +745,11 @@ def _help(sub=None) -> str:
     """The --help text: every subcommand, or the flags of one."""
     if sub is None:
         return "usage: orbitlab SUBCOMMAND [--help] ...\n" + "\n".join(
-            f"  {name:<13}{line}" for name, (line, _) in _SUBCOMMANDS.items())
-    line, flags = _SUBCOMMANDS[sub]
+            f"  {name:<13}{line}" for name, (line, *_) in _SUBCOMMANDS.items())
+    line, _, keys = _SUBCOMMANDS[sub]
     extra = {"volume": " [--params KEY=VALUE ...]", "report": " [CSV ...]"}
     usage = [f"usage: orbitlab {sub} [--config FILE] [--set KEY=VALUE]",
-             *(f"[{flag} VALUE]" for flag in flags)]
+             *(f"[{key.flag} VALUE]" for key in keys.values() if key.flag)]
     return f"{line}\n{' '.join(usage)}{extra.get(sub, '')}"
 
 
@@ -787,7 +763,9 @@ def _parse_argv(argv) -> tuple:
     if not argv or argv[0] not in _SUBCOMMANDS:
         raise ConfigError(f"expected a subcommand, one of "
                           f"{', '.join(_SUBCOMMANDS)}; got {argv[:1]}")
-    sub, table, rest = argv[0], _SUBCOMMANDS[argv[0]][1], iter(argv[1:])
+    sub, rest = argv[0], iter(argv[1:])
+    table = {key.flag: name for name, key in _SUBCOMMANDS[sub][2].items()
+             if key.flag}
     pairs, flags, inputs, params = [], {}, [], False
     for arg in rest:
         if not arg.startswith("-") and (params or sub == "report"):
@@ -828,7 +806,7 @@ def main(argv=None) -> int:
         config = parse_config(*_parse_argv(argv))
         for warning in config.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        _DISPATCH[config.subcommand](config)
+        _SUBCOMMANDS[config.subcommand][1](config)
     except ConfigError as exc:
         for msg in exc.problems:
             print(f"error: {msg}", file=sys.stderr)

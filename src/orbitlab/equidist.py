@@ -67,6 +67,7 @@ __all__ = [
     "RealWedgeAnnulus",
     "ProductTest",
     "OrbitVector",
+    "APPLICATIONS",
     "ExperimentConfig",
     "ReportRow",
     "SlopeRecord",
@@ -87,6 +88,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _INT64_MAX = 2**63 - 1
+# application -> the group whose orbits it counts
+APPLICATIONS = {"ledrappier": "sl2z", "a21": "sl2z", "a22": "sl2zp",
+                "wedge": "slnz"}
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +242,31 @@ class RealWedgeAnnulus:
         w = np.atleast_2d(np.asarray(w, dtype=np.float64))
         if w.shape[1] != self.dim:
             raise ConfigError(f"expected dimension {self.dim}, got {w.shape[1]}")
-        r = np.sqrt((w * w).sum(axis=1))
+        # |w| of each row scaled below 2 by a power of two, and back: no
+        # square overflows, and a norm that did not overflow keeps its bits
+        _, e = np.frexp(np.abs(w).max(axis=1))
+        e = np.maximum(e - 1, 0)
+        w = np.ldexp(w, -e[:, None])
+        r = np.ldexp(np.sqrt((w * w).sum(axis=1)), e)
         return (r >= self.r1) & (r <= self.r2)
 
     def predicted(self) -> float:
         """Mass under dw/|w| on R^dim: surface area times radial factor."""
         d = self.dim
-        if d == 1:
-            # both rays contribute log(r2/r1)
-            return 2.0 * math.log(self.r2 / self.r1)
-        area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-        return area * (self.r2 ** (d - 1) - self.r1 ** (d - 1)) / (d - 1)
+        try:
+            if d == 1:
+                # both rays contribute log(r2/r1)
+                mass = 2.0 * math.log(self.r2 / self.r1)
+            else:
+                area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+                mass = area * (self.r2 ** (d - 1)
+                               - self.r1 ** (d - 1)) / (d - 1)
+        except OverflowError:
+            mass = math.inf
+        if math.isinf(mass):
+            raise ConfigError(f"test {self.label}: predicted mass past the "
+                              f"float range")
+        return mass
 
 
 @dataclass(frozen=True)
@@ -409,17 +427,15 @@ def check_density_hypothesis(v: OrbitVector, application: str) -> tuple:
     parsed literals.
     """
     d_inf = _rational_direction(v.inf)
-    if application in ("ledrappier", "a21", "wedge"):
+    if APPLICATIONS[application] != "sl2zp":
         return ("density hypothesis violated",) if d_inf is not None else ()
-    if application == "a22":
-        if v.fin is None:
-            raise ConfigError("a22 needs a finite-place vector")
-        # a rational v_fin always has a rational direction
-        if d_inf is not None and d_inf == _rational_direction(
-                [(e, 1) for e in v.fin]):
-            return ("density hypothesis violated",)
-        return ()
-    raise ConfigError(f"unknown application {application!r}")
+    if v.fin is None:
+        raise ConfigError("a22 needs a finite-place vector")
+    # a rational v_fin always has a rational direction
+    if d_inf is not None and d_inf == _rational_direction(
+            [(e, 1) for e in v.fin]):
+        return ("density hypothesis violated",)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +475,8 @@ def normalizer_value(application: str, t, p: int = 0, n: int = 2) -> float:
     base = tf
     if p:
         base = tf * float(p) ** floor_log(exact_radius(t), p)
-    if application in ("ledrappier", "a21", "a22"):
-        return base
-    if application == "wedge":
+    if APPLICATIONS[application] == "slnz":
         return base ** wedge_normalizer_exponent(n, 1)
-    raise ConfigError(f"unknown application {application!r}")
-
-
-def _normalizer_label(application: str, p: int, n: int) -> str:
-    base = f"T*{p}^E(ln_{p} T)" if p else "T"
-    if application == "wedge":
-        return f"({base})^{wedge_normalizer_exponent(n, 1)}"
     return base
 
 
@@ -495,9 +502,7 @@ def predicted_limit(application: str, tests=(), *, p: int = 0, n: int = 2,
     assertable part.  Window scaling multiplies every prediction by
     the window's Haar mass.
     """
-    if application not in ("ledrappier", "a21", "a22", "wedge"):
-        raise ConfigError(f"unknown application {application!r}")
-    if application == "a22" and not is_prime(p):
+    if APPLICATIONS[application] == "sl2zp" and not is_prime(p):
         raise ConfigError("a22 needs a prime p")
     flags = []
     scale = window_scale(window)
@@ -513,9 +518,12 @@ def predicted_limit(application: str, tests=(), *, p: int = 0, n: int = 2,
         ratios = tuple(None for _ in preds)
         if preds:
             flags.append("reference test has zero mass; ratios undefined")
+    label = f"T*{p}^E(ln_{p} T)" if p else "T"  # as in normalizer_value
+    if APPLICATIONS[application] == "slnz":
+        label = f"({label})^{wedge_normalizer_exponent(n, 1)}"
     return PredictionRecord(
         application=application,
-        normalizer_label=_normalizer_label(application, p, n),
+        normalizer_label=label,
         test_ids=tuple(f.label for f in tests),
         predicted=tuple(preds),
         ratio_targets=ratios,
@@ -573,8 +581,11 @@ class _ChunkEvaluator:
         self.v = v
         self.tests = tuple(tests)
         self.need_real = not all(isinstance(f, PadicShellBox) for f in self.tests)
-        self.need_fin = any(isinstance(f, (PadicShellBox, ProductTest))
-                            for f in self.tests)
+        # a product's p-adic part is a shell like any other
+        shells = [getattr(f, "padic", f) for f in self.tests]
+        self.need_fin = any(isinstance(f, PadicShellBox) for f in shells)
+        self.need_units = any(isinstance(f, PadicShellBox) and f.m
+                              for f in shells)
         if self.need_fin:
             if v.fin is None:
                 raise ConfigError("p-adic tests need a finite-place vector")
@@ -623,8 +634,10 @@ class _ChunkEvaluator:
             p = self.v.p
             nums = _column_sums(mats, self.fin.nums)
             minv = _content_valuation(nums.T, p)
-            k = np.minimum(minv, 62)[:, None]
-            shifted = nums >> k if p == 2 else nums // p**k
+            shifted = None  # read by unit classes only: others have period 1
+            if self.need_units:
+                k = np.minimum(minv, 62)[:, None]
+                shifted = nums >> k if p == 2 else nums // p**k
         seen = {}
 
         def part(f, k):
@@ -738,7 +751,7 @@ class ExperimentConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        if self.application not in ("ledrappier", "a21", "a22", "wedge"):
+        if self.application not in APPLICATIONS:
             raise ConfigError(f"unknown application {self.application!r}")
         if not self.t_ladder:
             raise ConfigError("empty radius ladder")
@@ -769,8 +782,7 @@ class ExperimentConfig:
 
     @property
     def group(self) -> str:
-        return {"ledrappier": "sl2z", "a21": "sl2z",
-                "a22": "sl2zp", "wedge": "slnz"}[self.application]
+        return APPLICATIONS[self.application]
 
     @property
     def p(self) -> int:

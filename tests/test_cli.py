@@ -300,7 +300,7 @@ def test_volume_unipair_table_matches_library(tmp_path):
     (["asymptotics", "--in", "vols.csv", "--p", 0], "p: a prime is required"),
     (["asymptotics", "--in", "vols.csv", "--p", 9], "p: a prime is required"),
     (["asymptotics", "--in", "vols.csv", "--p", 3, "--tol", -1],
-     "tol: must be >= 0"),
+     "tol: must be at least 0"),
     (["asymptotics", "--in", "vols.csv", "--p", 3, "--tol", "inf"],
      "tol: expected a number"),
     (["asymptotics", "--in", "vols.csv", "--p", 3, "--moduli", 0],
@@ -551,6 +551,30 @@ def test_orbit_huge_entry_exit_code(application, test, v_inf, norm, capsys,
     assert "error: v_inf: orbit points past the float range" in (
         capsys.readouterr().err)
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("test,code", [
+    ("wedge(1,1e150,3)", 0),  # orbit points near 1e161: |w|^2 overflows
+    ("wedge(1,1e170,3)", 2),  # its predicted mass, 2 pi r2^2, is no float
+])
+def test_orbit_huge_wedge_point_exit_code(test, code, capsys, monkeypatch,
+                                          tmp_path):
+    # orbit points inside the float range whose squared norms are not:
+    # the wedge test counts them without an overflow warning, and a mass
+    # past the float range is a configuration error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(
+        f"application = wedge\nn = 3\nv_inf = 1e160,1,1\nladder = 2,2,2\n"
+        f"tests = {test}\nout_json = o.json\nout_csv = o.csv\n")
+    assert run("orbit", "--config", "run.conf") == code
+    err = capsys.readouterr().err
+    if code:
+        assert "predicted mass past the float range" in err
+        assert not (tmp_path / "o.json").exists()
+    else:
+        rows = json.loads((tmp_path / "o.json").read_text())["rows"]
+        assert [r["count"] for r in rows] == [0, 0]
 
 
 def test_orbit_flags_rational_direction_exactly(monkeypatch, tmp_path):

@@ -1,12 +1,13 @@
-"""The subcommand table behind the parser, orbit config dimensions, and
-the module attributes the benchmark tracer wraps by name."""
+"""The subcommand table behind the parser and its value rules, orbit
+config dimensions, and the module attributes the benchmark tracer wraps
+by name."""
 
 import pathlib
 
 import pytest
 
 from orbitlab import balls, cli, equidist
-from orbitlab.cli import _SCHEMAS, _SUBCOMMANDS, main
+from orbitlab.cli import _SUBCOMMANDS, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -17,23 +18,22 @@ def _config(argv):
 
 def _value(key, spec, tmp_path):
     """A valid value for ``key`` that differs from every default."""
-    if spec.kind == "path":
+    if spec.kind in ("path", "out"):
         return str(tmp_path / f"{key}.txt")
-    if spec.kind == "choice":
+    if spec.choices:
         return spec.choices[-1]
-    if key == "ladder":
-        return "1,2,3"
-    return {"int": "3", "num": "5/2", "str": "4"}[spec.kind]
+    return {"int": "3", "ints": "4", "num": "5/2", "ladder": "1,2,3",
+            "str": "4"}[spec.kind]
 
 
-_FLAGS = [(sub, flag, key) for sub, (_, flags) in _SUBCOMMANDS.items()
-          for flag, key in flags.items()]
+_FLAGS = [(sub, spec.flag, key) for sub, (_, _, keys) in _SUBCOMMANDS.items()
+          for key, spec in keys.items() if spec.flag]
 
 
 @pytest.mark.parametrize("sub,flag,key", _FLAGS,
                          ids=[f"{sub}{flag}" for sub, flag, _ in _FLAGS])
 def test_dedicated_flag_equals_set(sub, flag, key, tmp_path):
-    schema = _SCHEMAS[sub]
+    schema = _SUBCOMMANDS[sub][2]
     required = [f"{k}={_value(k, spec, tmp_path)}"
                 for k, spec in schema.items()
                 if spec.default is None and k != key]
@@ -42,12 +42,6 @@ def test_dedicated_flag_equals_set(sub, flag, key, tmp_path):
     flagged = _config([*base, flag, value])
     assert flagged == _config([*base, "--set", f"{key}={value}"])
     assert flagged.settings[key] != schema[key].default
-
-
-def test_flag_table_names_schema_keys():
-    assert list(_SUBCOMMANDS) == list(_SCHEMAS)
-    for sub, (_, flags) in _SUBCOMMANDS.items():
-        assert set(flags.values()) <= set(_SCHEMAS[sub]), sub
 
 
 def test_top_level_help_lists_every_subcommand(capsys):
@@ -73,20 +67,63 @@ def test_subcommand_help_lists_its_flags(sub, capsys):
             main(argv)
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert all(flag in out for flag in ("--config", "--set",
-                                            *_SUBCOMMANDS[sub][1]))
+        flags = [spec.flag for spec in _SUBCOMMANDS[sub][2].values()
+                 if spec.flag]
+        assert all(flag in out for flag in ("--config", "--set", *flags))
 
 
 def test_flag_takes_its_value_after_an_equals_sign(tmp_path):
     # --flag=VALUE is --flag VALUE, and a value may start with a dash
     out = str(tmp_path / "o.csv")
     base = ["asymptotics", "--in", "t.csv", "--p", "3", "--out", out]
-    assert _config([*base, "--tol=-1/2"]) == _config([*base, "--tol", "-1/2"])
-    assert _config([*base, "--tol", "-1/2"]).settings["tol"] == "-1/2"
+    assert _config([*base, "--p=-3"]) == _config([*base, "--p", "-3"])
+    assert _config([*base, "--p", "-3"]).settings["p"] == "-3"
     assert _config([*base, "--set=p=5", "--p=7"]).settings["p"] == "7"
     # report's CSV paths may sit before and after its flags
     got = _config(["report", "a.csv", "--out", out, "b.csv"])
     assert got.settings["inputs"] == "a.csv;b.csv"
+
+
+# ---------------------------------------------------------------------------
+# value rules: a least value, or the one value a key accepts
+
+# a valid config of each subcommand that declares a rule
+_VALID = {
+    "asymptotics": {"input": "vols.csv", "p": "3", "out": "a.json"},
+    "orbit": {"application": "a21", "v_inf": "1,sqrt(2)", "ladder": "4,2,2",
+              "tests": "annulus(1,2)", "out_json": "o.json",
+              "out_csv": "o.csv"},
+}
+_RULES = [(sub, key, spec) for sub, (_, _, keys) in _SUBCOMMANDS.items()
+          for key, spec in keys.items()
+          if spec.low is not None or len(spec.choices) == 1]
+
+
+@pytest.mark.parametrize("sub,key,spec", _RULES,
+                         ids=[f"{sub}-{key}" for sub, key, _ in _RULES])
+def test_value_outside_its_rule_exit_code(sub, key, spec, capsys,
+                                          monkeypatch, tmp_path):
+    # the value at the rule's edge passes the parse, one past it exits 2
+    # with an error that names the key, before anything is written
+    monkeypatch.chdir(tmp_path)
+    edge = int(spec.choices[0]) if spec.choices else spec.low
+    pairs = [a for k, v in _VALID[sub].items() for a in ("--set", f"{k}={v}")]
+    assert _config([sub, *pairs, "--set", f"{key}={edge}"])
+    bad = edge + 1 if spec.choices else edge - 1
+    assert main([sub, *pairs, "--set", f"{key}={bad}"]) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_rule_is_reported_in_one_pass(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(["asymptotics", "--in", "v.csv", "--p", "3", "--out",
+                 "a.json", "--tol", "-1", "--min-per-class", "0",
+                 "--moduli", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert sorted(line.split(":")[1] for line in err) == [
+        " min_per_class", " moduli", " tol"]
+    assert all(line.startswith("error: ") for line in err)
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -204,6 +204,25 @@ def test_wedge_prediction_dim_3_and_1():
     assert RealWedgeAnnulus(1.0, math.e, 1).predicted() == pytest.approx(2.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wedge_norm_keeps_its_bits_past_the_square_range():
+    # rows whose squares are floats keep the bits of sqrt(sum w^2), so the
+    # edges of every interval fall on the same rows; rows whose squares
+    # pass the float range are measured without an overflow
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((3000, 3)) * 10.0 ** rng.integers(-150, 150,
+                                                              (3000, 1))
+    r = np.sort(np.sqrt((w * w).sum(axis=1)))
+    for lo, hi in zip(r[::7], r[3::7]):
+        got = RealWedgeAnnulus(lo, hi, 3).contains(w)
+        assert got.sum() == ((r >= lo) & (r <= hi)).sum() >= 4
+    huge = RealWedgeAnnulus(1e300, 2e300, 2).contains([[1e300, 1e300],
+                                                       [1e300, 2e300]])
+    assert huge.tolist() == [True, False]
+    with pytest.raises(ConfigError, match="past the float range"):
+        RealWedgeAnnulus(1.0, 1e170, 3).predicted()
+
+
 def test_product_prediction_factors_exactly():
     f = ProductTest(RealAnnulusSector(1, 2), PadicShellBox(2, 1, 1, ((1, 1),)))
     re, qp = f.predicted_parts()
@@ -1017,6 +1036,24 @@ def test_strip_route_keeps_elements_on_the_annulus_boundary(p, v_inf,
     cfg = ExperimentConfig(
         application="a22" if p else "ledrappier", v=v, t_ladder=(9, 20),
         tests=tuple(parse_test(tok, p=p) for tok in tokens), capacity=10**6)
+    strip, stream = _both_routes(cfg, monkeypatch)
+    assert _cells(strip) == _cells(stream)
+
+
+@pytest.mark.parametrize("ladder,v_fin,tokens", [
+    # every rung below 1: no level, an empty strip
+    ((Fraction(1, 4), Fraction(1, 2)), ("1", "3"),
+     ("product(annulus(1,2),shell(0))", "shell(1)")),
+    # shells of a vector with denominator 2^40: the row congruence mod
+    # 2^40 is cut below 2^30
+    ((2, 4), ("1/1099511627776", "1"), ("shell(0)", "shell(2,1,1:0)")),
+], ids=["rungs-below-1", "congruence-past-2^30"])
+def test_strip_route_edge_cases_match_stream(ladder, v_fin, tokens,
+                                             monkeypatch):
+    cfg = ExperimentConfig(
+        application="a22",
+        v=OrbitVector.make(("1", "sqrt(2)"), fin=v_fin, p=2),
+        t_ladder=ladder, tests=tuple(parse_test(t, p=2) for t in tokens))
     strip, stream = _both_routes(cfg, monkeypatch)
     assert _cells(strip) == _cells(stream)
 

@@ -1,5 +1,6 @@
-"""Every export resolves, every demo imports, src holds no assert, and
-importing orbitlab starts no thread and leaves the environment alone."""
+"""Every export resolves, every demo imports, src holds no assert and
+spells out each name set once, and importing orbitlab starts no thread
+and leaves the environment alone."""
 
 import ast
 import importlib
@@ -73,6 +74,38 @@ def test_every_module_is_imported_by_another():
                and not any(name in names for stem, names in imported.items()
                            if f"orbitlab.{stem}" != name)]
     assert not orphans, f"no other src module imports {orphans}"
+
+
+# every closed set of names, each declared where its behaviour lives
+_NAME_SETS = {
+    "subcommands": {"enumerate", "volume", "asymptotics", "orbit", "report"},
+    "groups": {"sl2z", "sl2zp", "slnz"},
+    "norms": {"frobenius", "max"},
+    "applications": {"ledrappier", "a21", "a22", "wedge"},
+    "volume cases": {"stab2", "example31", "unipair", "padicball"},
+}
+
+
+def _string_sets(path):
+    """The strings of each tuple, list or set literal of ``path`` whose
+    items are all string constants, and the keys of each such dict."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Dict):
+            items = node.keys
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            items = node.elts
+        else:
+            continue
+        if items and all(isinstance(i, ast.Constant)
+                         and isinstance(i.value, str) for i in items):
+            yield {i.value for i in items}
+
+
+def test_each_name_set_is_spelled_out_once():
+    # a second literal of a name set is a second definition to keep in step
+    found = [names for path in SOURCES for names in _string_sets(path)]
+    counts = {name: found.count(names) for name, names in _NAME_SETS.items()}
+    assert counts == dict.fromkeys(_NAME_SETS, 1)
 
 
 # ---------------------------------------------------------------------------
