@@ -367,7 +367,9 @@ def _pool_map(fn, args_list, workers):
 
 
 class _CapacityMeter:
-    """Emitted elements of one ball against its capacity."""
+    """The running count of one ball against its capacity, charged by the
+    count paths (sl2_ladder_totals, ball_count) as they go, so that an
+    over-capacity ball fails before its count completes."""
 
     def __init__(self, limit):
         self.limit = limit
@@ -426,8 +428,14 @@ def _check_sl2_headroom(det, bound, sq_int):
         worst = max(worst, span * span // 4, det * det)
     if worst >= _INT_HEADROOM:
         raise CapacityError(
-            f"radius out of the supported int64 range: det {det} at radius "
-            f"{bound} needs products up to {worst} >= 2^62")
+            f"radius out of the supported int64 range: det {_magnitude(det)} "
+            f"at radius {_magnitude(bound)} needs products up to "
+            f"2^{math.log2(worst):.1f} >= 2^62")
+
+
+def _magnitude(x: int) -> str:
+    """x in full below 2^64, else as a power of two to one decimal."""
+    return str(x) if x < 1 << 64 else f"2^{math.log2(x):.1f}"
 
 
 def _sl2_columns(a, c, det, bound, sq_int, prim_p=None, major=None):
@@ -509,11 +517,10 @@ def _sl2_columns(a, c, det, bound, sq_int, prim_p=None, major=None):
 
 
 def _sl2_assemble(a, c, b0, d0, step_a, step_c, rep, tt, det, bound, sq_int,
-                  prim_p, meter):
+                  prim_p):
     """The matrices [[a, b0 + t step_a], [c, d0 + t step_c]] of the
     columns ``rep`` at ``tt``, each row checked to lie in the ball, to
-    have det ``det`` and, with prim_p, not to vanish mod p; ``meter`` is
-    charged with them."""
+    have det ``det`` and, with prim_p, not to vanish mod p."""
     aa, cc = a[rep], c[rep]
     bb = b0[rep] + tt * step_a[rep]
     dd = d0[rep] + tt * step_c[rep]
@@ -533,11 +540,10 @@ def _sl2_assemble(a, c, b0, d0, step_a, step_c, rep, tt, det, bound, sq_int,
     out = np.empty((len(rep), 2, 2), dtype=np.int64)
     out[:, 0, 0], out[:, 0, 1] = aa, bb
     out[:, 1, 0], out[:, 1, 1] = cc, dd
-    meter.add(len(out))
     return out
 
 
-def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
+def _sl2_det_blocks(det, bound, sq_int, prim_p, workers, strip=None):
     """Chunks of integer matrices N = [[a,b],[c,d]], det N = det; the one
     SL(2) engine, for the whole ball and for test strips.
 
@@ -548,13 +554,14 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
     sq_int - 1 or the max-norm square |a|, |c| <= bound in rows of the
     major coordinate, each a progression (first, count, step) of the minor
     one, in blocks of _SL2_BLOCK_PAIRS pairs laid out as the second
-    columns are, by _ragged_layout (a square without a strip is indexed
-    by divmod).  Without a strip a is major and c runs with step 1: the
-    sl2z order.
+    columns are, by _ragged_layout: at most 2 bound + 1 rows, of the
+    order of the square root of the ball's count, which the callers check
+    against the capacity first.  Without a strip a is major and c runs
+    with step 1: the sl2z order.
     Only the matrices that belong to the ball are built: the exact
     t-intervals of _sl2_columns without their residue class mod p that
     vanishes.  Every row is checked all the same (in the ball, det,
-    nonzero mod p), and ``meter`` is charged with the emitted matrices.
+    nonzero mod p).
 
     ``strip = (vec, width, nums, p, k)`` keeps a superset of the N whose
     columns x have |x . vec| <= width and x . nums = 0 (mod p^k): the
@@ -568,37 +575,26 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
     and the second column x2 with |x2|^2 < |x1|^2, or |x2|^2 = |x1|^2 and
     x2 in H (_sl2_columns caps each t-interval exactly).  Its chunks, of
     _STRIP_CHUNK_ELEMS, are built as they are taken."""
-    j = 1  # the minor coordinate of the first column
-    if sq_int is None and strip is None:
-        side = 2 * bound + 1
-        npairs = side * side
-    elif sq_int == 0:
+    if sq_int == 0:
         return
-    else:
-        amax = bound if sq_int is None else math.isqrt(sq_int - 1)
-        major = np.arange(-amax if strip is None else 0, amax + 1,
-                          dtype=np.int64)
-        half = (np.full(len(major), bound) if sq_int is None
-                else _isqrt_array(sq_int - 1 - major * major))
-        rows = -half, 2 * half + 1
-        if strip is not None:
-            j = int(abs(strip[0][1]) > abs(strip[0][0]))
-            # the row is the line (a, c) = base + t unit, t its minor
-            # coordinate, from 1 in the row major = 0
-            rows = _strip_progressions(
-                strip, j * major, (1 - j) * major, np.full_like(major, 1 - j),
-                np.full_like(major, j), np.where(major, -half, 1), half)
-        npairs, rows = _ragged_layout(*rows)
+    j = 1  # the minor coordinate of the first column
+    amax = bound if sq_int is None else math.isqrt(sq_int - 1)
+    major = np.arange(-amax if strip is None else 0, amax + 1, dtype=np.int64)
+    half = (np.full(len(major), bound) if sq_int is None
+            else _isqrt_array(sq_int - 1 - major * major))
+    rows = -half, 2 * half + 1
+    if strip is not None:
+        j = int(abs(strip[0][1]) > abs(strip[0][0]))
+        # the row is the line (a, c) = base + t unit, t its minor
+        # coordinate, from 1 in the row major = 0
+        rows = _strip_progressions(
+            strip, j * major, (1 - j) * major, np.full_like(major, 1 - j),
+            np.full_like(major, j), np.where(major, -half, 1), half)
+    npairs, rows = _ragged_layout(*rows)
 
     def run(lo):
-        hi = min(lo + _SL2_BLOCK_PAIRS, npairs)
-        if sq_int is None and strip is None:
-            x, y = np.divmod(np.arange(lo, hi, dtype=np.int64), side)
-            x -= bound
-            y -= bound
-        else:
-            row, y = rows(lo, hi)
-            x = major[row]
+        row, y = rows(lo, min(lo + _SL2_BLOCK_PAIRS, npairs))
+        x = major[row]
         a, c = (x, y) if j else (y, x)
         g = np.gcd(a, c)
         keep = (g > 0) & (det % np.where(g > 0, g, 1) == 0)
@@ -616,7 +612,7 @@ def _sl2_det_blocks(det, bound, sq_int, prim_p, meter, workers, strip=None):
         size = _STRIP_CHUNK_ELEMS if strip else _SL2_CHUNK_ELEMS
         chunks = (_sl2_assemble(a, c, b0, d0, step_a, step_c,
                                 *window(lo, min(lo + size, work)), det, bound,
-                                sq_int, prim_p, meter)
+                                sq_int, prim_p)
                   for lo in range(0, work, size))
         return chunks if strip else list(chunks)
 
@@ -631,16 +627,17 @@ def iter_sl2_zinvp_chunks(spec: BallSpec, workers=None):
     order.  Level 0 requires t_p >= 1 (p-adic norm of an
     integer SL(2) matrix is exactly 1); level m contributes when
     p^m <= t_p, with the archimedean bound scaled to p^m * t_inf.  An
-    sl2z spec is level 0 alone.  Capacity counts the emitted elements
-    of all levels; a radius past the int64 headroom raises CapacityError
-    before the first chunk."""
+    sl2z spec is level 0 alone.  A radius past the int64 headroom raises
+    CapacityError when called; the first next() counts the ball exactly
+    (ball_count, the elements of all levels) and raises CapacityError
+    over the capacity before any matrix is built."""
     levels = _sl2_levels(spec)
     workers = resolve_workers(workers)
-    meter = _CapacityMeter(spec.capacity)
 
     def stream():
+        ball_count(spec, workers)
         for m, (det, bound, sq, prim) in enumerate(levels):
-            for block in _sl2_det_blocks(det, bound, sq, prim, meter, workers):
+            for block in _sl2_det_blocks(det, bound, sq, prim, workers):
                 yield np.full(len(block), m, dtype=np.int64), block
 
     return stream()
@@ -876,8 +873,8 @@ def sl2_ladder_totals(spec: BallSpec, cuts, workers=None) -> list:
     _det_norm_counts pass (one _det_max_counts per det under the max
     norm) counts the rungs' top (det, cut) pairs.  The spec's int64
     headroom is checked first, and a top rung over its capacity raises
-    CapacityError, as the stream would, as soon as a running count passes
-    the capacity (every rung lies in the top one)."""
+    CapacityError as soon as a running count passes the capacity (every
+    rung lies in the top one)."""
     _sl2_levels(spec)
     p = spec.p or 1
     rungs = [[x for x in row if x >= 0]
@@ -975,7 +972,8 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
     sl2z order.  The int64 headroom is checked when called, and so are
     the rows 0 <= a <= bound of a max-norm strip: no more than the 2^16
     of the largest Frobenius disk (CapacityError).  Capacity is not
-    charged (see sl2_ladder_totals)."""
+    checked here: run_experiment counts the ball (sl2_ladder_totals)
+    before it takes a strip."""
     levels = _sl2_levels(spec)
     if spec.norm == "max" and entry_bound(spec) >= 1 << 16:
         raise CapacityError("max-norm strip: over 2^16 rows of first columns")
@@ -1013,7 +1011,6 @@ def iter_sl2_strip_chunks(spec: BallSpec, vec, radius, congruence=None,
         return np.full(len(mats), top) - j, mats
 
     return map(split, _sl2_det_blocks(det, bound, sq, None,
-                                      _CapacityMeter(math.inf),
                                       resolve_workers(workers),
                                       (vec, width, nums, p, k)))
 
@@ -1421,9 +1418,11 @@ def entry_bound(spec: BallSpec, window=None) -> int:
 
 def iter_ball_chunks(spec: BallSpec, workers=None, window=None):
     """Uniform chunk stream (levels, mats) for any supported group; with a
-    congruence ``window``, only the elements in its classes.  Those all
-    have level 0, so only the level-0 ball is built and charged to the
-    capacity."""
+    congruence ``window``, only the elements in its classes.  Every
+    group's stream counts its ball exactly (ball_count) at the first
+    next() and raises CapacityError over the capacity before it builds a
+    matrix.  Window elements all have level 0, so only the level-0 ball
+    is counted and built."""
     if window is not None:
         return _window_chunks(iter_ball_chunks(_level_zero(spec), workers),
                               window)
@@ -1488,11 +1487,10 @@ def ball_count(spec: BallSpec, workers=None) -> int:
     return sum(_pool_map(run, plan.blocks, workers))
 
 
-def filter_window(mats, window: CongruenceWindow, levels=None):
-    """Mask of elements lying in the window's residue classes.
-
-    Elements with a nonzero level are never p-integral, so they fall
-    outside every mod-p^m class and are dropped."""
+def filter_window(mats, window: CongruenceWindow):
+    """Mask of the integer matrices lying in the window's residue classes.
+    Elements of a nonzero level are never p-integral and lie in none, so
+    a stream with a window builds level 0 alone (iter_ball_chunks)."""
     if mats.shape[-2:] != (2, 2):
         raise ConfigError("congruence windows apply to 2x2 matrices only")
     mod = window.modulus
@@ -1506,7 +1504,4 @@ def filter_window(mats, window: CongruenceWindow, levels=None):
         for entry in r:
             acc = acc * mod + entry
         want.append(acc)
-    mask = np.isin(key, np.array(want, dtype=np.int64))
-    if levels is not None:
-        mask &= np.asarray(levels) == 0
-    return mask
+    return np.isin(key, np.array(want, dtype=np.int64))

@@ -42,7 +42,6 @@ from .balls import (
     _level_cuts,
     entry_bound,
     exact_radius,
-    filter_window,
     iter_ball_chunks,
     iter_sl2_strip_chunks,
     norm_sq,
@@ -75,7 +74,6 @@ __all__ = [
     "DistributionReport",
     "predicted_limit",
     "PredictionRecord",
-    "orbit_sum",
     "check_density_hypothesis",
     "calibrate_orientation",
     "sl2_congruence_order",
@@ -253,20 +251,11 @@ class RealWedgeAnnulus:
     def predicted(self) -> float:
         """Mass under dw/|w| on R^dim: surface area times radial factor."""
         d = self.dim
-        try:
-            if d == 1:
-                # both rays contribute log(r2/r1)
-                mass = 2.0 * math.log(self.r2 / self.r1)
-            else:
-                area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-                mass = area * (self.r2 ** (d - 1)
-                               - self.r1 ** (d - 1)) / (d - 1)
-        except OverflowError:
-            mass = math.inf
-        if math.isinf(mass):
-            raise ConfigError(f"test {self.label}: predicted mass past the "
-                              f"float range")
-        return mass
+        if d == 1:
+            # both rays contribute log(r2/r1)
+            return 2.0 * math.log(self.r2 / self.r1)
+        area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        return area * (self.r2 ** (d - 1) - self.r1 ** (d - 1)) / (d - 1)
 
 
 @dataclass(frozen=True)
@@ -500,7 +489,8 @@ def predicted_limit(application: str, tests=(), *, p: int = 0, n: int = 2,
     Absolute masses are density integrals only, up to one global
     constant the limit theorems leave free; the ratio targets are the
     assertable part.  Window scaling multiplies every prediction by
-    the window's Haar mass.
+    the window's Haar mass.  A mass past the float range (infinite, or
+    overflowing as it is formed or converted) is a ConfigError.
     """
     if APPLICATIONS[application] == "sl2zp" and not is_prime(p):
         raise ConfigError("a22 needs a prime p")
@@ -508,7 +498,13 @@ def predicted_limit(application: str, tests=(), *, p: int = 0, n: int = 2,
     scale = window_scale(window)
     preds = []
     for f in tests:
-        val = float(f.predicted()) * float(scale)
+        try:
+            val = float(f.predicted()) * float(scale)
+        except OverflowError:
+            val = math.inf
+        if math.isinf(val):
+            raise ConfigError(f"test {f.label}: predicted mass past the "
+                              f"float range")
         if val <= 0.0:
             flags.append(f"degenerate test mass: {f.label}")
         preds.append(val)
@@ -574,10 +570,9 @@ class _ChunkEvaluator:
 
     ``entry_bound`` bounds |entry| of every matrix to come; it is
     checked once here against the float range of the real place and the
-    int64 headroom of the finite-place action (_check_headroom).
-    Without it, each chunk is checked as it arrives."""
+    int64 headroom of the finite-place action (_check_headroom)."""
 
-    def __init__(self, v: OrbitVector, tests, entry_bound=None):
+    def __init__(self, v: OrbitVector, tests, entry_bound: int):
         self.v = v
         self.tests = tuple(tests)
         self.need_real = not all(isinstance(f, PadicShellBox) for f in self.tests)
@@ -590,10 +585,8 @@ class _ChunkEvaluator:
             if v.fin is None:
                 raise ConfigError("p-adic tests need a finite-place vector")
             self.fin = _FinAction.for_vector(v)
-        self.entry_bound = entry_bound
         self.vec = v.inf_floats()
-        if entry_bound is not None:
-            self._check_headroom(entry_bound)
+        self._check_headroom(entry_bound)
 
     def _check_headroom(self, bound):
         """Orbit points of n x n matrices with entries up to ``bound``:
@@ -624,8 +617,6 @@ class _ChunkEvaluator:
         shifted (an exact quotient)."""
         if mats.shape[1] != len(self.vec):
             raise ConfigError("vector and matrix dimensions disagree")
-        if self.entry_bound is None:
-            self._check_headroom(np.abs(mats).max())
         if self.need_real:
             w = _column_sums(mats, self.vec)
             if levels.any():  # p^m is exact in int64 and in float64
@@ -676,24 +667,6 @@ def _column_sums(mats, vec):
     for j in range(1, len(vec)):
         out += mats[:, :, j] * vec[j]
     return out
-
-
-def orbit_sum(chunks, v: OrbitVector, f, normalizer: float, *,
-              window: CongruenceWindow | None = None) -> float:
-    """(1/normalizer) * sum over gamma in the (levels, mats) chunks of
-    f(gamma.v).  Indicator tests make the sum a count."""
-    if normalizer <= 0:
-        raise ConfigError("normalizer must be positive")
-    ev = _ChunkEvaluator(v, [f])
-    total = 0
-    for levels, mats in chunks:
-        if not len(mats):
-            continue
-        mask = ev.masks(levels, mats)[0]
-        if window is not None:
-            mask = mask & filter_window(mats, window, levels=levels)
-        total += int(mask.sum())
-    return total / normalizer
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,17 @@ from fractions import Fraction
 import pytest
 
 import orbitlab
+from orbitlab import equidist
 from orbitlab.balls import (
     BallSpec,
     ball_count,
+    entry_bound,
     enum_sl2_zinvp,
     enum_sl2z,
     iter_ball_chunks,
 )
 from orbitlab.cli import emit_report, main, parse_config
-from orbitlab.equidist import OrbitVector, orbit_sum, parse_test
+from orbitlab.equidist import OrbitVector, parse_test
 from orbitlab.errors import ConfigError
 from orbitlab.volumes import (
     SqrtPower,
@@ -528,8 +530,10 @@ def test_orbit_tiny_entry_loses_no_hit(application, v_inf, test, norm,
         spec = BallSpec("sl2zp" if p else "sl2z", p=p, t_inf=t,
                         t_p=t if p else None, norm=norm)
         assert total == ball_count(spec)
-        assert row["count"] == orbit_sum(iter_ball_chunks(spec), v,
-                                         parse_test(test, p=p), 1.0)
+        ev = equidist._ChunkEvaluator(v, [parse_test(test, p=p)],
+                                      entry_bound(spec))
+        assert row["count"] == sum(int(ev.masks(*chunk)[0].sum())
+                                   for chunk in iter_ball_chunks(spec))
     assert any(row["count"] for row in doc["rows"])
 
 
@@ -556,25 +560,41 @@ def test_orbit_huge_entry_exit_code(application, test, v_inf, norm, capsys,
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("test,code", [
     ("wedge(1,1e150,3)", 0),  # orbit points near 1e161: |w|^2 overflows
-    ("wedge(1,1e170,3)", 2),  # its predicted mass, 2 pi r2^2, is no float
 ])
 def test_orbit_huge_wedge_point_exit_code(test, code, capsys, monkeypatch,
                                           tmp_path):
     # orbit points inside the float range whose squared norms are not:
-    # the wedge test counts them without an overflow warning, and a mass
-    # past the float range is a configuration error
+    # the wedge test counts them without an overflow warning
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.conf").write_text(
         f"application = wedge\nn = 3\nv_inf = 1e160,1,1\nladder = 2,2,2\n"
         f"tests = {test}\nout_json = o.json\nout_csv = o.csv\n")
     assert run("orbit", "--config", "run.conf") == code
-    err = capsys.readouterr().err
-    if code:
-        assert "predicted mass past the float range" in err
-        assert not (tmp_path / "o.json").exists()
-    else:
-        rows = json.loads((tmp_path / "o.json").read_text())["rows"]
-        assert [r["count"] for r in rows] == [0, 0]
+    rows = json.loads((tmp_path / "o.json").read_text())["rows"]
+    assert [r["count"] for r in rows] == [0, 0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("application,vector,test", [
+    ("a21", "v_inf = 1,sqrt(2)", "annulus(1,1e308)"),  # 2 pi 1e308 is inf
+    ("a22", "v_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2",
+     "shell(2000)"),  # 2^2000 3/4 is no float
+    ("a22", "v_inf = 1,sqrt(2)\nv_fin = 1,3\np = 2",
+     "product(annulus(1,2),shell(2000))"),
+    ("wedge", "n = 3\nv_inf = 1e160,1,1", "wedge(1,1e170,3)"),  # 2 pi r2^2
+], ids=["annulus", "shell", "product", "wedge"])
+def test_orbit_mass_past_the_float_range_exit_code(application, vector, test,
+                                                   capsys, monkeypatch,
+                                                   tmp_path):
+    # a predicted mass past the float range, however it overflows, is a
+    # configuration error, found before any counting
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(
+        f"application = {application}\n{vector}\nladder = 2,2,2\n"
+        f"tests = {test}\nout_json = o.json\nout_csv = o.csv\n")
+    assert run("orbit", "--config", "run.conf") == 2
+    assert "predicted mass past the float range" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_orbit_flags_rational_direction_exactly(monkeypatch, tmp_path):
@@ -635,10 +655,20 @@ def test_orbit_ladder_cut_past_int64_exit_code(conf, capsys, monkeypatch,
     assert not (tmp_path / "o.json").exists()
 
 
-def test_capacity_exit_code(tmp_path):
+def test_capacity_exit_code(capsys, tmp_path):
+    # the exact count fails the capacity before any row is written, and a
+    # radius past the int64 headroom says so on one short line
     out = tmp_path / "big.csv"
-    assert run("enumerate", "--group", "sl2z", "--T-inf", 500,
-               "--capacity", 1000, "--out", out) == 3
+    for t in (50, 500):
+        assert run("enumerate", "--group", "sl2z", "--T-inf", t,
+                   "--capacity", 1000, "--out", out) == 3
+        assert not out.exists()
+        assert ("error: ball exceeds capacity 1000 elements"
+                in capsys.readouterr().err)
+    assert run("enumerate", "--group", "sl2z", "--T-inf", "1e400",
+               "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "int64" in err and len(err) < 200 and not out.exists()
 
 
 def test_invariant_error_exit_code(monkeypatch, capsys, tmp_path):

@@ -413,18 +413,40 @@ def test_slnz_capacity_counts_emitted_elements(n, t, norm):
         enum_slnz(BallSpec(**spec, capacity=true - 1), workers=1)
 
 
-@pytest.mark.parametrize("n,t,norm", [(2, 300, "max"), (3, 10.125, "frobenius"),
-                                      (4, 1, "max")])
-def test_over_capacity_slnz_builds_no_matrix(n, t, norm, monkeypatch):
-    # the exact count fails the capacity before any block is built: in a
-    # fraction of the stream's time, and without its memory
+WINDOW = CongruenceWindow(2, 1, reps=((1, 0, 0, 1),))
+
+
+@pytest.mark.parametrize("spec,window", [
+    (BallSpec("slnz", n=2, t_inf=300, norm="max"), None),
+    (BallSpec("slnz", n=3, t_inf=10.125), None),
+    (BallSpec("slnz", n=4, t_inf=1, norm="max"), None),
+    *[(BallSpec(group, p=p, t_inf=8, t_p=8 if p else None, norm=norm),
+       window)
+      for group, p, window in (("sl2z", 0, None), ("sl2zp", 2, None),
+                               ("sl2zp", 2, WINDOW))
+      for norm in ("frobenius", "max")],
+], ids=["2-300-max", "3-10.125-frobenius", "4-1-max", "sl2z-frobenius",
+        "sl2z-max", "sl2zp-frobenius", "sl2zp-max", "sl2zp-window-frobenius",
+        "sl2zp-window-max"])
+def test_over_capacity_slnz_builds_no_matrix(spec, window, monkeypatch):
+    # every stream counts its ball exactly at the first next(): one below
+    # the count fails the capacity before any matrix is built, in a
+    # fraction of the stream's time and without its memory.  A window
+    # builds only the level-0 ball, and only that ball is counted
     calls = []
-    monkeypatch.setattr(balls, "_complete_last_row",
-                        lambda *args: calls.append(args))
-    spec = BallSpec("slnz", n=n, t_inf=t, norm=norm)
+    for name in ("_complete_last_row", "_sl2_assemble"):
+        monkeypatch.setattr(balls, name, lambda *args: calls.append(args))
+    count = ball_count(balls._level_zero(spec) if window else spec)
+    over = iter_ball_chunks(dataclasses.replace(spec, capacity=count - 1),
+                            window=window)
     with pytest.raises(CapacityError, match="exceeds capacity"):
-        enum_slnz(dataclasses.replace(spec, capacity=ball_count(spec) - 1))
+        next(over)
     assert calls == []
+    if window:
+        monkeypatch.undo()
+        assert count < ball_count(spec)
+        assert list(iter_ball_chunks(dataclasses.replace(spec, capacity=count),
+                                     window=window))
 
 
 def test_last_row_headroom_guard(monkeypatch):
@@ -976,7 +998,7 @@ def test_sl2_window_differential_sweep(p, m, norm, monkeypatch):
         mod = window.modulus
         got = []
         for levels, mats in iter_ball_chunks(spec, workers=2):
-            keep = filter_window(mats, window, levels=levels)
+            keep = filter_window(mats, window) & (levels == 0)
             got += [(int(lev), tuple(int(e) for e in mat.ravel()))
                     for lev, mat in zip(levels[keep], mats[keep])]
         want = [(lev, mat) for lev, mat in brute if lev == 0
@@ -1049,22 +1071,25 @@ def test_sl2_int64_headroom_guard(norm, ok, past, monkeypatch):
             ball_count(spec)
 
 
-def test_sl2_max_norm_blocks_need_no_radius_sized_setup():
-    # first columns of the max-norm square are indexed arithmetically, so
-    # the first chunk of a large radius costs one block: no per-row
-    # arrays of the radius and no list of the 2^21 blocks of 2^15 pairs
-    bound = 2**17
-    tracemalloc.start()
-    try:
-        levels, mats = next(iter_sl2_zinvp_chunks(
-            BallSpec("sl2z", t_inf=bound, norm="max"), workers=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
-    assert np.all(mats[:, 0, 0] == -bound) and np.all(np.abs(mats) <= bound)
-    a, b, c, d = (mats[:, i, j] for i in (0, 1) for j in (0, 1))
-    assert np.all(a * d - b * c == 1)
+def test_sl2_max_norm_blocks_need_no_radius_sized_setup(monkeypatch):
+    # a max-norm ball of a large radius fails its exact count at the first
+    # next(), before the engine lays out a row of its square: no per-row
+    # arrays of the radius, at 2^17 or at 2^29
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("the engine started enumerating")
+
+    monkeypatch.setattr(balls, "_sl2_det_blocks", no_blocks)
+    for bound in (2**17, 2**29):
+        chunks = iter_sl2_zinvp_chunks(
+            BallSpec("sl2z", t_inf=bound, norm="max"), workers=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="exceeds capacity"):
+                next(chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("norm,det,t", [
@@ -1233,8 +1258,6 @@ def test_window_filter_and_validation():
     both = CongruenceWindow(2, 1, ((1, 0, 0, 1), (1, 1, 0, 1)))
     assert filter_window(mats, both).sum() == mask.sum() + \
         filter_window(mats, w_other).sum()
-    levels = np.ones(len(mats), dtype=np.int64)
-    assert filter_window(mats, w_id, levels=levels).sum() == 0
     with pytest.raises(ConfigError):
         CongruenceWindow(2, 1, ((1, 1, 1, 1),))
     with pytest.raises(ConfigError):

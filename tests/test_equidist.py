@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from orbitlab import balls, equidist
-from orbitlab.balls import BallSpec, CongruenceWindow, iter_ball_chunks
+from orbitlab.balls import (
+    BallSpec,
+    CongruenceWindow,
+    filter_window,
+    iter_ball_chunks,
+)
 from orbitlab.equidist import (
     DistributionReport,
     ExperimentConfig,
@@ -23,8 +28,8 @@ from orbitlab.equidist import (
     calibrate_orientation,
     check_density_hypothesis,
     normalizer_value,
-    orbit_sum,
     parse_test,
+    predicted_limit,
     run_experiment,
     sl2_congruence_order,
     wedge_normalizer_exponent,
@@ -46,6 +51,21 @@ TWO_PI = 2.0 * math.pi
 def small_ball(**kw):
     spec = BallSpec(**{"capacity": 10**6, **kw})
     return list(iter_ball_chunks(spec))
+
+
+def hits(chunks, v, f, window=None):
+    """Elements of the (levels, mats) chunks (a list) whose orbit point
+    the test f holds, summed from the evaluator's masks; with a window,
+    only the level-0 elements in its classes."""
+    bound = max((int(np.abs(m).max()) for _, m in chunks if len(m)), default=0)
+    ev = equidist._ChunkEvaluator(v, [f], bound)
+    total = 0
+    for levels, mats in chunks:
+        mask = ev.masks(levels, mats)[0]
+        if window is not None:
+            mask &= filter_window(mats, window) & (levels == 0)
+        total += int(mask.sum())
+    return total
 
 
 def flatten(chunks):
@@ -220,7 +240,7 @@ def test_wedge_norm_keeps_its_bits_past_the_square_range():
                                                        [1e300, 2e300]])
     assert huge.tolist() == [True, False]
     with pytest.raises(ConfigError, match="past the float range"):
-        RealWedgeAnnulus(1.0, 1e170, 3).predicted()
+        predicted_limit("wedge", [RealWedgeAnnulus(1.0, 1e170, 3)], n=3)
 
 
 def test_product_prediction_factors_exactly():
@@ -408,9 +428,9 @@ def test_orbit_sum_trivial_cases():
     total = sum(len(m) for _, m in chunks)
     v = OrbitVector.make(("1", "sqrt(2)"))
     # far-away annulus at tiny radius: empty
-    assert orbit_sum(chunks, v, RealAnnulusSector(50.0, 60.0), 1.0) == 0.0
+    assert hits(chunks, v, RealAnnulusSector(50.0, 60.0)) == 0
     # an annulus covering every orbit point counts the whole ball
-    assert orbit_sum(chunks, v, RealAnnulusSector(1e-6, 1e6), 1.0) == total
+    assert hits(chunks, v, RealAnnulusSector(1e-6, 1e6)) == total
 
 
 def test_orbit_sum_vectorized_matches_pointwise():
@@ -425,7 +445,7 @@ def test_orbit_sum_vectorized_matches_pointwise():
         parse_test("product(annulus(0.5,4,0,3),shell(0,2,1:1|3:2|0:1))", p=2),
     ]
     for f in tests:
-        vec = orbit_sum(chunks, v, f, 1.0)
+        vec = hits(chunks, v, f)
         pt = orbit_sum_pointwise(elements, v, f, 1.0)
         assert vec == pt, f.label
 
@@ -441,10 +461,10 @@ def test_pointwise_oracle_scales_odd_p_levels_like_the_vectorized_route():
     r1 = float(np.hypot(w[0] / 3.0, w[1] / 3.0))
     assert np.hypot(w[0] * 3.0**-1, w[1] * 3.0**-1) < r1
     f = RealAnnulusSector(r1, 4.0)
-    assert orbit_sum([(np.ones(1, dtype=np.int64), m)], v, f, 1.0) == 1
+    assert hits([(np.ones(1, dtype=np.int64), m)], v, f) == 1
     assert orbit_sum_pointwise([(1, m[0].tolist())], v, f, 1.0) == 1
     chunks = small_ball(group="sl2zp", p=3, t_inf=2, t_p=3)
-    assert orbit_sum(chunks, v, f, 1.0) == orbit_sum_pointwise(
+    assert hits(chunks, v, f) == orbit_sum_pointwise(
         flatten(chunks), v, f, 1.0)
 
 
@@ -460,9 +480,8 @@ def test_orbit_sum_rotation_equivariance():
         (OrbitVector.make((0.6 - 0.8 * s2, 0.8 + 0.6 * s2)), phi),
     ]
     for v, shift in configs:
-        ref = orbit_sum(chunks, v, RealAnnulusSector(1, 2), 1.0)
-        half = orbit_sum(
-            chunks, v, RealAnnulusSector(1, 2, shift, shift + math.pi), 1.0)
+        ref = hits(chunks, v, RealAnnulusSector(1, 2))
+        half = hits(chunks, v, RealAnnulusSector(1, 2, shift, shift + math.pi))
         assert abs(half / ref / 0.5 - 1.0) <= 0.15
 
 
@@ -472,10 +491,7 @@ def test_orbit_sum_additive_over_disjoint_tests():
     lo = RealAnnulusSector(0.5, 1.5, 0.0, 2.0)
     hi = RealAnnulusSector(0.5, 1.5, 2.0, 5.0)
     union = RealAnnulusSector(0.5, 1.5, 0.0, 5.0)
-    a = orbit_sum(chunks, v, lo, 40.0)
-    b = orbit_sum(chunks, v, hi, 40.0)
-    u = orbit_sum(chunks, v, union, 40.0)
-    assert a + b == pytest.approx(u)
+    assert hits(chunks, v, lo) + hits(chunks, v, hi) == hits(chunks, v, union)
 
 
 def test_orbit_sum_with_rational_denominator_vector():
@@ -484,7 +500,7 @@ def test_orbit_sum_with_rational_denominator_vector():
     v = OrbitVector.make(("1", "sqrt(2)"), fin=("1/2", "2/3"), p=2)
     for tok in ("shell(1)", "shell(2,1,1:0|1:1|0:1)"):
         f = parse_test(tok, p=2)
-        assert orbit_sum(chunks, v, f, 1.0) == orbit_sum_pointwise(
+        assert hits(chunks, v, f) == orbit_sum_pointwise(
             elements, v, f, 1.0), tok
 
 
@@ -493,7 +509,7 @@ def test_orbit_sum_window_matches_manual_filter():
     win = CongruenceWindow(2, 1, reps=((1, 0, 0, 1),))
     v = OrbitVector.make(("1", "sqrt(2)"))
     f = RealAnnulusSector(1e-6, 1e6)
-    windowed = orbit_sum(chunks, v, f, 1.0, window=win)
+    windowed = hits(chunks, v, f, window=win)
     manual = 0
     for _, mats in chunks:
         for m in mats:
@@ -501,13 +517,6 @@ def test_orbit_sum_window_matches_manual_filter():
                    for i, x in enumerate(m.ravel())):
                 manual += 1
     assert windowed == manual
-
-
-def test_orbit_sum_normalizer_validation():
-    chunks = small_ball(group="sl2z", t_inf=3)
-    v = OrbitVector.make(("1", "sqrt(2)"))
-    with pytest.raises(ConfigError):
-        orbit_sum(chunks, v, RealAnnulusSector(1, 2), 0.0)
 
 
 def test_valuation_array_matches_scalar():
@@ -593,8 +602,7 @@ def test_run_experiment_counts_match_orbit_sum():
         if row.t != 40:
             continue
         f = next(f for f in cfg.tests if f.label == row.test_id)
-        direct = orbit_sum(chunks, cfg.v, f, 1.0)
-        assert row.count == direct
+        assert row.count == hits(chunks, cfg.v, f)
     # ball totals agree with the rung-40 enumeration
     assert rep.totals[-1] == (40.0, sum(len(m) for _, m in chunks))
 
@@ -628,7 +636,7 @@ def test_run_experiment_window_binning():
     chunks = small_ball(group="sl2z", t_inf=40)
     v = OrbitVector.make(("1", "sqrt(2)"))
     f = RealAnnulusSector(1e-6, 1e6)
-    assert rep.totals[-1][1] == orbit_sum(chunks, v, f, 1.0, window=win)
+    assert rep.totals[-1][1] == hits(chunks, v, f, window=win)
     # predictions are scaled by the window's Haar mass
     unwin = run_experiment(led_config(t_ladder=(10, 20, 40)))
     for rw, ru in zip(rep.rows, unwin.rows):
@@ -640,7 +648,7 @@ def test_windowed_run_builds_level_zero_only(monkeypatch):
     # out the level-0 ball (6,180 matrices at T = 32) and not every level
     # (12,548,820).  Counted as the SL(2) engine builds them: the columns
     # of each _sl2_assemble call, on one worker.  Totals and hits are
-    # those of orbit_sum(window=) over the full stream of every level,
+    # those of the window's masks over the full stream of every level,
     # checked here up to T = 16; the T = 32 values are those of the full
     # stream too, pinned because it takes seconds per test.
     built = [0]
@@ -664,14 +672,13 @@ def test_windowed_run_builds_level_zero_only(monkeypatch):
     assert laid_out == sum(len(m) for _, m in small_ball(
         group="sl2z", t_inf=32)) == 6180
     assert [c for _, c in rep.totals] == [10, 50, 234, 986]
-    hits = [[r.count for r in rep.rows[3 * i:3 * i + 3]] for i in range(4)]
-    assert hits[-1] == [24, 50, 0]
+    counts = [[r.count for r in rep.rows[3 * i:3 * i + 3]] for i in range(4)]
+    assert counts[-1] == [24, 50, 0]
     everything = RealAnnulusSector(1e-9, 1e9)
-    for (t, total), row in zip(rep.totals[:3], hits):
+    for (t, total), row in zip(rep.totals[:3], counts):
         chunks = small_ball(group="sl2zp", p=2, t_inf=t, t_p=t)
-        assert total == orbit_sum(chunks, cfg.v, everything, 1.0, window=win)
-        assert row == [orbit_sum(chunks, cfg.v, f, 1.0, window=win)
-                       for f in cfg.tests]
+        assert total == hits(chunks, cfg.v, everything, window=win)
+        assert row == [hits(chunks, cfg.v, f, window=win) for f in cfg.tests]
 
 
 def test_over_capacity_wedge_run_builds_no_matrix(monkeypatch):
@@ -703,7 +710,7 @@ def test_run_experiment_sarithmetic_rungs():
     for (t, total), row in zip(rep.totals, rep.rows):
         chunks = small_ball(group="sl2zp", p=2, t_inf=t, t_p=t)
         assert total == sum(len(m) for _, m in chunks)
-        assert row.count == orbit_sum(chunks, cfg.v, cfg.tests[0], 1.0)
+        assert row.count == hits(chunks, cfg.v, cfg.tests[0])
 
 
 @pytest.mark.parametrize("norm", ["frobenius", "max"])
@@ -822,7 +829,7 @@ def test_finite_place_action_int64_headroom():
     shell = parse_test("shell(0)", p=3)
     spec = BallSpec("sl2zp", p=3, t_inf=128, t_p=1, capacity=10**6)
     with pytest.raises(ConfigError, match="int64"):
-        orbit_sum(list(iter_ball_chunks(spec)), v, shell, 1.0)
+        hits(list(iter_ball_chunks(spec)), v, shell)
     cfg = ExperimentConfig(application="a22", v=v, t_ladder=(64, 128),
                            tests=(shell,), capacity=10**6)
     with pytest.raises(ConfigError, match="int64"):
@@ -830,11 +837,11 @@ def test_finite_place_action_int64_headroom():
     # numerators beyond int64 fail the same way, not with OverflowError
     huge = OrbitVector.make(("1", "sqrt(2)"), fin=(str(10**20), "1"), p=3)
     with pytest.raises(ConfigError, match="int64"):
-        orbit_sum(small_ball(group="sl2z", t_inf=3), huge, shell, 1.0)
+        hits(small_ball(group="sl2z", t_inf=3), huge, shell)
     # inside the headroom the vectorized route stays exact
     fits = OrbitVector.make(("1", "sqrt(2)"), fin=(str(10**15), "1"), p=3)
     chunks = small_ball(group="sl2zp", p=3, t_inf=4, t_p=3)
-    assert orbit_sum(chunks, fits, shell, 1.0) == orbit_sum_pointwise(
+    assert hits(chunks, fits, shell) == orbit_sum_pointwise(
         flatten(chunks), fits, shell, 1.0)
 
 

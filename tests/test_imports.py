@@ -1,6 +1,6 @@
-"""Every export resolves, every demo imports, src holds no assert and
-spells out each name set once, and importing orbitlab starts no thread
-and leaves the environment alone."""
+"""Every export resolves, every demo imports and runs, src holds no
+assert and spells out each name set once, and importing orbitlab starts
+no thread and leaves the environment alone."""
 
 import ast
 import importlib
@@ -32,13 +32,16 @@ def test_all_entries_resolve(name):
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_demo_imports(path):
+def test_demo_imports(path, capsys):
     # importing under a name other than __main__ defines main() without
-    # running it
+    # running it; main() then runs to its end (a second or so each) and
+    # prints its table
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert capsys.readouterr().out == ""
+    module.main()
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
