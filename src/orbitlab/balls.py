@@ -664,31 +664,51 @@ def _concat_chunks(chunks, n):
 # ---------------------------------------------------------------------------
 # SL(2) ladders: rung totals without building a matrix, and test strips
 
-# table entries per block of the two-squares passes; bounds their
-# temporaries
-_R2_BLOCK = 1 << 16
+# the fewest table entries in a block of the two-squares passes (_r2_block)
+_R2_BLOCK = 1 << 15
 # first-column pairs per block of the max-norm count
 _MAX_COL_BLOCK = 1 << 17
+
+
+def _r2_block(i0):
+    """Table entries in the block of the two-squares passes (_pair_sums)
+    that starts at entry i0: the larger of _R2_BLOCK and _R2_BLOCK
+    isqrt(i0) / 2^9, rounded down.
+
+    A block of either table lays out one row per b <= sqrt(i), whether
+    or not the row holds a point of the block, so blocks of one size
+    would cost more and more rows at large i; grown with sqrt(i0), the
+    rows stay about 2^9 / _R2_BLOCK = 1/64 of the entries.  Small blocks
+    keep a block's arrays (its slice of the table, the rectangle of
+    _row_bincount) at a few hundred KiB, which glibc serves block after
+    block from the heap it already holds: at 2^16 entries they were
+    mapped and trimmed away again in every block, a minor fault per
+    fresh page."""
+    return max(_R2_BLOCK, _R2_BLOCK * math.isqrt(i0) >> 9)
 
 
 def _row_bincount(start, lengths, const, f, size):
     """Bincount into ``size`` bins of f(x) + const[r] over the integers x
     in [start[r], start[r] + lengths[r]) of each row r, for an increasing
-    f whose value just past each row is at least size.
+    f = x^2 + c x whose value just past each row is at least size.
 
     The rows are laid out as one rectangle as wide as the widest row,
     whose cells past a row's end are clipped into one extra bin.  Where
     that rectangle would hold over 3/2 the points, each row is cut into
     pieces as wide as the mean row, which leaves at most twice the points
-    plus one cell per row."""
+    plus one cell per row.  The rectangle, one column per row or piece,
+    is the one array as large as the points: f(s + k) = f(s) + f(k) +
+    2 s k is summed into it in place."""
     width = int(lengths.max(initial=0))
     total = int(lengths.sum())
     if 2 * len(lengths) * width > 3 * total:
         width = -(-total // len(lengths))
         rep, off = _ragged_arange(-(-lengths // width))
         start, const = start[rep] + off * width, const[rep]
-    x = f(start[:, None] + np.arange(width))
-    x += const[:, None]
+    k = np.arange(width, dtype=np.int64)[:, None]
+    x = k * (2 * start)
+    x += f(start) + const
+    x += f(k)
     np.minimum(x, size, out=x)
     return np.bincount(x.ravel(), minlength=size + 1)[:-1]
 
@@ -704,9 +724,11 @@ def _r2_range(lo, hi):
         return np.zeros(0, dtype=np.int64)
     w = np.arange(1, math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
     w2 = w * w
-    ulo = np.maximum(w + 1, _isqrt_array(np.maximum(lo - 1 - w2, 0)) + 1)
-    uhi = _isqrt_array(hi - 1 - w2)  # >= w as 2 w^2 <= hi - 1
-    out = 8 * _row_bincount(ulo, uhi - ulo + 1, w2 - lo, np.square, hi - lo)
+    # u > w, lo - 1 - w^2 < u^2 <= hi - 1 - w^2, with w^2 <= hi - 1 - w^2
+    below, uhi = _isqrt_array(np.maximum(np.array([[lo], [hi]]) - w2 - 1, 0))
+    ulo = np.maximum(w, below) + 1
+    out = _row_bincount(ulo, uhi - ulo + 1, w2 - lo, np.square, hi - lo)
+    out *= 8
     if lo == 0:
         out[0] = 1
     for mult in (1, 2):  # the axis points u^2, then the diagonal 2 u^2
@@ -737,11 +759,12 @@ def _r2_1mod4_range(lo, hi):
         return np.zeros(0, dtype=np.int64)
     b = np.arange(1, math.isqrt(hi - 1) + 1, dtype=np.int64)
     b2 = b * b
-    below = lo - 1 - b2
-    alo = np.where(below >= 0, _pronic_floor(np.maximum(below, 0)) + 1, 0)
-    ahi = _pronic_floor(hi - 1 - b2)
-    out = 8 * _row_bincount(alo, ahi - alo + 1, b2 - lo,
-                            lambda a: a * (a + 1), hi - lo)
+    # lo - 1 - b^2 < a (a + 1) <= hi - 1 - b^2, with a >= 0
+    below, ahi = _pronic_floor(np.maximum(np.array([[lo], [hi]]) - b2 - 1, 0))
+    alo = below + (b2 < lo)
+    out = _row_bincount(alo, ahi - alo + 1, b2 - lo, lambda a: a * (a + 1),
+                        hi - lo)
+    out *= 8
     u = np.arange((math.isqrt(4 * lo) + 1) | 1, math.isqrt(4 * hi - 3) + 1, 2,
                   dtype=np.int64)
     out[u * u // 4 - lo] += 4  # the odd squares u^2 = 4i + 1, w = 0
@@ -753,32 +776,49 @@ def _pair_sums(table, terms, meters):
     of table(i) table(i + shift) divided by div (which divides each of
     them), at each end of the ascending ``ends``; 0 at an end below 0.
 
-    One pass over i, in blocks of _R2_BLOCK so that memory does not grow
-    with the ends, serves every term: a block builds the table once, up
-    to the largest shift that fits in a block, and each term reads its
-    two slices from it (a term of a larger shift builds its shifted
-    slice apart).  The segments between consecutive ends are summed by
-    dot products, each at most a level's count, far below 2^63 under the
-    headroom guard (_check_sl2_headroom).  ``meters[k]`` is charged with
-    each of its terms' running sums, block by block."""
-    top = max([ends[-1] for _, ends, *_ in terms if ends], default=-1)
-    reach = max([s for s, *_ in terms if s <= _R2_BLOCK], default=0)
+    One pass over i, in the blocks of _r2_block so that memory does not
+    grow with the ends, serves every term: a block builds the table once,
+    up to the largest shift that fits in the block, and reads two slices
+    of it per shift (a larger shift builds its shifted slice apart).  The
+    terms of one shift share its products: the segments between their
+    ends are summed once by dot products, each sum at most twice a
+    level's count, far below 2^63 under the headroom guard
+    (_check_sl2_headroom), and each term divides the running sum at its
+    own ends.  ``meters[k]`` is charged with each of its terms' running
+    sums, block by block."""
+    shifts = {}
+    for t, (s, ends, *_) in enumerate(terms):
+        if ends and ends[-1] >= 0:
+            shifts.setdefault(s, []).append(t)
+    top = max([terms[t][1][-1] for ts in shifts.values() for t in ts],
+              default=-1)
     out = [[0] * sum(e < 0 for e in ends) for _, ends, *_ in terms]
-    running = [0] * len(terms)
-    for i0 in range(0, top + 1, _R2_BLOCK):
-        i1 = min(i0 + _R2_BLOCK, top + 1)
-        near = table(i0, i1 + reach)
-        for t, (s, ends, k, div) in enumerate(terms):
-            if not ends or ends[-1] < i0:
-                continue
-            n, before = min(i1, ends[-1] + 1) - i0, running[t]
-            far = near[s:] if s <= _R2_BLOCK else table(i0 + s, i0 + n + s)
-            his = [e - i0 + 1 for e in ends if i0 <= e < i0 + n]
-            for lo, hi in zip([0] + his, his + [n]):
-                running[t] += int(np.dot(near[lo:hi], far[lo:hi]))
-                out[t].append(running[t] // div)
-            out[t].pop()  # the sum at the block's end, not at an end
-            meters[k].add((running[t] - before) // div)
+    running = dict.fromkeys(shifts, 0)
+    i0 = 0
+    while i0 <= top:
+        n = min(_r2_block(i0), top + 1 - i0)
+        shifts = {s: live for s, ts in shifts.items()
+                  if (live := [t for t in ts if terms[t][1][-1] >= i0])}
+        reach = max([s for s in shifts if s <= n], default=0)
+        near = table(i0, i0 + n + reach)
+        for s, ts in shifts.items():
+            # each term's entries in the block: i0 <= i < i0 + last[t]
+            last = {t: min(n, terms[t][1][-1] + 1 - i0) for t in ts}
+            far = (near[s:] if s <= reach
+                   else table(i0 + s, i0 + max(last.values()) + s))
+            sums, lo = {0: running[s]}, 0
+            for hi in sorted({e - i0 + 1 for t in ts for e in terms[t][1]
+                              if 0 <= e - i0 < n} | set(last.values())):
+                sums[hi] = sums[lo] + int(np.dot(near[lo:hi], far[lo:hi]))
+                lo = hi
+            for t in ts:
+                _, ends, k, div = terms[t]
+                out[t] += [sums[e - i0 + 1] // div for e in ends
+                           if 0 <= e - i0 < n]
+                meters[k].add((sums[last[t]] - sums[0]) // div)
+            running[s] = sums[lo]
+        del near, far  # before the next block builds its own
+        i0 += n
     return out
 
 

@@ -666,8 +666,9 @@ def test_two_squares_count_checks_headroom_first(group, monkeypatch):
 def test_two_squares_count_stops_at_capacity(monkeypatch):
     # the level-0 running sum bounds the count from below, so a ball far
     # over its capacity raises after a few blocks of the r2(4i + 1)
-    # table, not after all
-    monkeypatch.setattr(balls, "_R2_BLOCK", 1 << 10)
+    # table, not after all: here in blocks held at 2^10 entries, up to the
+    # table's end i = (10^6 - 3) // 4
+    monkeypatch.setattr(balls, "_r2_block", lambda i0: 1 << 10)
     calls = []
     real_table = balls._r2_1mod4_range
 
@@ -679,6 +680,8 @@ def test_two_squares_count_stops_at_capacity(monkeypatch):
     true = ball_count(BallSpec("sl2z", t_inf=1000))
     full = len(calls)
     assert true == 6000052 and full > 200
+    assert calls == [i << 10 for i in range(full)]
+    assert (10**6 - 3) // 4 < full << 10
     assert ball_count(BallSpec("sl2z", t_inf=1000, capacity=true)) == true
     with pytest.raises(CapacityError, match="exceeds capacity"):
         ball_count(BallSpec("sl2z", t_inf=1000, capacity=true - 1))
@@ -700,6 +703,29 @@ def test_two_squares_count_stops_at_capacity(monkeypatch):
     with pytest.raises(CapacityError, match="exceeds capacity"):
         ball_count(BallSpec("sl2z", t_inf=2**15, norm="max"))
     assert 0 < len(blocks) < 1000
+
+
+def test_two_squares_count_under_forced_blocks(monkeypatch):
+    # the sl2z ball at T = 4000 sums over 4 * 10^6 entries of each table,
+    # in blocks that grow to some 2^17 entries under the rule; blocks held
+    # at 2^10 entries give the same count
+    spec = BallSpec("sl2z", t_inf=4000)
+    ruled = ball_count(spec)
+    monkeypatch.setattr(balls, "_r2_block", lambda i0: 1 << 10)
+    assert ball_count(spec) == ruled
+
+
+def test_two_squares_count_working_set_stays_small():
+    # the T = 500 ball sums over 62,500 entries of each table in blocks of
+    # a few hundred KiB (2^16-entry blocks peaked at 0.97 MiB)
+    tracemalloc.start()
+    try:
+        got = ball_count(BallSpec("sl2z", t_inf=500))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 1500740
+    assert peak < 0.75 * 2**20
 
 
 def _strip_elements(chunks):

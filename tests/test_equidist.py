@@ -1192,16 +1192,27 @@ def test_ladder_totals_small_blocks_against_brute_force(p, rungs, monkeypatch):
     assert totals == [len(brute_sl2zp(p, t_inf, t_p)) for t_inf, t_p in rungs]
 
 
+def _rule_blocks(end):
+    """Starts of the blocks of the two-squares rule (balls._r2_block) that
+    cover the entries 0..end."""
+    starts = [0]
+    while starts[-1] + balls._r2_block(starts[-1]) <= end:
+        starts.append(starts[-1] + balls._r2_block(starts[-1]))
+    return starts
+
+
 def test_ladder_totals_build_r2_once_per_block(monkeypatch):
     # every level and every halving j of the a22 ladder T <= 32 reads its
     # slices from the one r2(4i + 1) table of each block: no p = 2 shift
-    # 4^m / 2^j there exceeds the block, so there is one _r2_1mod4_range
-    # call per block of the top level
+    # 4^m / 2^j there exceeds a block, so there is one _r2_1mod4_range
+    # call per block of the rule, in ascending order, each holding its
+    # block up to the top level's last entry and at most the largest shift
+    # past it
     calls = []
     real_table = balls._r2_1mod4_range
 
     def counted(lo, hi):
-        calls.append(lo)
+        calls.append((lo, hi))
         return real_table(lo, hi)
 
     monkeypatch.setattr(balls, "_r2_1mod4_range", counted)
@@ -1210,11 +1221,50 @@ def test_ladder_totals_build_r2_once_per_block(monkeypatch):
     assert balls.sl2_ladder_totals(spec, cuts) == [2484, 46916, 775988,
                                                    12548820]
     top = len(cuts[-1]) - 1
-    assert 4**top <= balls._R2_BLOCK
+    assert 4**top <= balls._r2_block(0)
     # the last table entry i of the top level: Q = 4i + 1 <= X - 2 det
     end = (cuts[-1][top] - 2 * 4**top - 1) // 4
-    assert len(calls) == -(-(end + 1) // balls._R2_BLOCK) > 1
-    assert calls == sorted(set(calls))
+    starts = _rule_blocks(end)
+    assert [lo for lo, _ in calls] == starts and len(starts) > 1
+    for lo, hi in calls:
+        covered = lo + min(balls._r2_block(lo), end + 1 - lo)
+        assert covered <= hi <= covered + 4**top
+
+
+def test_two_squares_pass_across_rule_edges():
+    # the default block rule against the direct sum over every Q, for the
+    # dets 4^m of the a22 levels: cuts on both sides of the first block
+    # edge and of the first block that grows.  Q = 4i + 1 of the halving
+    # j ends at i = ((y >> j) - 1) // 4, so y = 4E and 4E + 1 end on
+    # either side of the edge E at j = 0 (8E and 8E + 2 at j = 1)
+    grown = next(i for i in _rule_blocks(1 << 21)
+                 if balls._r2_block(i) > balls._R2_BLOCK)
+    edges = [balls._r2_block(0), grown]
+    ys = {y for e in edges for y in (4 * e, 4 * e + 1)}
+    ys |= {8 * edges[0], 8 * edges[0] + 2}
+    dets = [4**m for m in range(6)]
+    cutsets = [sorted({0, 2 * det - 1} | {2 * det + y for y in ys})
+               for det in dets]
+    meters = [balls._CapacityMeter(math.inf) for _ in dets]
+    got = balls._det_norm_counts(dets, cutsets, meters)
+    assert got == [[two_squares_det_count(det, x) for x in xs]
+                   for det, xs in zip(dets, cutsets)]
+    assert [meter.count for meter in meters] == [max(c) for c in got]
+
+
+def test_ladder_totals_working_set_stays_small():
+    # the a22 ladder T <= 32 sums over some 2^18 table entries; its blocks
+    # hold a few hundred KiB at a time (2^16-entry blocks peaked at 1.6 MiB)
+    cuts = _rung_cuts(2, [(t, t) for t in (4, 8, 16, 32)])
+    spec = BallSpec("sl2zp", p=2, t_inf=32, t_p=32)
+    tracemalloc.start()
+    try:
+        totals = balls.sl2_ladder_totals(spec, cuts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert totals == [2484, 46916, 775988, 12548820]
+    assert peak < 2**20
 
 
 def _count_routes(monkeypatch):
